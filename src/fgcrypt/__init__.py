@@ -10,14 +10,12 @@ attack harness.
 
 from .words import (
     Alphabet,
-    Letter,
     Word,
+    ball_size,
     compare_words,
     concat,
     format_word,
-    free_reduce,
     generators,
-    invert,
     parse_word,
 )
 from .nielsen import (
@@ -41,16 +39,10 @@ from .nielsen import (
 from .automorphisms import (
     FactoredAutomorphism,
     WhiteheadMove,
-    apply,
-    compose,
     format_automorphism,
     from_factors,
-    from_nielsen_sequence,
-    from_whitehead_sequence,
     identity_automorphism,
-    inverse,
     parse_automorphism,
-    power,
     random_whitehead_automorphism,
 )
 from .keystream import (
@@ -107,7 +99,6 @@ from .cryptanalysis import (
     AttackConfig,
     AttackReport,
     attack_cost_estimate,
-    ball_size,
     enumerate_ball,
     primitive_growth_rates,
     primitive_lower_bound_rank2,

@@ -24,20 +24,14 @@ from .errors import (
     PreconditionError,
     WordSyntaxError,
 )
-from .nielsen import ElementaryMove
+from .nielsen import ElementaryMove, parse_moves
 from .words import Alphabet, Word, concat, generators
 
 __all__ = [
     "WhiteheadMove",
     "Factor",
     "FactoredAutomorphism",
-    "from_nielsen_sequence",
-    "from_whitehead_sequence",
     "from_factors",
-    "apply",
-    "compose",
-    "power",
-    "inverse",
     "random_whitehead_automorphism",
     "parse_automorphism",
     "format_automorphism",
@@ -212,36 +206,6 @@ def from_factors(factors: Iterable[Factor], alphabet: Alphabet) -> FactoredAutom
     return FactoredAutomorphism(alphabet, fs, _fold(fs, alphabet))
 
 
-def from_nielsen_sequence(moves: Iterable[ElementaryMove],
-                          alphabet: Alphabet) -> FactoredAutomorphism:
-    ms = tuple(moves)
-    for m in ms:
-        if m.kind == "T3":
-            raise NotRegularError("T3 is singular; use regular moves only")
-    return from_factors(ms, alphabet)
-
-
-def from_whitehead_sequence(moves: Iterable[WhiteheadMove],
-                            alphabet: Alphabet) -> FactoredAutomorphism:
-    return from_factors(tuple(moves), alphabet)
-
-
-def apply(f: FactoredAutomorphism, w: Word) -> Word:
-    return f.apply(w)
-
-
-def compose(f: FactoredAutomorphism, g: FactoredAutomorphism) -> FactoredAutomorphism:
-    return f.compose(g)
-
-
-def power(f: FactoredAutomorphism, n: int) -> FactoredAutomorphism:
-    return f.power(n)
-
-
-def inverse(f: FactoredAutomorphism) -> FactoredAutomorphism:
-    return f.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Random sampling of Whitehead-move products.
 # ---------------------------------------------------------------------------
@@ -375,12 +339,7 @@ def parse_automorphism(text: str, alphabet: Alphabet) -> FactoredAutomorphism:
         parts = ln.split()
         kind = parts[0]
         if kind in ("T1", "T2", "T3"):
-            if kind == "T2" and len(parts) == 3:
-                factors.append(ElementaryMove("T2", int(parts[1]), int(parts[2])))
-            elif kind == "T1" and len(parts) == 2:
-                factors.append(ElementaryMove("T1", int(parts[1])))
-            else:
-                raise WordSyntaxError(f"bad factor line {ln!r}")
+            factors.extend(parse_moves(ln))  # T3 fails in from_factors
         elif kind == "INV":
             if len(parts) != 2:
                 raise WordSyntaxError(f"bad factor line {ln!r}")

@@ -17,7 +17,8 @@ from . import nielsen as ni
 from . import otp
 from . import pubkey as pk
 from .errors import FgError
-from .keystream import AutFamily, LcgParams, Prg, has_max_period, parse_kv_lines
+from .keystream import (AutFamily, LcgParams, Prg, has_max_period, keystream,
+                        parse_kv_lines)
 from .words import Alphabet, format_word, parse_word
 
 
@@ -190,10 +191,9 @@ def _cmd_otp_decrypt(args) -> None:
 
 
 def _cmd_otp_table(args) -> None:
-    from .keystream import keystream as ks
     params, key = otp.parse_key_file(_read(args.key))
     auts = _load_auts(args.aut, params.alphabet)
-    indices = ks(params.lcg, key.alpha, args.positions)
+    indices = keystream(params.lcg, key.alpha, args.positions)
     table = otp.build_cipher_table(params, key, indices, automorphisms=auts)
     lines = [f"columns = {' '.join(str(x) for x in indices)}"]
     for sym, row in zip(params.plaintext_alphabet, table):
@@ -209,9 +209,9 @@ def _load_pubkey_params(args) -> pk.PubkeyParams:
         raise UsageError("params file is missing 'aut_file = ...'")
     aut_text = (params_path.parent / kv["aut_file"]).read_text()
     rep = None
-    if getattr(args, "matrix", False):
-        alphabet = Alphabet(tuple(kv["alphabet"].split()))
-        rep = _rep_for(alphabet, args.rep_preset)
+    # without an alphabet line parse_params_file reports the missing line
+    if getattr(args, "matrix", False) and "alphabet" in kv:
+        rep = _rep_for(_alphabet(kv["alphabet"]), args.rep_preset)
     return pk.parse_params_file(text, aut_text, rep=rep)
 
 
@@ -338,7 +338,7 @@ def run(argv) -> int:
     except FgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing or unreadable file
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     return 0

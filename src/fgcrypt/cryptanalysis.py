@@ -19,13 +19,12 @@ from .nielsen import (
     canonical_minimal_basis,
     nielsen_reduce,
 )
-from .words import Alphabet, Word
+from .words import Alphabet, Word, ball_size
 
 __all__ = [
     "AttackConfig",
     "AttackReport",
     "CostEstimate",
-    "ball_size",
     "enumerate_ball",
     "subset_attack",
     "primitive_lower_bound_rank2",
@@ -68,12 +67,6 @@ class CostEstimate:
     ball: int
     subsets: int
     per_subset_cost: int  # quadratic proxy in the length bound
-
-
-def ball_size(q: int, radius: int) -> int:
-    """Number of non-identity reduced words of length <= radius:
-    sum over k of 2q (2q-1)^(k-1)."""
-    return sum(2 * q * (2 * q - 1) ** (k - 1) for k in range(1, radius + 1))
 
 
 def enumerate_ball(alphabet: Alphabet, radius: int,

@@ -101,7 +101,10 @@ def _rotl64(x: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class AutFamily:
-    """Lazily derived family of 2^m pairwise-distinct automorphisms."""
+    """Lazily derived family of 2^m automorphisms, one per residue class.
+
+    Members come from at most 2^64 derivation seeds, so they are distinct
+    only with high probability, never by construction."""
 
     master_seed: int
     alphabet: Alphabet

@@ -21,7 +21,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .nielsen import GeneratingTuple, nielsen_reduce
-from .words import Alphabet, Word
+from .words import Alphabet, Word, ball_size
 
 __all__ = [
     "Mat2Q",
@@ -305,15 +305,11 @@ def _half_table(spec: RepSpec, depth: int) -> dict[tuple, tuple[int, ...]]:
 _TABLE_CACHE: dict[tuple, dict] = {}
 
 
-def _ball_count(q: int, radius: int) -> int:
-    return sum(2 * q * (2 * q - 1) ** (k - 1) for k in range(1, radius + 1))
-
-
 def _meet_in_middle(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[list[int]]:
     h2 = max_len // 2
     h1 = max_len - h2
     q = spec.alphabet.rank
-    if _ball_count(q, h2) > _MITM_CAP or _ball_count(q, h1) > _MITM_CAP:
+    if ball_size(q, h2) > _MITM_CAP or ball_size(q, h1) > _MITM_CAP:
         raise CapExceededError(
             f"cannot certify absence within length {max_len} at rank {q}; "
             "the exhaustive half-ball exceeds the cap")
@@ -368,7 +364,7 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int,
         # exhaustive search settles small bounds outright; otherwise spend
         # the full budget before certifying absence
         q = spec.alphabet.rank
-        if _ball_count(q, max_len - max_len // 2) <= 20_000:
+        if ball_size(q, max_len - max_len // 2) <= 20_000:
             letters = _meet_in_middle(spec, M, max_len)
         else:
             letters = _best_first(spec, M, max_len, search_budget)
@@ -392,8 +388,11 @@ def format_matrix(M: Mat2Q) -> str:
             f"[{_format_entry(M.a21)}, {_format_entry(M.a22)}]]")
 
 
+# entries are [+-]int or [+-]int/int, as written by format_matrix; Fraction's
+# own grammar would also take exponents, so "1e99999999" would cost minutes
+_ENTRY = r"\s*([+-]?[0-9]+(?:/[0-9]+)?)\s*"
 _MATRIX_RE = re.compile(
-    r"\s*\[\s*\[([^,\]]+),([^,\]]+)\]\s*,\s*\[([^,\]]+),([^,\]]+)\]\s*\]\s*$")
+    rf"\s*\[\s*\[{_ENTRY},{_ENTRY}\]\s*,\s*\[{_ENTRY},{_ENTRY}\]\s*\]\s*$")
 
 
 def parse_matrix(text: str) -> Mat2Q:
@@ -401,7 +400,7 @@ def parse_matrix(text: str) -> Mat2Q:
     if not m:
         raise WordSyntaxError(f"bad matrix text {text!r}")
     try:
-        entries = [Fraction(part.strip()) for part in m.groups()]
+        entries = [Fraction(part) for part in m.groups()]
     except (ValueError, ZeroDivisionError):
         raise WordSyntaxError(f"bad matrix entry in {text!r}") from None
     return Mat2Q(*entries)

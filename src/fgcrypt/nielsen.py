@@ -56,13 +56,6 @@ class GeneratingTuple:
             if w.alphabet.names != self.alphabet.names:
                 raise PreconditionError("tuple entries must share one alphabet")
 
-    @classmethod
-    def of(cls, words: Iterable[Word]) -> "GeneratingTuple":
-        ws = tuple(words)
-        if not ws:
-            raise PreconditionError("cannot infer alphabet from an empty tuple")
-        return cls(ws[0].alphabet, ws)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -553,25 +546,17 @@ def format_moves(moves: Iterable[ElementaryMove]) -> str:
     return "\n".join(str(m) for m in moves)
 
 
+def _parse_move_line(ln: str) -> ElementaryMove:
+    parts = ln.split()
+    try:
+        if parts[0] == "T2" and len(parts) == 3:
+            return ElementaryMove("T2", int(parts[1]), int(parts[2]))
+        if parts[0] in ("T1", "T3") and len(parts) == 2:
+            return ElementaryMove(parts[0], int(parts[1]))
+    except ValueError:
+        pass
+    raise WordSyntaxError(f"bad move line {ln.strip()!r}")
+
+
 def parse_moves(text: str) -> list[ElementaryMove]:
-    moves = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        parts = ln.split()
-        kind = parts[0]
-        try:
-            if kind == "T2":
-                if len(parts) != 3:
-                    raise ValueError
-                moves.append(ElementaryMove("T2", int(parts[1]), int(parts[2])))
-            elif kind in ("T1", "T3"):
-                if len(parts) != 2:
-                    raise ValueError
-                moves.append(ElementaryMove(kind, int(parts[1])))
-            else:
-                raise ValueError
-        except ValueError:
-            raise WordSyntaxError(f"bad move line {ln!r}") from None
-    return moves
+    return [_parse_move_line(ln) for ln in text.splitlines() if ln.strip()]

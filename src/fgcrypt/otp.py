@@ -23,12 +23,15 @@ from .keystream import (
     has_max_period,
     keystream,
     parse_kv_lines,
+    parse_lcg_lines,
 )
 from .nielsen import (
     GeneratingTuple,
     canonical_minimal_basis,
+    format_tuple,
     is_nielsen_reduced,
     nielsen_reduce,
+    parse_tuple,
 )
 from .words import Alphabet, Word, format_word, parse_word
 
@@ -302,23 +305,23 @@ def write_key_file(params: CipherPublicParams, key: CipherPrivateKey) -> str:
         f"plaintext_alphabet = {' '.join(params.plaintext_alphabet)}",
         f"alpha = {key.alpha}",
         format_lcg_lines(params.lcg, params.fam.master_seed),
-        "begin tuple",
+        format_tuple(key.basis),
     ]
-    lines.extend(format_word(w) for w in key.basis)
-    lines.append("end tuple")
     return "\n".join(lines) + "\n"
 
 
 def parse_key_file(text: str) -> tuple[CipherPublicParams, CipherPrivateKey]:
     kv = parse_kv_lines(text)
-    required = ("alphabet", "N", "plaintext_alphabet", "alpha",
-                "m", "beta", "gamma", "seed")
-    for field_name in required:
+    for field_name in ("alphabet", "N", "plaintext_alphabet", "alpha"):
         if field_name not in kv:
             raise WordSyntaxError(f"key file is missing '{field_name} = ...'")
+    lcg, seed = parse_lcg_lines(text)
+    try:
+        n, alpha = int(kv["N"]), int(kv["alpha"])
+    except ValueError as bad:
+        raise WordSyntaxError(f"bad key file value: {bad}") from None
     alphabet = Alphabet(tuple(kv["alphabet"].split()))
-    lcg = LcgParams(int(kv["m"]), int(kv["beta"]), int(kv["gamma"]))
-    fam = AutFamily(int(kv["seed"], 16), alphabet, lcg.m)
+    fam = AutFamily(seed, alphabet, lcg.m)
     params = CipherPublicParams(alphabet, tuple(kv["plaintext_alphabet"].split()),
                                 fam, lcg)
     lines = [ln.strip() for ln in text.splitlines()]
@@ -327,10 +330,9 @@ def parse_key_file(text: str) -> tuple[CipherPublicParams, CipherPrivateKey]:
         end = lines.index("end tuple")
     except ValueError:
         raise WordSyntaxError("key file is missing the tuple block") from None
-    words = tuple(parse_word(ln, alphabet)
-                  for ln in lines[start + 1:end] if ln)
-    key = CipherPrivateKey(GeneratingTuple(alphabet, words), int(kv["alpha"]))
-    if int(kv["N"]) != len(words):
+    basis = parse_tuple("\n".join(lines[start:end + 1]), alphabet)
+    if n != len(basis):
         raise WordSyntaxError("N does not match the tuple size")
+    key = CipherPrivateKey(basis, alpha)
     key.validate(params)
     return params, key

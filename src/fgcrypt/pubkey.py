@@ -14,7 +14,9 @@ from typing import Optional, Union
 
 from .automorphisms import FactoredAutomorphism, parse_automorphism
 from .errors import DecryptionError, PreconditionError, WordSyntaxError
-from .matrices import Mat2Q, RepSpec, mat_inv, mat_mul, matrix_to_word, word_to_matrix
+from .keystream import parse_kv_lines
+from .matrices import (Mat2Q, RepSpec, format_matrix, mat_inv, mat_mul,
+                       matrix_to_word, parse_matrix, word_to_matrix)
 from .words import Alphabet, Word, concat, format_word, parse_word
 
 __all__ = [
@@ -131,7 +133,6 @@ def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
 # ---------------------------------------------------------------------------
 
 def write_pair_file(pair: CipherPair) -> str:
-    from .matrices import format_matrix
     if isinstance(pair.c1, Mat2Q):
         c1 = format_matrix(pair.c1)
     else:
@@ -140,8 +141,6 @@ def write_pair_file(pair: CipherPair) -> str:
 
 
 def parse_pair_file(text: str, alphabet: Alphabet, matrix: bool = False) -> CipherPair:
-    from .keystream import parse_kv_lines
-    from .matrices import parse_matrix
     kv = parse_kv_lines(text)
     if "c1" not in kv or "c2" not in kv:
         raise WordSyntaxError("pair file needs 'c1 = ...' and 'c2 = ...'")
@@ -153,7 +152,6 @@ def parse_params_file(text: str, aut_text: str, rep: Optional[RepSpec] = None,
                       max_exponent: int = DEFAULT_MAX_EXPONENT) -> PubkeyParams:
     """Assemble parameters from a params file plus the referenced
     automorphism file's text (the caller resolves the path)."""
-    from .keystream import parse_kv_lines
     kv = parse_kv_lines(text)
     for field_name in ("alphabet", "a"):
         if field_name not in kv:

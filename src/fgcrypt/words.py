@@ -3,7 +3,7 @@
 A word is stored as a tuple of nonzero signed generator indices: ``+i``
 stands for the i-th generator, ``-i`` for its inverse (1-based).  Every
 ``Word`` is freely reduced by construction; unreduced letter sequences only
-exist transiently inside :func:`free_reduce`.  Words and alphabets are
+exist transiently inside its constructor.  Words and alphabets are
 immutable, so all operations here are pure and thread-safe.
 """
 
@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence
 
-from .errors import AlphabetMismatchError, InvalidLetterError, WordSyntaxError
+from .errors import (AlphabetMismatchError, InvalidLetterError,
+                     PreconditionError, WordSyntaxError)
 
 __all__ = [
     "Alphabet",
-    "Letter",
     "Word",
-    "free_reduce",
     "concat",
-    "invert",
     "compare_words",
     "parse_word",
     "format_word",
     "generators",
+    "ball_size",
 ]
 
 
@@ -39,17 +38,18 @@ class Alphabet:
         if isinstance(self.names, list):  # tolerate list input
             object.__setattr__(self, "names", tuple(self.names))
         if len(self.names) < 1:
-            raise ValueError("alphabet needs at least one generator")
+            raise PreconditionError("alphabet needs at least one generator")
         seen = set()
         for name in self.names:
             if not name:
-                raise ValueError("generator names must be non-empty")
+                raise PreconditionError("generator names must be non-empty")
             if any(ch.isspace() for ch in name) or "^" in name or "|" in name:
-                raise ValueError(f"invalid generator name {name!r}")
+                raise PreconditionError(f"invalid generator name {name!r}")
             if name.isdigit():
-                raise ValueError(f"generator name {name!r} collides with exponents")
+                raise PreconditionError(
+                    f"generator name {name!r} collides with exponents")
             if name in seen:
-                raise ValueError(f"duplicate generator name {name!r}")
+                raise PreconditionError(f"duplicate generator name {name!r}")
             seen.add(name)
 
     @property
@@ -79,36 +79,8 @@ class Alphabet:
         return " ".join(self.names)
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A single generator symbol x_i (sign +1) or x_i^-1 (sign -1)."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InvalidLetterError(f"letter sign must be +1 or -1, got {self.sign}")
-        if self.index < 1:
-            raise InvalidLetterError(f"letter index must be >= 1, got {self.index}")
-
-    @classmethod
-    def from_signed(cls, s: int) -> "Letter":
-        return cls(abs(s), 1 if s > 0 else -1)
-
-    def to_signed(self) -> int:
-        return self.index * self.sign
-
-
-LetterLike = Union[Letter, int]
-
-
-def _as_signed(letter: LetterLike) -> int:
-    if isinstance(letter, Letter):
-        return letter.to_signed()
-    if isinstance(letter, int):
-        if letter == 0:
-            raise InvalidLetterError("0 is not a letter")
+def _as_signed(letter: int) -> int:
+    if isinstance(letter, int) and letter != 0:
         return letter
     raise InvalidLetterError(f"not a letter: {letter!r}")
 
@@ -122,7 +94,7 @@ class Word:
     alphabet: Alphabet
     signed: tuple[int, ...]
 
-    def __init__(self, alphabet: Alphabet, letters: Iterable[LetterLike] = ()):
+    def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         object.__setattr__(self, "alphabet", alphabet)
         reduced = _reduce_signed(_as_signed(l) for l in letters)
         _check_range(reduced, alphabet)
@@ -138,10 +110,6 @@ class Word:
         object.__setattr__(w, "alphabet", alphabet)
         object.__setattr__(w, "signed", signed)
         return w
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.from_signed(s) for s in self.signed)
 
     def __len__(self) -> int:
         return len(self.signed)
@@ -186,9 +154,6 @@ class Word:
     def __ge__(self, other: "Word") -> bool:
         return compare_words(self, other) >= 0
 
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
     def __str__(self) -> str:
         return format_word(self)
 
@@ -225,11 +190,6 @@ def _same_alphabet(u: Word, v: Word) -> None:
             f"alphabet mismatch: {u.alphabet} vs {v.alphabet}")
 
 
-def free_reduce(alphabet: Alphabet, raw: Iterable[LetterLike]) -> Word:
-    """Reduce a raw letter sequence to its unique freely reduced form."""
-    return Word(alphabet, raw)
-
-
 def concat(u: Word, v: Word) -> Word:
     """Freely reduced product uv."""
     _same_alphabet(u, v)
@@ -241,10 +201,6 @@ def concat(u: Word, v: Word) -> Word:
         left.pop()
         i += 1
     return Word._make(u.alphabet, tuple(left) + right[i:])
-
-
-def invert(u: Word) -> Word:
-    return u.inverse()
 
 
 def compare_words(u: Word, v: Word) -> int:
@@ -260,6 +216,12 @@ def compare_words(u: Word, v: Word) -> int:
 
 def generators(alphabet: Alphabet) -> tuple[Word, ...]:
     return tuple(alphabet.generator(i) for i in range(1, alphabet.rank + 1))
+
+
+def ball_size(q: int, radius: int) -> int:
+    """Number of non-identity reduced words of length <= radius at rank q:
+    sum over k of 2q (2q-1)^(k-1)."""
+    return sum(2 * q * (2 * q - 1) ** (k - 1) for k in range(1, radius + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_criterion_2_automorphism_images():
              for i in range(1, 9)]
 
     def compute():
-        return [fg.from_nielsen_sequence(fg.parse_moves(t), ABCD).images
+        return [fg.from_factors(fg.parse_moves(t), ABCD).images
                 for t in texts]
 
     images, elapsed = best_of_three(compute)

@@ -11,15 +11,18 @@ from fgcrypt import (
     concat,
     format_automorphism,
     from_factors,
-    from_nielsen_sequence,
-    from_whitehead_sequence,
     generators,
     identity_automorphism,
     parse_automorphism,
     parse_moves,
     random_whitehead_automorphism,
 )
-from fgcrypt.errors import IllegalMoveError, NotRegularError, PreconditionError
+from fgcrypt.errors import (
+    IllegalMoveError,
+    NotRegularError,
+    PreconditionError,
+    WordSyntaxError,
+)
 from fgcrypt.nielsen import GeneratingTuple
 
 from conftest import random_word
@@ -45,35 +48,35 @@ class ScriptedPrg:
 
 class TestFromNielsen:
     def test_demo_images(self):
-        f = from_nielsen_sequence(parse_moves(DEMO_SEQ), ABCD)
+        f = from_factors(parse_moves(DEMO_SEQ), ABCD)
         assert [str(w) for w in f.images] == [
             "a d^2 c^-1", "b c^-1", "c a d^2 c^-1", "d c^-1"]
 
     def test_pubkey_demo_images(self):
-        f = from_nielsen_sequence(parse_moves(PUBKEY_SEQ), X123)
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         assert [str(w) for w in f.images] == ["x1 x2^2", "x3^-1", "x2^-1 x3^-1"]
 
     def test_empty_is_identity(self):
-        f = from_nielsen_sequence([], ABCD)
+        f = from_factors([], ABCD)
         assert f.is_identity()
 
     def test_t3_rejected(self):
         with pytest.raises(NotRegularError):
-            from_nielsen_sequence([ElementaryMove("T3", 1)], AB)
+            from_factors([ElementaryMove("T3", 1)], AB)
 
 
 class TestFromWhitehead:
     def test_inversion(self):
-        f = from_whitehead_sequence([WhiteheadMove("INV", 1)], AB)
+        f = from_factors([WhiteheadMove("INV", 1)], AB)
         assert [str(w) for w in f.images] == ["a^-1", "b"]
 
     def test_multiplier(self):
         move = WhiteheadMove("W", 1, L=frozenset({2}), M=frozenset({1}))
-        f = from_whitehead_sequence([move], AB)
+        f = from_factors([move], AB)
         assert [str(w) for w in f.images] == ["a", "a b"]
 
     def test_inversion_involution(self):
-        f = from_whitehead_sequence([WhiteheadMove("INV", 1)] * 2, AB)
+        f = from_factors([WhiteheadMove("INV", 1)] * 2, AB)
         assert f.is_identity()
 
     def test_invariants(self):
@@ -90,7 +93,7 @@ class TestFromWhitehead:
 
 class TestApply:
     def test_demo_unit(self):
-        f = from_nielsen_sequence(parse_moves(DEMO_SEQ), ABCD)
+        f = from_factors(parse_moves(DEMO_SEQ), ABCD)
         assert str(f.apply(ABCD.parse("d^2 c^-2"))) == \
             "d c^-1 d^-1 a^-1 d^-2 a^-1 c^-1"
 
@@ -100,38 +103,38 @@ class TestApply:
 
     def test_fourth_unit(self):
         seq = "T2 3 1\nT2 3 1\nT1 2\nT2 2 1\nT2 2 1\nT2 2 1\nT2 2 4\nT2 4 2\nT2 1 3"
-        f = from_nielsen_sequence(parse_moves(seq), ABCD)
+        f = from_factors(parse_moves(seq), ABCD)
         assert str(f.apply(ABCD.parse("c^2 b a"))) == \
             "c a^2 c a^2 b^-1 a^3 d a c a^2"
 
 
 class TestComposePower:
     def test_power7_first_image(self):
-        f = from_nielsen_sequence(parse_moves(PUBKEY_SEQ), X123)
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         x1, x2, x3 = generators(X123)
         expected = (x1 * x2 ** 2 * x3 ** -1 * x2 * (x2 * x3) ** 2
                     * (x3 * x2 * x3 ** 2 * x2) ** 2 * x3 * x2)
         assert f.power(7).images[0] == expected
 
     def test_power5_second_image(self):
-        f = from_nielsen_sequence(parse_moves(PUBKEY_SEQ), X123)
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         x1, x2, x3 = generators(X123)
         assert f.power(5).images[1] == \
             x2 ** -1 * (x3 ** -1 * x2 ** -1 * x3 ** -1) ** 2 * x3 ** -1
 
     def test_power_one(self):
-        f = from_nielsen_sequence(parse_moves(PUBKEY_SEQ), X123)
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         assert f.power(1).images == f.images
 
     def test_power_addition(self):
-        f = from_nielsen_sequence(parse_moves(PUBKEY_SEQ), X123)
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         for m, n in itertools.product(range(5), repeat=2):
             assert f.power(m + n).images == f.power(m).compose(f.power(n)).images
 
     def test_compose_order(self):
         # (f o g)(w) = f(g(w))
-        f = from_nielsen_sequence([ElementaryMove("T2", 1, 2)], AB)
-        g = from_nielsen_sequence([ElementaryMove("T1", 1)], AB)
+        f = from_factors([ElementaryMove("T2", 1, 2)], AB)
+        g = from_factors([ElementaryMove("T1", 1)], AB)
         w = AB.parse("a")
         assert f.compose(g).apply(w) == f.apply(g.apply(w))
 
@@ -141,12 +144,12 @@ class TestInverse:
         assert identity_automorphism(AB).inverse().is_identity()
 
     def test_demo_decryption(self):
-        f = from_nielsen_sequence(parse_moves(DEMO_SEQ), ABCD)
+        f = from_factors(parse_moves(DEMO_SEQ), ABCD)
         unit = ABCD.parse("d c^-1 d^-1 a^-1 d^-2 a^-1 c^-1")
         assert str(f.inverse().apply(unit)) == "d^2 c^-2"
 
     def test_double_inverse(self):
-        f = from_nielsen_sequence(parse_moves(DEMO_SEQ), ABCD)
+        f = from_factors(parse_moves(DEMO_SEQ), ABCD)
         assert f.inverse().inverse().images == f.images
 
     def test_whitehead_conjugation_identity_exhaustive_rank3(self):
@@ -163,10 +166,10 @@ class TestInverse:
                     continue
                 move = WhiteheadMove("W", a, L, R, M | {a})
                 ia = WhiteheadMove("INV", a)
-                lhs = from_whitehead_sequence([ia, move, ia], ABC)
-                rhs = from_whitehead_sequence([move], ABC).inverse()
+                lhs = from_factors([ia, move, ia], ABC)
+                rhs = from_factors([move], ABC).inverse()
                 assert lhs.images == rhs.images
-                assert from_whitehead_sequence([move], ABC).compose(rhs).is_identity()
+                assert from_factors([move], ABC).compose(rhs).is_identity()
                 count += 1
         assert count == 45
 
@@ -184,7 +187,7 @@ class TestInverse:
 
     def test_homomorphism(self):
         rng = random.Random(9)
-        f = from_nielsen_sequence(parse_moves(DEMO_SEQ), ABCD)
+        f = from_factors(parse_moves(DEMO_SEQ), ABCD)
         for _ in range(40):
             u = random_word(rng, ABCD, 8, min_len=0)
             v = random_word(rng, ABCD, 8, min_len=0)
@@ -245,6 +248,20 @@ class TestText:
         text = format_automorphism(f)
         assert parse_automorphism(text, ABCD).images == f.images
         assert "W b ; L = a ; R = d ; M = b c" in text
+
+    @pytest.mark.parametrize("text", ["T1 x", "T2 1", "T2 1 1", "T1 0", "T4 1",
+                                      "W a ; L = b", "INV"])
+    def test_malformed_lines(self, text):
+        with pytest.raises(WordSyntaxError):
+            parse_automorphism(text, ABCD)
+
+    def test_t3_line_rejected_as_singular(self):
+        with pytest.raises(NotRegularError):
+            parse_automorphism("T1 2\nT3 1", ABCD)
+
+    def test_comments_and_blank_lines_skipped(self):
+        f = parse_automorphism("# demo\n\n" + DEMO_SEQ + "\n", ABCD)
+        assert f.factors == tuple(parse_moves(DEMO_SEQ))
 
     def test_parse_demo(self):
         f = parse_automorphism(DEMO_SEQ, ABCD)

@@ -226,3 +226,58 @@ class TestErrors:
         src.write_text("begin tuple\nq q\nend tuple\n")
         assert run(["nielsen-reduce", "--alphabet", "a b",
                     "--in", str(src)]) == 2
+
+    def _assert_clean_failure(self, argv, capsys, code):
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("error:", "usage error:"))
+        assert "Traceback" not in err
+
+    def test_aut_file_bad_index(self, tmp_path, capsys):
+        aut = tmp_path / "f.aut"
+        aut.write_text("T2 1 2\nT1 x\n")
+        self._assert_clean_failure(["aut-apply", "--alphabet", "a b", "--aut",
+                                    str(aut), "--word", "a"], capsys, 2)
+
+    def test_aut_file_t3_singular(self, tmp_path, capsys):
+        aut = tmp_path / "f.aut"
+        aut.write_text("T3 1\n")
+        self._assert_clean_failure(["aut-invert", "--alphabet", "a b", "--aut",
+                                    str(aut)], capsys, 2)
+
+    def test_key_file_bad_lcg_value(self, tmp_path, capsys):
+        fx = copy_fixture(tmp_path, "otp_demo")
+        key = fx / "key.txt"
+        key.write_text(key.read_text().replace("m = 128", "m = sixty"))
+        self._assert_clean_failure(["otp-encrypt", "--key", str(key), "--in",
+                                    str(fx / "message.txt")], capsys, 2)
+
+    def test_duplicate_generator_names(self, tmp_path, capsys):
+        self._assert_clean_failure(["aut-apply", "--alphabet", "a a", "--aut",
+                                    str(FIXTURES / "pubkey_demo" / "f.aut"),
+                                    "--word", "a"], capsys, 2)
+        fx = copy_fixture(tmp_path, "otp_demo")
+        key = fx / "key.txt"
+        key.write_text(key.read_text().replace("alphabet = a b c d",
+                                               "alphabet = a b c a"))
+        self._assert_clean_failure(["otp-decrypt", "--key", str(key), "--in",
+                                    str(fx / "ciphertext.txt")], capsys, 2)
+
+    def test_params_without_alphabet_matrix(self, tmp_path, capsys):
+        fx = copy_fixture(tmp_path, "pubkey_demo")
+        params = fx / "params.txt"
+        params.write_text("a = x1 x2\naut_file = f.aut\n")
+        (tmp_path / "c.txt").write_text("x1\n")
+        (tmp_path / "m.txt").write_text("x2\n")
+        self._assert_clean_failure(
+            ["pubkey-encrypt", "--params", str(params), "--public",
+             str(tmp_path / "c.txt"), "--message", str(tmp_path / "m.txt"),
+             "--t", "2", "--matrix"], capsys, 2)
+
+    def test_unreadable_input_exit_1(self, tmp_path, capsys):
+        self._assert_clean_failure(["otp-encrypt", "--key", str(tmp_path),
+                                    "--in", str(tmp_path)], capsys, 1)
+        binary = tmp_path / "key.bin"
+        binary.write_bytes(b"\xff\xfe\x00bad")
+        self._assert_clean_failure(["otp-encrypt", "--key", str(binary),
+                                    "--in", str(binary)], capsys, 1)

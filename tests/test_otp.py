@@ -28,7 +28,12 @@ from fgcrypt import (
     parse_key_file,
     write_key_file,
 )
-from fgcrypt.errors import DecryptionError, EncodingError, PreconditionError
+from fgcrypt.errors import (
+    DecryptionError,
+    EncodingError,
+    PreconditionError,
+    WordSyntaxError,
+)
 from fgcrypt.otp import check_polyalphabetic
 
 FIXTURES = Path(__file__).parent / "fixtures" / "otp_demo"
@@ -236,6 +241,29 @@ class TestKeyFile:
         assert params2.lcg == params.lcg
         assert key2.basis.elements == key.basis.elements
         assert key2.alpha == key.alpha
+
+    def test_fixture_bytes_round_trip(self):
+        text = (FIXTURES / "key.txt").read_text()
+        assert write_key_file(*parse_key_file(text)) == text
+
+    @pytest.mark.parametrize("old, new", [
+        ("m = 128", "m = sixty"),
+        ("seed = 0000000000000000", "seed = zz"),
+        ("alpha = 93", "alpha = ninety"),
+        ("N = 12", "N = twelve"),
+        ("N = 12", "N = 11"),
+        ("end tuple", "end"),
+        ("d^2 c^-2", "d^2 q"),
+    ])
+    def test_malformed_lines_raise_syntax_error(self, old, new):
+        text = (FIXTURES / "key.txt").read_text()
+        with pytest.raises(WordSyntaxError):
+            parse_key_file(text.replace(old, new))
+
+    def test_duplicate_alphabet_name(self):
+        text = (FIXTURES / "key.txt").read_text()
+        with pytest.raises(PreconditionError):
+            parse_key_file(text.replace("alphabet = a b c d", "alphabet = a b c a"))
 
     def test_demo_key_values(self):
         params, key, _ = demo_setup()

@@ -13,10 +13,8 @@ from fgcrypt import (
     bob_encrypt,
     bob_encrypt_matrix,
     concat,
-    from_nielsen_sequence,
-    from_whitehead_sequence,
+    from_factors,
     generators,
-    invert,
     make_representation,
     mat_inv,
     mat_mul,
@@ -33,7 +31,7 @@ F_SEQ = "T2 1 2\nT2 1 2\nT2 3 2\nT1 3\nT2 2 3"
 
 
 def demo_params(rep=False):
-    f = from_nielsen_sequence(parse_moves(F_SEQ), X123)
+    f = from_factors(parse_moves(F_SEQ), X123)
     a = X123.parse("x1^2 x2 x3^-2 x2")
     spec = make_representation(X123) if rep else None
     return PubkeyParams(X123, a, f, rep=spec)
@@ -46,17 +44,17 @@ def demo_message():
 
 class TestParams:
     def test_rejects_identity_word(self):
-        f = from_nielsen_sequence(parse_moves(F_SEQ), X123)
+        f = from_factors(parse_moves(F_SEQ), X123)
         with pytest.raises(PreconditionError):
             PubkeyParams(X123, X123.parse("1"), f)
 
     def test_rejects_identity_automorphism(self):
         with pytest.raises(PreconditionError):
             PubkeyParams(X123, X123.parse("x1"),
-                         from_nielsen_sequence([], X123))
+                         from_factors([], X123))
 
     def test_finite_order_warning(self):
-        inv = from_whitehead_sequence([WhiteheadMove("INV", 1)], X123)
+        inv = from_factors([WhiteheadMove("INV", 1)], X123)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             PubkeyParams(X123, X123.parse("x1"), inv)
@@ -109,9 +107,9 @@ class TestWordVariant:
         params = demo_params()
         c = alice_keygen(params, 2)
         pad = params.f.power(3).apply(c)
-        pair = bob_encrypt(params, c, invert(pad), 3)
+        pair = bob_encrypt(params, c, pad.inverse(), 3)
         assert pair.c1.is_identity()
-        assert alice_decrypt(params, 2, pair) == invert(pad)
+        assert alice_decrypt(params, 2, pair) == pad.inverse()
 
     def test_power_commutation(self):
         params = demo_params()
@@ -157,7 +155,7 @@ class TestWordVariant:
             * x3 ** -1 * block * (x3 ** -1 * x2 ** -1 * x3 ** -1) ** 2
             * x2 ** -1 * x3 ** -1 * x2)
         assert pair.c1 == expected_c1
-        pad_inverse = invert(params.f.power(7).apply(pair.c2))
+        pad_inverse = params.f.power(7).apply(pair.c2).inverse()
         expected_pad_inverse = (
             x2 ** -1
             * (((((x3 * x2) ** 2 * x3) ** 2 * x3 * x2 * x3) ** 2 * x3 * x2

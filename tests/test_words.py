@@ -3,19 +3,17 @@ from hypothesis import given, strategies as st
 
 from fgcrypt import (
     Alphabet,
-    Letter,
     Word,
     compare_words,
     concat,
     format_word,
-    free_reduce,
     generators,
-    invert,
     parse_word,
 )
 from fgcrypt.errors import (
     AlphabetMismatchError,
     InvalidLetterError,
+    PreconditionError,
     WordSyntaxError,
 )
 
@@ -48,6 +46,10 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(names)
 
+    def test_invalid_names_are_precondition_errors(self):
+        with pytest.raises(PreconditionError):
+            Alphabet(("a", "a"))
+
     def test_unknown_generator(self):
         with pytest.raises(InvalidLetterError):
             ABCD.index("e")
@@ -55,32 +57,37 @@ class TestAlphabet:
 
 class TestFreeReduce:
     def test_full_cancellation(self):
-        w = free_reduce(AB, [Letter(1, 1), Letter(1, -1)])
+        w = Word(AB, [1, -1])
         assert w.is_identity()
         assert format_word(w) == "1"
 
     def test_composite_unit(self):
         # d c^-1 d c^-1 . (c d^-2 a^-1 c^-1) . (c d^-2 a^-1 c^-1)
         raw = ([4, -3, 4, -3] + [3, -4, -4, -1, -3] * 2)
-        w = free_reduce(ABCD, raw)
+        w = Word(ABCD, raw)
         assert format_word(w) == "d c^-1 d^-1 a^-1 d^-2 a^-1 c^-1"
 
     def test_already_reduced(self):
-        w = free_reduce(AB, [2, 1, 1, -2])
+        w = Word(AB, [2, 1, 1, -2])
         assert w.signed == (2, 1, 1, -2)
 
     def test_out_of_range(self):
         with pytest.raises(InvalidLetterError):
-            free_reduce(AB, [3])
+            Word(AB, [3])
+
+    @pytest.mark.parametrize("letter", [0, "a", 1.0, None])
+    def test_non_letters_rejected(self, letter):
+        with pytest.raises(InvalidLetterError):
+            Word(AB, [1, letter])
 
     @given(letters_strategy())
     def test_idempotent(self, raw):
-        once = free_reduce(AB, raw)
-        assert free_reduce(AB, once.signed) == once
+        once = Word(AB, raw)
+        assert Word(AB, once.signed) == once
 
     @given(letters_strategy())
     def test_parity_and_shrink(self, raw):
-        w = free_reduce(AB, raw)
+        w = Word(AB, raw)
         assert len(w) <= len(raw)
         assert (len(w) - len(raw)) % 2 == 0
 
@@ -91,7 +98,7 @@ class TestArithmetic:
 
     def test_concat_inverse_law(self):
         w = ABCD.parse("b a^2 c d^-1")
-        assert concat(w, invert(w)).is_identity()
+        assert concat(w, w.inverse()).is_identity()
 
     def test_concat_no_cancel(self):
         u = ABCD.parse("b a^2")
@@ -103,15 +110,15 @@ class TestArithmetic:
             concat(AB.parse("a"), ABCD.parse("a"))
 
     def test_invert(self):
-        assert str(invert(AB.parse("b a^2"))) == "a^-2 b^-1"
-        assert invert(AB.parse("1")).is_identity()
-        assert str(invert(ABCD.parse("d^2 c^-2"))) == "c^2 d^-2"
+        assert str(AB.parse("b a^2").inverse()) == "a^-2 b^-1"
+        assert AB.parse("1").inverse().is_identity()
+        assert str(ABCD.parse("d^2 c^-2").inverse()) == "c^2 d^-2"
 
     def test_pow(self):
         a, b = generators(AB)
         assert str((a * b) ** 3) == "a b a b a b"
         assert (a * b) ** 0 == AB.identity()
-        assert (a * b) ** -1 == invert(a * b)
+        assert (a * b) ** -1 == (a * b).inverse()
 
     @given(words_strategy(), words_strategy())
     def test_concat_parity(self, u, v):
@@ -123,8 +130,8 @@ class TestArithmetic:
 
     @given(words_strategy())
     def test_involution(self, w):
-        assert invert(invert(w)) == w
-        assert len(invert(w)) == len(w)
+        assert w.inverse().inverse() == w
+        assert len(w.inverse()) == len(w)
 
 
 class TestOrder:
