@@ -4,8 +4,9 @@ A factor is either a regular elementary move (T1/T2 by index) or a
 Whitehead move (a single-generator inversion, or the four-case multiplier
 map).  Factor sequences are applied left to right at the tuple level, which
 makes the composite map equal to the leftmost factor applied outermost:
-``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Inversion is factor-wise and
-never solved from the images.
+``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds and inverses work on
+image tuples, one step per factor; an inverse is never solved from the
+images and keeps the factor-wise inverse list (W^-1 = INV W INV).
 
 Automorphisms are immutable after construction and apply/compose/power/
 inverse are pure, so they are safe to share across threads; a sampler's
@@ -71,28 +72,6 @@ class WhiteheadMove:
         if not (self.L or self.R or (self.M - {self.a})):
             raise IllegalMoveError("move would be the identity map")
 
-    def generator_images(self, alphabet: Alphabet) -> tuple[Word, ...]:
-        q = alphabet.rank
-        top = max([self.a, *self.L, *self.R, *self.M])
-        if top > q:
-            raise IllegalMoveError(f"generator index {top} exceeds rank {q}")
-        images = []
-        for b in range(1, q + 1):
-            if self.kind == "INV":
-                images.append(Word(alphabet, (-b,) if b == self.a else (b,)))
-                continue
-            if b == self.a:
-                images.append(Word(alphabet, (b,)))
-            elif b in self.L:
-                images.append(Word(alphabet, (self.a, b)))
-            elif b in self.R:
-                images.append(Word(alphabet, (b, -self.a)))
-            elif b in self.M:
-                images.append(Word(alphabet, (self.a, b, -self.a)))
-            else:
-                images.append(Word(alphabet, (b,)))
-        return tuple(images)
-
 
 Factor = Union[ElementaryMove, WhiteheadMove]
 
@@ -118,27 +97,47 @@ def _substitute(images: Sequence[Word], w: Word, alphabet: Alphabet) -> Word:
     return Word._make(alphabet, tuple(out))
 
 
-def _factor_images(factor: Factor, alphabet: Alphabet) -> tuple[Word, ...]:
+def _step(images: tuple[Word, ...], factor: Factor,
+          inverse: bool = False) -> tuple[Word, ...]:
+    """The images of ``images o factor``, or of ``images o factor^-1``,
+    built from the factor's definition; untouched images are reused."""
+    q = len(images)
+    out = list(images)
     if isinstance(factor, WhiteheadMove):
-        return factor.generator_images(alphabet)
-    q = alphabet.rank
+        top = max([factor.a, *factor.L, *factor.R, *factor.M])
+        if top > q:
+            raise IllegalMoveError(f"generator index {top} exceeds rank {q}")
+        x = images[factor.a - 1]
+        if factor.kind == "INV":
+            out[factor.a - 1] = x.inverse()
+            return tuple(out)
+        # W sends b to ab / b a^-1 / a b a^-1; W^-1 to a^-1 b / b a / a^-1 b a
+        left, right = (x.inverse(), x) if inverse else (x, x.inverse())
+        for b in factor.L:
+            out[b - 1] = concat(left, images[b - 1])
+        for b in factor.R:
+            out[b - 1] = concat(images[b - 1], right)
+        for b in factor.M - {factor.a}:
+            out[b - 1] = concat(concat(left, images[b - 1]), right)
+        return tuple(out)
     if factor.kind == "T3":
         raise NotRegularError("T3 is singular; automorphisms are regular only")
     if not 1 <= factor.i <= q or (factor.kind == "T2" and not 1 <= factor.j <= q):
         raise IllegalMoveError(f"move {factor} out of range for rank {q}")
-    gens = list(generators(alphabet))
+    u = images[factor.i - 1]
     if factor.kind == "T1":
-        gens[factor.i - 1] = gens[factor.i - 1].inverse()
+        out[factor.i - 1] = u.inverse()
     else:
-        gens[factor.i - 1] = concat(gens[factor.i - 1], gens[factor.j - 1])
-    return tuple(gens)
+        v = images[factor.j - 1]
+        out[factor.i - 1] = concat(u, v.inverse() if inverse else v)
+    return tuple(out)
 
 
-def _fold(factors: Iterable[Factor], alphabet: Alphabet) -> tuple[Word, ...]:
+def _fold(factors: Iterable[Factor], alphabet: Alphabet,
+          inverse: bool = False) -> tuple[Word, ...]:
     images = generators(alphabet)
     for factor in factors:
-        step = _factor_images(factor, alphabet)
-        images = tuple(_substitute(images, im, alphabet) for im in step)
+        images = _step(images, factor, inverse)
     return images
 
 
@@ -172,10 +171,10 @@ class FactoredAutomorphism:
         return out
 
     def inverse(self) -> "FactoredAutomorphism":
-        inv_factors: list[Factor] = []
-        for factor in reversed(self.factors):
-            inv_factors.extend(_invert_factor(factor))
-        return from_factors(inv_factors, self.alphabet)
+        images = _fold(reversed(self.factors), self.alphabet, inverse=True)
+        inv_factors = tuple(g for f in reversed(self.factors)
+                            for g in _invert_factor(f))
+        return FactoredAutomorphism(self.alphabet, inv_factors, images)
 
     def is_identity(self) -> bool:
         return self.images == generators(self.alphabet)
@@ -215,12 +214,8 @@ class BitSource(Protocol):
 
 
 def _draw_distinct(prg: BitSource, pool: list[int], k: int) -> frozenset[int]:
-    pool = sorted(pool)
-    out = []
-    for _ in range(k):
-        idx = prg.next() % len(pool)
-        out.append(pool.pop(idx))
-    return frozenset(out)
+    """Draw k members of the sorted ``pool``, removing them from it."""
+    return frozenset(pool.pop(prg.next() % len(pool)) for _ in range(k))
 
 
 def _draw_factor(prg: BitSource, q: int, bit: int) -> WhiteheadMove:
@@ -230,28 +225,23 @@ def _draw_factor(prg: BitSource, q: int, bit: int) -> WhiteheadMove:
     z1 = prg.next() % q
     z2 = prg.next() % (q - z1)
     z3 = prg.next() % (q - z1 - z2)
+    others = [b for b in range(1, q + 1) if b != z]
     if z1 == z2 == z3 == 0:
-        # would be the identity map: assign one extra letter at random
-        others = sorted(set(range(1, q + 1)) - {z})
-        extra = others[prg.next() % len(others)]
+        # would be the identity map: put one extra letter in L, R or M
+        extra = _draw_distinct(prg, others, 1)
         which = prg.next() % 3
-        L = frozenset({extra} if which == 0 else ())
-        R = frozenset({extra} if which == 1 else ())
-        M = frozenset({z} | ({extra} if which == 2 else set()))
-        return WhiteheadMove("W", z, L, R, M)
-    remaining = sorted(set(range(1, q + 1)) - {z})
-    L = _draw_distinct(prg, remaining, z1)
-    remaining = sorted(set(remaining) - L)
-    R = _draw_distinct(prg, remaining, z2)
-    remaining = sorted(set(remaining) - R)
-    M = _draw_distinct(prg, remaining, z3) | {z}
-    return WhiteheadMove("W", z, L, R, frozenset(M))
+        L, R, M = (extra if which == part else frozenset() for part in range(3))
+    else:
+        L = _draw_distinct(prg, others, z1)
+        R = _draw_distinct(prg, others, z2)
+        M = _draw_distinct(prg, others, z3)
+    return WhiteheadMove("W", z, L, R, M | {z})
 
 
-def _pair_cancels(prev: WhiteheadMove, new: WhiteheadMove,
-                  alphabet: Alphabet) -> bool:
-    images = _fold((prev, new), alphabet)
-    return images == generators(alphabet)
+def _mutually_inverse(prev: WhiteheadMove, new: WhiteheadMove) -> bool:
+    """Whether ``prev`` then ``new`` is the identity map: only an inversion
+    is undone by a single Whitehead move, namely by itself."""
+    return prev.kind == new.kind == "INV" and prev.a == new.a
 
 
 def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
@@ -276,7 +266,7 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
     for bit in bits:
         for _ in range(max_attempts):
             factor = _draw_factor(prg, q, bit)
-            if not factors or not _pair_cancels(factors[-1], factor, alphabet):
+            if not factors or not _mutually_inverse(factors[-1], factor):
                 factors.append(factor)
                 break
         else:  # pragma: no cover - the pool always contains a valid factor
@@ -293,7 +283,7 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
         # identity (all-inversion sequences at rank 2 deadlock)
         bit = bits[-1] if attempts == 1 else prg.next() % 2
         factor = _draw_factor(prg, q, bit)
-        if len(factors) > 1 and _pair_cancels(factors[-2], factor, alphabet):
+        if len(factors) > 1 and _mutually_inverse(factors[-2], factor):
             continue
         factors[-1] = factor
         images = _fold(factors, alphabet)

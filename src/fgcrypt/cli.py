@@ -7,6 +7,7 @@ through an explicit --seed, so identical invocations give identical bytes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -36,7 +37,14 @@ def _alphabet(text: str) -> Alphabet:
 
 
 def _seed(text: str) -> int:
-    return int(text, 16)
+    return int(text, 16) & ((1 << 64) - 1)
+
+
+def _derived_seed(seed: int, label: bytes) -> int:
+    """64 bits of SHA-256 over ``label`` and ``seed``; a seed published
+    under one label does not give away the seed under another."""
+    digest = hashlib.sha256(label + seed.to_bytes(8, "big")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def _read(path: str) -> str:
@@ -167,10 +175,10 @@ def build_parser() -> _Parser:
 def _cmd_otp_keygen(args) -> None:
     alphabet = _alphabet(args.alphabet)
     lcg = LcgParams(args.modulus_exponent, args.beta, args.gamma)
-    fam = AutFamily(args.seed, alphabet, lcg.m)
+    fam = AutFamily(_derived_seed(args.seed, b"otp family"), alphabet, lcg.m)
     params = otp.CipherPublicParams(
         alphabet, tuple(args.plaintext_alphabet.split()), fam, lcg)
-    key = otp.keygen(params, Prg(args.seed))
+    key = otp.keygen(params, Prg(_derived_seed(args.seed, b"otp key")))
     _write(args.out, otp.write_key_file(params, key))
 
 

@@ -392,7 +392,8 @@ def canonical_minimal_basis(t: GeneratingTuple, orbit_limit: int = 200000) -> Ge
     n = len(start)
     if n == 0:
         return start
-    seen = {_tuple_key(start)}
+    best_key = _tuple_key(start)
+    seen = {best_key}
     best = start
     frontier = deque([start])
     while frontier:
@@ -417,9 +418,8 @@ def canonical_minimal_basis(t: GeneratingTuple, orbit_limit: int = 200000) -> Ge
                             raise CapExceededError(
                                 f"canonical basis search exceeded {orbit_limit} tuples")
                         seen.add(key)
-                        if (_tuple_key(cand) < _tuple_key(best)
-                                and is_nielsen_reduced_segments(cand)):
-                            best = cand
+                        if key < best_key and is_nielsen_reduced_segments(cand):
+                            best, best_key = cand, key
                         frontier.append(cand)
     return best
 

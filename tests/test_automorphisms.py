@@ -1,14 +1,18 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from fgcrypt import (
     Alphabet,
+    AutFamily,
     ElementaryMove,
+    FactoredAutomorphism,
     WhiteheadMove,
     canonical_minimal_basis,
     concat,
+    derive_automorphism,
     format_automorphism,
     from_factors,
     generators,
@@ -17,6 +21,7 @@ from fgcrypt import (
     parse_moves,
     random_whitehead_automorphism,
 )
+from fgcrypt.automorphisms import _mutually_inverse
 from fgcrypt.errors import (
     IllegalMoveError,
     NotRegularError,
@@ -34,6 +39,22 @@ X123 = Alphabet(("x1", "x2", "x3"))
 
 DEMO_SEQ = "T1 3\nT2 1 4\nT2 4 3\nT2 2 3\nT1 3\nT2 1 4\nT2 3 1"
 PUBKEY_SEQ = "T2 1 2\nT2 1 2\nT2 3 2\nT1 3\nT2 2 3"
+OTP_DEMO = Path(__file__).parent / "fixtures" / "otp_demo"
+
+
+def whitehead_moves(q):
+    """Every Whitehead move at rank q: the q inversions, then for each
+    multiplier every placement of the other generators into L, R, M or
+    none that is not the identity map."""
+    moves = [WhiteheadMove("INV", a) for a in range(1, q + 1)]
+    for a in range(1, q + 1):
+        rest = [x for x in range(1, q + 1) if x != a]
+        for assignment in itertools.product(range(4), repeat=q - 1):
+            L, R, M = (frozenset(r for r, where in zip(rest, assignment)
+                                 if where == part) for part in range(3))
+            if L or R or M:
+                moves.append(WhiteheadMove("W", a, L, R, M | {a}))
+    return moves
 
 
 class ScriptedPrg:
@@ -156,22 +177,53 @@ class TestInverse:
         # over all 45 non-identity multiplier moves at rank 3:
         # images of [INV a, W, INV a] match images of inverse([W])
         count = 0
-        for a in (1, 2, 3):
-            rest = [x for x in (1, 2, 3) if x != a]
-            for assignment in itertools.product(range(4), repeat=2):
-                L = frozenset(r for r, where in zip(rest, assignment) if where == 0)
-                R = frozenset(r for r, where in zip(rest, assignment) if where == 1)
-                M = frozenset(r for r, where in zip(rest, assignment) if where == 2)
-                if not (L or R or M):
-                    continue
-                move = WhiteheadMove("W", a, L, R, M | {a})
-                ia = WhiteheadMove("INV", a)
-                lhs = from_factors([ia, move, ia], ABC)
-                rhs = from_factors([move], ABC).inverse()
-                assert lhs.images == rhs.images
-                assert from_factors([move], ABC).compose(rhs).is_identity()
-                count += 1
+        for move in whitehead_moves(3):
+            if move.kind != "W":
+                continue
+            ia = WhiteheadMove("INV", move.a)
+            lhs = from_factors([ia, move, ia], ABC)
+            rhs = from_factors([move], ABC).inverse()
+            assert lhs.images == rhs.images
+            assert from_factors([move], ABC).compose(rhs).is_identity()
+            count += 1
         assert count == 45
+
+    @staticmethod
+    def agreement_samples():
+        """Derived automorphisms (rank 2-4, m = 64 and m = 128 with high
+        index bits), the T1/T2 demo and fixture automorphisms, and random
+        T1/T2 and mixed factor lists."""
+        for q, m, base in ((2, 64, 0), (3, 64, 0), (4, 64, 0),
+                           (4, 128, 0xDEADBEEF << 64)):
+            fam = AutFamily(0x5EED + q, Alphabet(tuple("abcd"[:q])), m)
+            for i in range(25):
+                yield derive_automorphism(fam, base | i)
+        yield from_factors(parse_moves(DEMO_SEQ), ABCD)
+        yield from_factors(parse_moves(PUBKEY_SEQ), X123)
+        for i in range(1, 9):
+            yield parse_automorphism((OTP_DEMO / f"aut{i}.txt").read_text(), ABCD)
+        rng = random.Random(13)
+        for _ in range(40):
+            q = rng.randint(2, 4)
+            alphabet = Alphabet(tuple("abcd"[:q]))
+            pool = [ElementaryMove("T1", i) for i in range(1, q + 1)]
+            pool += [ElementaryMove("T2", i, j) for i in range(1, q + 1)
+                     for j in range(1, q + 1) if i != j]
+            if rng.random() < 0.5:
+                pool += whitehead_moves(q)
+            yield from_factors(rng.choices(pool, k=rng.randint(1, 12)), alphabet)
+
+    def test_inverse_images_match_refolded_factors(self):
+        # the inverse's images are folded from self.factors; refolding its
+        # longer factor list forward must give the same words
+        count = 0
+        for f in self.agreement_samples():
+            inv = f.inverse()
+            assert inv.images == from_factors(inv.factors, f.alphabet).images
+            assert f.compose(inv).is_identity()
+            assert inv.compose(f).is_identity()
+            count += 1
+        assert count == 150
 
     def test_random_round_trip(self):
         rng = random.Random(8)
@@ -229,11 +281,49 @@ class TestSampler:
         with pytest.raises(PreconditionError):
             random_whitehead_automorphism(ScriptedPrg([0, 0]), Alphabet(("a",)))
 
+    @pytest.mark.parametrize("q, pairs", [(2, 64), (3, 2304), (4, 65536)])
+    def test_cancel_test_matches_fold_exhaustive(self, q, pairs):
+        # the sampler's structural cancel test against the two-factor fold
+        alphabet = Alphabet(tuple("abcd"[:q]))
+        count = 0
+        for prev, new in itertools.product(whitehead_moves(q), repeat=2):
+            folded = from_factors((prev, new), alphabet).is_identity()
+            assert _mutually_inverse(prev, new) == folded, (prev, new)
+            count += 1
+        assert count == pairs
+
     def test_default_length_policy(self):
         # first draw fixes the factor count at 4 + (v mod 13)
         values = [3] + [17] * 4000
         f = random_whitehead_automorphism(ScriptedPrg(values), ABC)
         assert len(f.factors) == 7
+
+
+class TestFactorErrors:
+    @pytest.mark.parametrize("factor", [
+        WhiteheadMove("INV", 3),
+        WhiteheadMove("W", 3, L={1}, M={3}),
+        WhiteheadMove("W", 1, R={3}, M={1}),
+        WhiteheadMove("W", 1, L={2}, M={1, 3}),
+        ElementaryMove("T1", 3),
+        ElementaryMove("T2", 1, 3),
+        ElementaryMove("T2", 3, 1),
+    ], ids=repr)
+    def test_out_of_range_factor(self, factor):
+        with pytest.raises(IllegalMoveError):
+            from_factors([ElementaryMove("T1", 1), factor], AB)
+        built = FactoredAutomorphism(AB, (factor, ElementaryMove("T1", 1)),
+                                     generators(AB))
+        with pytest.raises(IllegalMoveError):
+            built.inverse()
+
+    def test_t3_singular_in_fold_and_inverse(self):
+        t3 = ElementaryMove("T3", 1)
+        with pytest.raises(NotRegularError):
+            from_factors([ElementaryMove("T1", 2), t3], AB)
+        built = FactoredAutomorphism(AB, (t3,), generators(AB))
+        with pytest.raises(NotRegularError):
+            built.inverse()
 
 
 class TestText:

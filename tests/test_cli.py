@@ -1,12 +1,15 @@
+import hashlib
 import shutil
 from pathlib import Path
 
 from fgcrypt import (
     Alphabet,
+    Prg,
     canonical_minimal_basis,
     demo_representation,
     format_matrix,
     format_tuple,
+    keygen,
     parse_key_file,
     parse_tuple,
     word_to_matrix,
@@ -52,6 +55,22 @@ class TestOtpCommands:
         assert k1.read_bytes() == k2.read_bytes()
         params, key = parse_key_file(k1.read_text())
         key.validate(params)
+        # the family seed is SHA-256("otp family" + seed, big-endian)
+        digest = hashlib.sha256(b"otp family" + (0xFF).to_bytes(8, "big"))
+        assert params.fam.master_seed == int.from_bytes(digest.digest()[:8], "big")
+
+    def test_keygen_key_not_recomputable_from_public_seed(self, tmp_path):
+        # the key file's `seed` line (the family seed) is public; seeding the
+        # key generator with it must not give back the private key
+        key_file = tmp_path / "key.txt"
+        assert run(["otp-keygen", "--alphabet", "a b c", "--plaintext-alphabet",
+                    "X Y Z", "--seed", "00000000000000ff",
+                    "--modulus-exponent", "16", "--out", str(key_file)]) == 0
+        params, key = parse_key_file(key_file.read_text())
+        assert params.fam.master_seed != 0xFF
+        rerun = keygen(params, Prg(params.fam.master_seed))
+        assert rerun.alpha != key.alpha
+        assert rerun.basis.elements != key.basis.elements
 
     def test_keygen_encrypt_roundtrip(self, tmp_path):
         key = tmp_path / "key.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -123,6 +124,29 @@ class TestFamily:
             "INV a",
             "INV b",
         ]
+
+    # sha256 over i = 0..199 of each member's factor list, images and
+    # inverse images, as computed by the earlier generator-image fold
+    @pytest.mark.parametrize("names, seed, m, high, digest", [
+        ("a b c d", 0x9E3779B97F4A7C15, 64, 0,
+         "720ebbeef0f37b578d520a625d4306738e30e7bd0ea7dabc15cb4afc24293358"),
+        ("a b c d", 0x9E3779B97F4A7C15, 128, 0xDEADBEEF,
+         "e1ac4ed279e9985e493919512b605374cf9276979482d630a65bb9e21e78164d"),
+        ("a b", 0x5EED, 64, 0,
+         "a68831d6d708db0982bb89090061206741b399b36be665a60ed549afe1877140"),
+        ("a b c", 0x5EED, 64, 0,
+         "ea9067d28c1c7c15f8e71c19b52c81756d360c2dbb22cf4ca1422d2e9b7ae9f7"),
+    ], ids=["rank4-m64", "rank4-m128-high", "rank2-m64", "rank3-m64"])
+    def test_golden_digests(self, names, seed, m, high, digest):
+        fam = AutFamily(seed, Alphabet(tuple(names.split())), m)
+        h = hashlib.sha256()
+        for i in range(200):
+            f = derive_automorphism(fam, (high << 64) | i)
+            h.update(format_automorphism(f).encode())
+            for w in f.images + f.inverse().images:
+                h.update(b"\n" + str(w).encode())
+            h.update(b"\n\n")
+        assert h.hexdigest() == digest
 
     def test_never_identity_and_distinct(self):
         fam = AutFamily(0xABCDEF, ABCD, 64)
