@@ -3,12 +3,21 @@
 Generator matrices come from the one-parameter family
 ``[[-r, r^2 - 1], [1, -r]]`` (determinant 1); a schedule with r_1 >= 2 and
 gaps >= 3 generates a free group, so words evaluate injectively and the
-decoder can recover the unique preimage.  Everything is `fractions.Fraction`
-arithmetic; no floating point anywhere.
+decoder can recover the unique preimage.  Arithmetic is exact, with no
+floating point anywhere.  The public API speaks `Mat2Q` with
+`fractions.Fraction` entries; evaluation and the decoder run on an integer
+kernel instead, a matrix being the tuple (n11, n12, n21, n22, den) of its
+entries over a common denominator in lowest terms, so equal matrices are
+equal tuples.  The meet-in-the-middle decoder carries inv(prefix) * M on
+each search node, one kernel product per node, and looks it up in a table of
+half-length products.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,71 +188,116 @@ def demo_representation(alphabet: Alphabet) -> RepSpec:
                                           Fraction(23, 2)))
 
 
-def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
-    if w.alphabet.names != spec.alphabet.names:
-        raise PreconditionError("word is over a different alphabet")
-    inv_cache: dict[int, Mat2Q] = {}
-    out = Mat2Q.identity()
-    for s in w.signed:
-        if s > 0:
-            M = spec.generator_matrices[s - 1]
-        else:
-            M = inv_cache.get(-s)
-            if M is None:
-                M = mat_inv(spec.generator_matrices[-s - 1])
-                inv_cache[-s] = M
-        out = mat_mul(out, M)
+# ---------------------------------------------------------------------------
+# Exact integer kernel.  Evaluation and decoding run on plain ints: a matrix
+# is the tuple (n11, n12, n21, n22, den) with entries n_ij / den, den > 0 and
+# the gcd of all five numbers 1.  The form is unique, so equal matrices have
+# equal tuples and a tuple serves as a dictionary key.  A product costs eight
+# integer multiplies plus one gcd, and the gcd only when den != 1; the
+# inverse of a determinant-1 matrix is its adjugate over the same den.
+# Mat2Q and Fraction appear only at the public boundary.
+# ---------------------------------------------------------------------------
+
+_IDENTITY = (1, 0, 0, 1, 1)
+
+
+def _to_kernel(M: Mat2Q) -> tuple[int, ...]:
+    entries = M.entries()
+    den = math.lcm(*(e.denominator for e in entries))
+    return tuple(e.numerator * (den // e.denominator) for e in entries) + (den,)
+
+
+def _from_kernel(K: tuple[int, ...]) -> Mat2Q:
+    n11, n12, n21, n22, den = K
+    return Mat2Q(Fraction(n11, den), Fraction(n12, den),
+                 Fraction(n21, den), Fraction(n22, den))
+
+
+def _kmul(A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
+    a11, a12, a21, a22, p = A
+    b11, b12, b21, b22, q = B
+    n11 = a11 * b11 + a12 * b21
+    n12 = a11 * b12 + a12 * b22
+    n21 = a21 * b11 + a22 * b21
+    n22 = a21 * b12 + a22 * b22
+    den = p * q
+    if den != 1:
+        g = math.gcd(n11, n12, n21, n22, den)
+        if g != 1:
+            return (n11 // g, n12 // g, n21 // g, n22 // g, den // g)
+    return (n11, n12, n21, n22, den)
+
+
+def _ksize(K: tuple[int, ...]) -> int:
+    """The decoder's measure: over the four entries in lowest terms, the bit
+    lengths of |numerator| and denominator, summed."""
+    n11, n12, n21, n22, den = K
+    if den == 1:
+        return (n11.bit_length() + n12.bit_length() + n21.bit_length()
+                + n22.bit_length() + 4)
+    total = 0
+    for n in (n11, n12, n21, n22):
+        g = math.gcd(n, den)
+        total += (n // g).bit_length() + (den // g).bit_length()
+    return total
+
+
+def _letter_matrices(spec: RepSpec) -> dict[int, tuple[int, ...]]:
+    out = {}
+    for i, M in enumerate(spec.generator_matrices, start=1):
+        n11, n12, n21, n22, den = out[i] = _to_kernel(M)
+        out[-i] = (n22, -n12, -n21, n11, den)  # det 1: the adjugate
     return out
 
 
+def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
+    if w.alphabet.names != spec.alphabet.names:
+        raise PreconditionError("word is over a different alphabet")
+    mats = _letter_matrices(spec)
+    out = _IDENTITY
+    for s in w.signed:
+        out = _kmul(out, mats[s])
+    return _from_kernel(out)
+
+
 # ---------------------------------------------------------------------------
-# Decoding.  Three stages:
+# Decoding, on kernel tuples.  Three stages:
 #   1. greedy peel following any strict decrease of the bit-size measure;
 #   2. best-first search ordered by the same measure (bounded node budget) --
 #      a found word is self-verifying, so the heuristic order is safe;
 #   3. exhaustive meet-in-the-middle for a sound "absent" answer within the
-#      bound (table cached per representation).
+#      bound.  A half-ball table maps each product of up to h2 letters to its
+#      word (tables for the few most recently used representations are kept);
+#      each node of the other half carries inv(prefix) * M, the key to look
+#      up, extended by left-multiplying the inverse of the next letter.
 # Faithfulness makes preimages unique, so any hit is the shortest word.
 # ---------------------------------------------------------------------------
 
 _SEARCH_BUDGET = 50_000
 _MITM_CAP = 200_000
-
-
-def _bit_size(M: Mat2Q) -> int:
-    total = 0
-    for e in M.entries():
-        total += abs(e.numerator).bit_length() + e.denominator.bit_length()
-    return total
-
-
-def _letter_matrices(spec: RepSpec) -> dict[int, Mat2Q]:
-    out = {}
-    for i, M in enumerate(spec.generator_matrices, start=1):
-        out[i] = M
-        out[-i] = mat_inv(M)
-    return out
+_TABLE_CACHE_SIZE = 4
 
 
 def _letter_order(mats) -> list[int]:
     return sorted(mats, key=lambda s: (abs(s), s < 0))
 
 
-def _greedy_peel(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[list[int]]:
+def _greedy_peel(spec: RepSpec, M: tuple[int, ...],
+                 max_len: int) -> Optional[list[int]]:
     mats = _letter_matrices(spec)
     order = _letter_order(mats)
     letters: list[int] = []
     cur = M
-    size = _bit_size(cur)
-    while not cur.is_identity():
+    size = _ksize(cur)
+    while cur != _IDENTITY:
         if len(letters) >= max_len:
             return None
         found = None
         for s in order:
             if letters and s == -letters[-1]:
                 continue
-            cand = mat_mul(mats[-s], cur)
-            cand_size = _bit_size(cand)
+            cand = _kmul(mats[-s], cur)
+            cand_size = _ksize(cand)
             if cand_size < size:
                 found = (s, cand, cand_size)
                 break
@@ -254,58 +308,49 @@ def _greedy_peel(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[list[int]]:
     return letters
 
 
-def _best_first(spec: RepSpec, M: Mat2Q, max_len: int,
+def _best_first(spec: RepSpec, M: tuple[int, ...], max_len: int,
                 budget: int = _SEARCH_BUDGET) -> Optional[list[int]]:
-    import heapq
-
     mats = _letter_matrices(spec)
     order = _letter_order(mats)
     counter = 0
-    heap = [(_bit_size(M), 0, (), M)]
+    heap = [(_ksize(M), 0, (), M)]
     while heap and counter < budget:
         counter += 1
         _, _, letters, cur = heapq.heappop(heap)
-        if cur.is_identity():
+        if cur == _IDENTITY:
             return list(letters)
         if len(letters) >= max_len:
             continue
         for s in order:
             if letters and s == -letters[-1]:
                 continue
-            nxt = mat_mul(mats[-s], cur)
-            heapq.heappush(heap, (_bit_size(nxt), counter * 8 + abs(s),
+            nxt = _kmul(mats[-s], cur)
+            heapq.heappush(heap, (_ksize(nxt), counter * 8 + abs(s),
                                   letters + (s,), nxt))
     return None
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _half_table(spec: RepSpec, depth: int) -> dict[tuple, tuple[int, ...]]:
-    cached = _TABLE_CACHE.get((spec, depth))
-    if cached is not None:
-        return cached
     mats = _letter_matrices(spec)
     order = _letter_order(mats)
-    table: dict[tuple, tuple[int, ...]] = {Mat2Q.identity().entries(): ()}
-    frontier = [((), Mat2Q.identity())]
+    table: dict[tuple, tuple[int, ...]] = {_IDENTITY: ()}
+    frontier = [((), _IDENTITY)]
     for _ in range(depth):
         nxt = []
         for letters, mat in frontier:
             for s in order:
                 if letters and s == -letters[-1]:
                     continue
-                item = (letters + (s,), mat_mul(mat, mats[s]))
-                nxt.append(item)
-                key = item[1].entries()
-                if key not in table:
-                    table[key] = item[0]
+                word, prod = letters + (s,), _kmul(mat, mats[s])
+                nxt.append((word, prod))
+                table.setdefault(prod, word)
         frontier = nxt
-    _TABLE_CACHE[(spec, depth)] = table
     return table
 
 
-_TABLE_CACHE: dict[tuple, dict] = {}
-
-
-def _meet_in_middle(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[list[int]]:
+def _meet_in_middle(spec: RepSpec, M: tuple[int, ...],
+                    max_len: int) -> Optional[list[int]]:
     h2 = max_len // 2
     h1 = max_len - h2
     q = spec.alphabet.rank
@@ -318,9 +363,9 @@ def _meet_in_middle(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[list[int]
     order = _letter_order(mats)
     best: Optional[tuple[int, ...]] = None
 
-    def consider(letters: tuple[int, ...], mat: Mat2Q):
+    def consider(letters: tuple[int, ...], rest_mat: tuple[int, ...]):
         nonlocal best
-        rest = table.get(mat_mul(mat_inv(mat), M).entries())
+        rest = table.get(rest_mat)
         if rest is None:
             return
         if letters and rest and rest[0] == -letters[-1]:
@@ -331,15 +376,16 @@ def _meet_in_middle(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[list[int]
         if best is None or len(cand) < len(best):
             best = cand
 
-    frontier = [((), Mat2Q.identity())]
-    consider((), Mat2Q.identity())
+    # each node is (prefix, inv(prefix) * M)
+    frontier = [((), M)]
+    consider((), M)
     for _ in range(h1):
         nxt = []
-        for letters, mat in frontier:
+        for letters, rest_mat in frontier:
             for s in order:
                 if letters and s == -letters[-1]:
                     continue
-                item = (letters + (s,), mat_mul(mat, mats[s]))
+                item = (letters + (s,), _kmul(mats[-s], rest_mat))
                 nxt.append(item)
                 consider(*item)
         frontier = nxt
@@ -356,20 +402,21 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int,
         raise PreconditionError("matrix must have determinant 1")
     if max_len < 0:
         raise PreconditionError("max_len must be >= 0")
-    letters = _greedy_peel(spec, M, max_len)
+    K = _to_kernel(M)
+    letters = _greedy_peel(spec, K, max_len)
     if letters is None:
         # a short guided pass catches most members the greedy missed
-        letters = _best_first(spec, M, max_len, min(2000, search_budget))
+        letters = _best_first(spec, K, max_len, min(2000, search_budget))
     if letters is None:
         # exhaustive search settles small bounds outright; otherwise spend
         # the full budget before certifying absence
         q = spec.alphabet.rank
         if ball_size(q, max_len - max_len // 2) <= 20_000:
-            letters = _meet_in_middle(spec, M, max_len)
+            letters = _meet_in_middle(spec, K, max_len)
         else:
-            letters = _best_first(spec, M, max_len, search_budget)
+            letters = _best_first(spec, K, max_len, search_budget)
             if letters is None:
-                letters = _meet_in_middle(spec, M, max_len)
+                letters = _meet_in_middle(spec, K, max_len)
     if letters is None:
         return None
     return Word(spec.alphabet, letters)

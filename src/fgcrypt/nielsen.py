@@ -398,15 +398,17 @@ def canonical_minimal_basis(t: GeneratingTuple, orbit_limit: int = 200000) -> Ge
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
+        by_sign = {1: cur.elements,
+                   -1: tuple(w.inverse() for w in cur.elements)}
         for i in range(1, n + 1):
             li = len(cur.elements[i - 1])
             for j in range(1, n + 1):
                 if j == i:
                     continue
                 for e in (1, -1):
-                    ui = cur.elements[i - 1] if e > 0 else cur.elements[i - 1].inverse()
+                    ui = by_sign[e][i - 1]
                     for s in (1, -1):
-                        uj = cur.elements[j - 1] if s > 0 else cur.elements[j - 1].inverse()
+                        uj = by_sign[s][j - 1]
                         z = concat(ui, uj)
                         if len(z) != li:
                             continue

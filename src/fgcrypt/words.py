@@ -13,8 +13,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (AlphabetMismatchError, InvalidLetterError,
-                     PreconditionError, WordSyntaxError)
+from .errors import (AlphabetMismatchError, CapExceededError,
+                     InvalidLetterError, PreconditionError,
+                     WordSyntaxError)
 
 __all__ = [
     "Alphabet",
@@ -232,6 +233,10 @@ def ball_size(q: int, radius: int) -> int:
 
 _TOKEN = re.compile(r"\S+")
 
+# letters a word text may spell before free reduction; alice_keygen(n=32) on
+# the bundled pubkey demo yields 9.7M letters
+_MAX_LETTERS = 1 << 24
+
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     tokens = list(_TOKEN.finditer(text))
@@ -259,6 +264,12 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 raise WordSyntaxError("exponent must be nonzero", pos)
         else:
             exp = 1
+        # the cap is checked before a unit expands, so no text costs more
+        # than _MAX_LETTERS letters of memory
+        if len(signed) + abs(exp) > _MAX_LETTERS:
+            raise CapExceededError(
+                f"word text spells more than {_MAX_LETTERS} letters "
+                f"(at position {pos})")
         letter = idx if exp > 0 else -idx
         signed.extend([letter] * abs(exp))
     reduced = _reduce_signed(signed)

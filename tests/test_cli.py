@@ -1,5 +1,6 @@
 import hashlib
 import shutil
+import time
 from pathlib import Path
 
 from fgcrypt import (
@@ -292,6 +293,16 @@ class TestErrors:
             ["pubkey-encrypt", "--params", str(params), "--public",
              str(tmp_path / "c.txt"), "--message", str(tmp_path / "m.txt"),
              "--t", "2", "--matrix"], capsys, 2)
+
+    def test_word_letter_cap(self, capsys):
+        started = time.perf_counter()
+        assert run(["aut-apply", "--alphabet", "a b c", "--aut",
+                    str(FIXTURES / "pubkey_demo" / "f.aut"),
+                    "--word", "a^999999999"]) == 2
+        assert time.perf_counter() - started < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "letters" in err
+        assert "Traceback" not in err
 
     def test_unreadable_input_exit_1(self, tmp_path, capsys):
         self._assert_clean_failure(["otp-encrypt", "--key", str(tmp_path),

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -11,6 +13,7 @@ from fgcrypt import (
     default_tl_params,
     demo_representation,
     format_matrix,
+    format_word,
     make_representation,
     mat_det,
     mat_inv,
@@ -26,11 +29,33 @@ from fgcrypt.errors import (
     SingularMatrixError,
     WordSyntaxError,
 )
+from fgcrypt.matrices import (
+    _IDENTITY,
+    _TABLE_CACHE_SIZE,
+    _from_kernel,
+    _half_table,
+    _kmul,
+    _ksize,
+    _letter_matrices,
+    _meet_in_middle,
+    _to_kernel,
+)
 
 from conftest import random_word
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("x1", "x2", "x3"))
 ABCD = Alphabet(("a", "b", "c", "d"))
+
+# integral (den 1), the bundled demo (den > 1) and a rational schedule
+SPECS = {
+    "int2": (lambda: make_representation(AB), AB),
+    "int3": (lambda: make_representation(ABC), ABC),
+    "demo4": (lambda: demo_representation(ABCD), ABCD),
+    "rat2": (lambda: make_representation(AB, tl_params=(F(7, 3), F(17, 3))),
+             AB),
+}
+SHEAR = Mat2Q(F(1), F(1), F(0), F(1))  # det 1, outside every spec's image
 
 X1 = tl_generator(F(7, 2))
 X2 = tl_generator(F(15, 2))
@@ -202,3 +227,133 @@ class TestText:
             parse_matrix("[[1, 2],[3]]")
         with pytest.raises(WordSyntaxError):
             parse_matrix("[[1, 2],[3, x]]")
+
+
+def _fraction_product(spec, letters):
+    """Reference evaluation: plain Fraction arithmetic, letter by letter."""
+    out = (F(1), F(0), F(0), F(1))
+    for s in letters:
+        a, b, c, d = spec.generator_matrices[abs(s) - 1].entries()
+        if s < 0:
+            det = a * d - b * c
+            a, b, c, d = d / det, -b / det, -c / det, a / det
+        p, q, r, t = out
+        out = (p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d)
+    return Mat2Q(*out)
+
+
+def _fraction_size(M: Mat2Q) -> int:
+    """The decoder's measure, entry by entry in lowest terms."""
+    return sum(abs(e.numerator).bit_length() + e.denominator.bit_length()
+               for e in M.entries())
+
+
+def _is_canonical(K) -> bool:
+    return K[4] > 0 and math.gcd(*K) == 1
+
+
+class TestKernel:
+    @pytest.mark.parametrize("tag", ["int2", "demo4", "rat2"])
+    def test_word_to_matrix_matches_fraction_product(self, tag):
+        build, alphabet = SPECS[tag]
+        spec = build()
+        rng = random.Random(f"kernel product {tag}")
+        for _ in range(300):
+            w = random_word(rng, alphabet, 12, min_len=0)
+            assert word_to_matrix(spec, w) == _fraction_product(spec, w.signed)
+
+    def test_kernel_round_trip_and_bit_size(self):
+        rng = random.Random(12)
+        mats = [Mat2Q(F(0), F(-3, 4), F(5, 6), F(2)),
+                Mat2Q(F(1, 2), F(3), F(0), F(2)),
+                Mat2Q(F(-7), F(0), F(0), F(-1, 7)),
+                Mat2Q.identity(), X1, X2]
+        for build, alphabet in SPECS.values():
+            spec = build()
+            mats += [word_to_matrix(spec, random_word(rng, alphabet, 9, 0))
+                     for _ in range(40)]
+        for M in mats:
+            K = _to_kernel(M)
+            assert _is_canonical(K)
+            assert _from_kernel(K) == M
+            assert _ksize(K) == _fraction_size(M)
+
+    @pytest.mark.parametrize("tag", ["int2", "demo4", "rat2"])
+    def test_equal_matrices_equal_keys(self, tag):
+        build, alphabet = SPECS[tag]
+        spec = build()
+        mats = _letter_matrices(spec)
+        rng = random.Random(f"kernel keys {tag}")
+        for _ in range(50):
+            w = random_word(rng, alphabet, 8, min_len=0)
+            x = rng.choice(list(mats))
+            k = rng.randint(0, len(w))
+            # w itself, and w with x x^-1 spliced in: never freely reduced
+            padded = w.signed[:k] + (x, -x) + w.signed[k:]
+            keys = [functools.reduce(_kmul, (mats[s] for s in letters),
+                                     _IDENTITY)
+                    for letters in (w.signed, padded, w.signed + (x, -x))]
+            assert all(_is_canonical(K) for K in keys)
+            assert keys[0] == keys[1] == keys[2] == \
+                _to_kernel(word_to_matrix(spec, w))
+
+
+def _decode_outcome(spec, M, bound, budget):
+    try:
+        w = matrix_to_word(spec, M, bound, search_budget=budget)
+    except CapExceededError:
+        return "cap"
+    return "none" if w is None else format_word(w)
+
+
+class TestDecodeGolden:
+    # SHA-256 over the outcomes of matrix_to_word on a seeded grid: hits at
+    # and above the word's length, rejections below it and off the image
+    # (M * SHEAR), budget sweeps at bound 40 that pin the best-first node
+    # counts (a word or CapExceededError), the bound-40 cap itself, and one
+    # rank-2 bound-17 rejection that runs best-first and then a depth-9
+    # meet-in-the-middle.  Computed with the Fraction-based decoder that the
+    # integer kernel replaced.
+    DIGEST = "b0f26fb57cefa7a6ad8dfccbb984f6dc2049ffa2b3e46b18c9ea0bda021f17b8"
+
+    def test_golden_digest(self):
+        lines = []
+        for tag, (build, alphabet) in SPECS.items():
+            spec = build()
+            rng = random.Random(f"decode-grid {tag}")
+            top = 7 if alphabet.rank == 4 else 8
+            for k in range(25):
+                w = random_word(rng, alphabet, top, min_len=0)
+                M = word_to_matrix(spec, w)
+                for bound in (len(w), top, max(len(w) - 1, 0)):
+                    lines.append(f"{tag} hit {k} {bound} "
+                                 f"{_decode_outcome(spec, M, bound, 50_000)}")
+                lines.append(f"{tag} off {k} "
+                             f"{_decode_outcome(spec, mat_mul(M, SHEAR), top, 50_000)}")
+            for k in range(10):
+                M = word_to_matrix(spec, random_word(rng, alphabet, 10, min_len=6))
+                for budget in (1, 4, 7, 8, 9, 10, 11, 12, 16, 40, 300):
+                    lines.append(f"{tag} budget {k} {budget} "
+                                 f"{_decode_outcome(spec, M, 40, budget)}")
+            lines.append(f"{tag} cap {_decode_outcome(spec, SHEAR, 40, 2000)}")
+        int2 = SPECS["int2"][0]()
+        lines.append(f"int2 deep {_decode_outcome(int2, SHEAR, 17, 300)}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+class TestTableCache:
+    def test_bounded_and_still_right(self):
+        rng = random.Random(13)
+        # more distinct representations than the cache holds, then the
+        # first again, after it has been evicted
+        schedules = [(F(2 + k), F(5 + k)) for k in range(_TABLE_CACHE_SIZE + 2)]
+        for params in schedules + schedules[:1]:
+            spec = make_representation(AB, tl_params=params)
+            for _ in range(5):
+                w = random_word(rng, AB, 6, min_len=0)
+                K = _to_kernel(word_to_matrix(spec, w))
+                assert _meet_in_middle(spec, K, 6) == list(w.signed)
+                assert matrix_to_word(spec, word_to_matrix(spec, w), 6) == w
+            assert matrix_to_word(spec, SHEAR, 6) is None
+            assert _half_table.cache_info().currsize <= _TABLE_CACHE_SIZE

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,9 +11,11 @@ from fgcrypt import (
     format_word,
     generators,
     parse_word,
+    words,
 )
 from fgcrypt.errors import (
     AlphabetMismatchError,
+    CapExceededError,
     InvalidLetterError,
     PreconditionError,
     WordSyntaxError,
@@ -180,6 +184,24 @@ class TestText:
 
     def test_unreduced_input_is_reduced(self):
         assert parse_word("a a^-1 b", AB) == AB.parse("b")
+
+    def test_letter_cap(self, monkeypatch):
+        monkeypatch.setattr(words, "_MAX_LETTERS", 10)
+        assert len(parse_word("a^4 b^-6", AB)) == 10
+        # the cap counts letters as spelled, before free reduction
+        for bad in ("a^11", "a^5 b^6", "a^6 a^-5"):
+            with pytest.raises(CapExceededError):
+                parse_word(bad, AB)
+
+    def test_huge_exponent_refused_before_expanding(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                parse_word("a b^-3 a^999999999", AB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(words_strategy(alphabet=ABCD))
     def test_round_trip(self, w):
