@@ -126,9 +126,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--moves", default=None, help="write the move list here")
-    sp.add_argument("--canonical", action="store_true",
-                    help="emit the canonical minimal basis instead")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--moves", default=None, help="write the move list here")
+    mode.add_argument("--canonical", action="store_true",
+                      help="emit the canonical minimal basis instead")
 
     sp = sub.add_parser("aut-apply")
     sp.add_argument("--alphabet", required=True)
@@ -255,12 +256,11 @@ def _cmd_nielsen_reduce(args) -> None:
     alphabet = _alphabet(args.alphabet)
     t = ni.parse_tuple(_read(args.infile), alphabet)
     if args.canonical:
-        result = ni.canonical_minimal_basis(t)
-        moves = None
-    else:
-        result, moves = ni.nielsen_reduce(t)
+        _write(args.out, ni.format_tuple(ni.canonical_minimal_basis(t)))
+        return
+    result, moves = ni.nielsen_reduce(t)
     _write(args.out, ni.format_tuple(result))
-    if args.moves is not None and moves is not None:
+    if args.moves is not None:
         _write(args.moves, ni.format_moves(moves))
 
 

@@ -261,16 +261,18 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
 
 
 # ---------------------------------------------------------------------------
-# Decoding, on kernel tuples.  Three stages:
+# Decoding, on kernel tuples.  Each stage runs at most once:
 #   1. greedy peel following any strict decrease of the bit-size measure;
-#   2. best-first search ordered by the same measure (bounded node budget) --
-#      a found word is self-verifying, so the heuristic order is safe;
+#   2. only when the half-ball exceeds 20 000 words: best-first search
+#      ordered by the same measure (bounded node budget) -- a found word is
+#      self-verifying, so the heuristic order is safe;
 #   3. exhaustive meet-in-the-middle for a sound "absent" answer within the
 #      bound.  A half-ball table maps each product of up to h2 letters to its
 #      word (tables for the few most recently used representations are kept);
 #      each node of the other half carries inv(prefix) * M, the key to look
 #      up, extended by left-multiplying the inverse of the next letter.
-# Faithfulness makes preimages unique, so any hit is the shortest word.
+# Faithfulness makes preimages unique, so any hit is the shortest word and
+# every stage that answers gives the same word.
 # ---------------------------------------------------------------------------
 
 _SEARCH_BUDGET = 50_000
@@ -405,18 +407,12 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int,
     K = _to_kernel(M)
     letters = _greedy_peel(spec, K, max_len)
     if letters is None:
-        # a short guided pass catches most members the greedy missed
-        letters = _best_first(spec, K, max_len, min(2000, search_budget))
-    if letters is None:
         # exhaustive search settles small bounds outright; otherwise spend
         # the full budget before certifying absence
-        q = spec.alphabet.rank
-        if ball_size(q, max_len - max_len // 2) <= 20_000:
-            letters = _meet_in_middle(spec, K, max_len)
-        else:
+        if ball_size(spec.alphabet.rank, max_len - max_len // 2) > 20_000:
             letters = _best_first(spec, K, max_len, search_budget)
-            if letters is None:
-                letters = _meet_in_middle(spec, K, max_len)
+        if letters is None:
+            letters = _meet_in_middle(spec, K, max_len)
     if letters is None:
         return None
     return Word(spec.alphabet, letters)

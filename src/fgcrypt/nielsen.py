@@ -254,15 +254,16 @@ def is_nielsen_reduced_segments(t: GeneratingTuple) -> bool:
 #
 # Loop until fixpoint:
 #   1. delete identity entries (T3);
-#   2. apply the first (i, j, side, sign) replacement
-#      u_i -> u_i*u_j^s  or  u_i -> u_j^s*u_i  that strictly shortens u_i;
+#   2. install the first replacement u_i -> u_i*u_j^s or u_i -> u_j^s*u_i
+#      from _products that strictly shortens u_i;
 #   3. for the first even-length symbol w = p q^-1 whose both halves fail to
 #      be isolated, rewrite one offending symbol's half toward the smaller of
 #      p, q (length-preserving).
-# Step 2 realizes left multiplications through T1-conjugated T2 moves; both
-# sides are needed to reach the pair condition.  Step 3 strictly decreases
-# the multiset of half-prefixes at constant total length, so the loop
-# terminates; at the fixpoint both segment conditions hold.
+# Each replacement is installed as the product itself and recorded as its
+# elementary moves: left multiplications are T1-conjugated T2 moves, and
+# both sides are needed to reach the pair condition.  Step 3 strictly
+# decreases the multiset of half-prefixes at constant total length, so the
+# loop terminates; at the fixpoint both segment conditions hold.
 # ---------------------------------------------------------------------------
 
 def _realization(i: int, j: int, side: str, sign: int) -> list[ElementaryMove]:
@@ -278,32 +279,30 @@ def _realization(i: int, j: int, side: str, sign: int) -> list[ElementaryMove]:
     return [t1i, t2, t1i]
 
 
-def _candidate(t: GeneratingTuple, i: int, j: int, side: str, sign: int) -> Word:
-    u = t.elements[i - 1]
-    v = t.elements[j - 1] if sign > 0 else t.elements[j - 1].inverse()
-    return concat(u, v) if side == "R" else concat(v, u)
-
-
-def _find_shortening(t: GeneratingTuple):
-    n = len(t)
+def _products(elements: tuple[Word, ...]):
+    """Every replacement of one entry by its product with another, as
+    (i, j, side, sign, word): u_i*u_j^sign (side 'R') or u_j^sign*u_i
+    (side 'L'), in the order (i, j, R+, R-, L+, L-)."""
+    inverses = [w.inverse() for w in elements]
+    n = len(elements)
     for i in range(1, n + 1):
-        li = len(t.elements[i - 1])
+        u = elements[i - 1]
         for j in range(1, n + 1):
             if j == i:
                 continue
-            for side in ("R", "L"):
-                for sign in (1, -1):
-                    if len(_candidate(t, i, j, side, sign)) < li:
-                        return i, j, side, sign
-    return None
+            v, v_inv = elements[j - 1], inverses[j - 1]
+            yield i, j, "R", 1, concat(u, v)
+            yield i, j, "R", -1, concat(u, v_inv)
+            yield i, j, "L", 1, concat(v, u)
+            yield i, j, "L", -1, concat(v_inv, u)
 
 
 def _find_half_rewrite(t: GeneratingTuple):
     """First length-preserving rewrite fixing a violated half condition.
 
-    Returns (i, j, side, sign) for the replacement, or None.  Assumes the
-    shortening phase is exhausted, which bounds seam cancellations by half
-    of each factor and keeps the rewrites length-preserving."""
+    Returns (i, j, side, sign, word) for the replacement, or None.  Assumes
+    the shortening phase is exhausted, which bounds seam cancellations by
+    half of each factor and keeps the rewrites length-preserving."""
     syms = _symbols(t)
     for s in syms:
         ln = len(s.word)
@@ -323,15 +322,15 @@ def _find_half_rewrite(t: GeneratingTuple):
         p_word = Word._make(t.alphabet, p)
         q_word = Word._make(t.alphabet, q)
         if compare_words(q_word, p_word) < 0:
-            v = p_owners[0]  # prefix p -> q, i.e. symbol v -> w^-1 * v
-            if v.sign > 0:
-                return v.entry, s.entry, "L", -s.sign
-            return v.entry, s.entry, "R", s.sign
+            # prefix p -> q: symbol v -> w^-1 * v
+            v, w, sign = p_owners[0], s.word.inverse(), -s.sign
         else:
-            v = q_owners[0]  # prefix q -> p, i.e. symbol v -> w * v
-            if v.sign > 0:
-                return v.entry, s.entry, "L", s.sign
-            return v.entry, s.entry, "R", -s.sign
+            # prefix q -> p: symbol v -> w * v
+            v, w, sign = q_owners[0], s.word, s.sign
+        z = concat(w, v.word)
+        if v.sign > 0:
+            return v.entry, s.entry, "L", sign, z
+        return v.entry, s.entry, "R", -sign, z.inverse()
     return None
 
 
@@ -339,32 +338,24 @@ def nielsen_reduce(t: GeneratingTuple) -> tuple[GeneratingTuple, list[Elementary
     """Carry a tuple into a Nielsen reduced one; returns the result and the
     elementary move list realizing it (replay with :func:`apply_moves`)."""
     moves: list[ElementaryMove] = []
-
-    def emit(seq):
-        nonlocal t
-        for m in seq:
-            t = apply_move(t, m)
-            moves.append(m)
-
     while True:
-        idle = True
-        for k, w in enumerate(t.elements, start=1):
-            if w.is_identity():
-                emit([ElementaryMove("T3", k)])
-                idle = False
+        k = next((k for k, w in enumerate(t.elements, start=1)
+                  if w.is_identity()), None)
+        if k is not None:
+            moves.append(ElementaryMove("T3", k))
+            t = apply_move(t, moves[-1])
+            continue
+        lengths = [len(w) for w in t.elements]
+        for i, j, side, sign, z in _products(t.elements):
+            if len(z) < lengths[i - 1]:
                 break
-        if not idle:
-            continue
-        found = _find_shortening(t)
-        if found is not None:
-            emit(_realization(*found))
-            continue
-        found = _find_half_rewrite(t)
-        if found is not None:
-            emit(_realization(*found))
-            continue
-        break
-    return t, moves
+        else:
+            found = _find_half_rewrite(t)
+            if found is None:
+                return t, moves
+            i, j, side, sign, z = found
+        t = t.replace(i, z)
+        moves.extend(_realization(i, j, side, sign))
 
 
 def _normalize(t: GeneratingTuple) -> GeneratingTuple:
@@ -380,17 +371,18 @@ def _tuple_key(t: GeneratingTuple):
 def canonical_minimal_basis(t: GeneratingTuple, orbit_limit: int = 200000) -> GeneratingTuple:
     """Deterministic canonical form of the subgroup generated by ``t``.
 
-    Nielsen-reduces, then explores the reduced tuple's orbit under single
-    length-preserving replacements u_i -> u_i^e * u_j^s (inverse-normalized
-    and sorted after every step) and returns the smallest Nielsen reduced
-    member.  Reduced systems all sit at the minimal total length, and paths
-    between them may pass through non-reduced tuples of the same length
-    multiset, so the whole constant-length level is searched.  The level is
-    finite; ``orbit_limit`` guards against blowups."""
+    Nielsen-reduces, then explores the reduced tuple's orbit under the
+    length-preserving replacements of :func:`_products` (inverse-normalized
+    and sorted after every step, so a left product u_j^s * u_i stands for
+    u_i^-1 * u_j^-s) and returns the smallest Nielsen reduced member.
+    Reduced systems all sit at the minimal total length, and paths between
+    them may pass through non-reduced tuples of the same length multiset, so
+    the whole constant-length level is searched; the result is its minimum
+    whatever the visiting order.  The level is finite; ``orbit_limit``
+    guards against blowups."""
     reduced, _ = nielsen_reduce(t)
     start = _normalize(reduced)
-    n = len(start)
-    if n == 0:
+    if len(start) == 0:
         return start
     best_key = _tuple_key(start)
     seen = {best_key}
@@ -398,31 +390,21 @@ def canonical_minimal_basis(t: GeneratingTuple, orbit_limit: int = 200000) -> Ge
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        by_sign = {1: cur.elements,
-                   -1: tuple(w.inverse() for w in cur.elements)}
-        for i in range(1, n + 1):
-            li = len(cur.elements[i - 1])
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                for e in (1, -1):
-                    ui = by_sign[e][i - 1]
-                    for s in (1, -1):
-                        uj = by_sign[s][j - 1]
-                        z = concat(ui, uj)
-                        if len(z) != li:
-                            continue
-                        cand = _normalize(cur.replace(i, z))
-                        key = _tuple_key(cand)
-                        if key in seen:
-                            continue
-                        if len(seen) >= orbit_limit:
-                            raise CapExceededError(
-                                f"canonical basis search exceeded {orbit_limit} tuples")
-                        seen.add(key)
-                        if key < best_key and is_nielsen_reduced_segments(cand):
-                            best, best_key = cand, key
-                        frontier.append(cand)
+        lengths = [len(w) for w in cur.elements]
+        for i, _, _, _, z in _products(cur.elements):
+            if len(z) != lengths[i - 1]:
+                continue
+            cand = _normalize(cur.replace(i, z))
+            key = _tuple_key(cand)
+            if key in seen:
+                continue
+            if len(seen) >= orbit_limit:
+                raise CapExceededError(
+                    f"canonical basis search exceeded {orbit_limit} tuples")
+            seen.add(key)
+            if key < best_key and is_nielsen_reduced_segments(cand):
+                best, best_key = cand, key
+            frontier.append(cand)
     return best
 
 

@@ -167,6 +167,18 @@ class TestToolCommands:
                                                   Alphabet(("a", "b"))))
         assert got.elements == lib.elements
 
+    def test_nielsen_reduce_canonical_refuses_moves(self, tmp_path, capsys):
+        # the canonical search has no move list to write
+        src = tmp_path / "t.txt"
+        src.write_text("begin tuple\na b\nb\nend tuple\n")
+        moves = tmp_path / "moves.txt"
+        assert run(["nielsen-reduce", "--alphabet", "a b", "--in", str(src),
+                    "--canonical", "--moves", str(moves)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
+        assert not moves.exists()
+
     def test_aut_apply_and_invert(self, tmp_path, capsys):
         fx = copy_fixture(tmp_path, "otp_demo")
         rc = run(["aut-apply", "--alphabet", "a b c d",

@@ -23,6 +23,7 @@ from fgcrypt import (
     tl_generator,
     word_to_matrix,
 )
+from fgcrypt import matrices
 from fgcrypt.errors import (
     CapExceededError,
     PreconditionError,
@@ -192,6 +193,21 @@ class TestMatrixToWord:
         outside = Mat2Q(F(1), F(1), F(0), F(1))
         with pytest.raises(CapExceededError):
             matrix_to_word(spec, outside, 40, search_budget=2000)
+
+    def test_small_bound_skips_best_first(self, monkeypatch):
+        # at bound 12 and rank 2 the half-ball holds 1456 words, so a word
+        # the greedy peel misses goes straight to the meet-in-the-middle
+        def refuse(*args, **kwargs):
+            raise AssertionError("best-first search at a small bound")
+
+        monkeypatch.setattr(matrices, "_best_first", refuse)
+        spec = make_representation(AB)
+        w = AB.parse("a b^-2 a^3 b a^-1 b^2 a b")
+        M = word_to_matrix(spec, w)
+        assert matrix_to_word(spec, mat_mul(M, SHEAR), 12) is None
+        assert matrix_to_word(spec, M, 12) == w
+        monkeypatch.setattr(matrices, "_greedy_peel", lambda *args: None)
+        assert matrix_to_word(spec, M, 12) == w
 
     def test_random_round_trips_two_specs(self):
         rng = random.Random(6)

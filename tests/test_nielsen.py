@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from fgcrypt import (
     same_subgroup_by_membership,
     subgroup_membership,
 )
-from fgcrypt.errors import IllegalMoveError, PreconditionError
+from fgcrypt.errors import CapExceededError, IllegalMoveError, PreconditionError
 
 from conftest import random_tuple, random_word, subgroup_ball
 
@@ -225,6 +226,33 @@ class TestCanonical:
                     variant = apply_move(variant, ElementaryMove("T2", i, j))
             assert canonical_minimal_basis(base).elements == \
                 canonical_minimal_basis(variant).elements
+
+
+class TestNielsenGolden:
+    # SHA-256 over 1200 seeded tuples at ranks 2-4 (1-4 words of 0-7
+    # letters, identity entries included so T3 paths run): each tuple's
+    # reduction, its move list and its canonical basis under a 20000-tuple
+    # orbit limit ("cap" when the limit is hit).  Pins the order in which
+    # the reduction tries replacements and the canonical search's result.
+    DIGEST = "d09ed78661ae51dc645d524f38bcd82ee00c533923837c989f79e0dd01661d36"
+
+    def test_golden_digest(self):
+        rng = random.Random("nielsen-golden")
+        lines = []
+        for k in range(1200):
+            q = rng.randint(2, 4)
+            alphabet = Alphabet(tuple("abcd"[:q]))
+            tup = GeneratingTuple(alphabet, tuple(
+                random_word(rng, alphabet, 7, min_len=0)
+                for _ in range(rng.randint(1, 4))))
+            reduced, moves = nielsen_reduce(tup)
+            try:
+                canon = format_tuple(canonical_minimal_basis(tup, orbit_limit=20000))
+            except CapExceededError:
+                canon = "cap"
+            lines.append(f"{k}\n{format_tuple(reduced)}\n{format_moves(moves)}\n{canon}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestCanonicalExhaustive:
