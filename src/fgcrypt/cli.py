@@ -18,9 +18,8 @@ from . import nielsen as ni
 from . import otp
 from . import pubkey as pk
 from .errors import FgError
-from .keystream import (AutFamily, LcgParams, Prg, has_max_period, keystream,
-                        parse_kv_lines)
-from .words import Alphabet, format_word, parse_word
+from .keystream import AutFamily, LcgParams, Prg, has_max_period, keystream
+from .words import Alphabet, format_word, parse_kv_lines, parse_word
 
 
 class UsageError(Exception):

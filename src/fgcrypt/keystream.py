@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .automorphisms import FactoredAutomorphism, random_whitehead_automorphism
 from .errors import PreconditionError, WordSyntaxError
-from .words import Alphabet
+from .words import Alphabet, parse_kv_lines
 
 __all__ = [
     "LcgParams",
@@ -132,19 +132,6 @@ def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:
 def format_lcg_lines(p: LcgParams, seed: int) -> str:
     return (f"m = {p.m}\nbeta = {p.beta}\ngamma = {p.gamma}\n"
             f"seed = {seed & _MASK64:016x}")
-
-
-def parse_kv_lines(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#") or ln in ("begin tuple", "end tuple"):
-            continue
-        key, sep, value = ln.partition("=")
-        if not sep:
-            continue
-        out[key.strip()] = value.strip()
-    return out
 
 
 def parse_lcg_lines(text: str) -> tuple[LcgParams, int]:

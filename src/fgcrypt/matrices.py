@@ -1,36 +1,32 @@
 """Exact-rational 2x2 matrices and the faithful free-group representation.
 
 Generator matrices come from the one-parameter family
-``[[-r, r^2 - 1], [1, -r]]`` (determinant 1); a schedule with r_1 >= 2 and
-gaps >= 3 generates a free group, so words evaluate injectively and the
-decoder can recover the unique preimage.  Arithmetic is exact, with no
-floating point anywhere.  The public API speaks `Mat2Q` with
+``[[-r, r^2 - 1], [1, -r]]`` (determinant 1).  As a Moebius map the family
+matrix of r sends everything outside (r - 1, r + 1) into (-r - 1, -r + 1),
+and its inverse does the reverse; with r_1 >= 2 and gaps >= 3 these 2q open
+intervals are pairwise disjoint and miss 0, so by the ping-pong lemma
+(Klein's criterion; Lyndon-Schupp, Combinatorial Group Theory) the matrices
+generate a free group, words evaluate injectively, and a reduced word
+w != 1 sends 0 into the interval of its first letter.  The decoder reads the
+letters off one at a time that way, with no search.  Arithmetic is exact,
+with no floating point anywhere.  The public API speaks `Mat2Q` with
 `fractions.Fraction` entries; evaluation and the decoder run on an integer
 kernel instead, a matrix being the tuple (n11, n12, n21, n22, den) of its
-entries over a common denominator in lowest terms, so equal matrices are
-equal tuples.  The meet-in-the-middle decoder carries inv(prefix) * M on
-each search node, one kernel product per node, and looks it up in a table of
-half-length products.
+entries over a common denominator in lowest terms.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    CapExceededError,
-    PreconditionError,
-    SingularMatrixError,
-    WordSyntaxError,
-)
-from .nielsen import GeneratingTuple, nielsen_reduce
-from .words import Alphabet, Word, ball_size
+from .errors import PreconditionError, SingularMatrixError, WordSyntaxError
+from .nielsen import (GeneratingTuple, apply_moves, expand_expression,
+                      nielsen_reduce, subgroup_membership)
+from .words import Alphabet, Word, generators
 
 __all__ = [
     "Mat2Q",
@@ -113,7 +109,6 @@ def default_tl_params(k: int) -> tuple[Fraction, ...]:
 
 
 def _check_tl_params(params: Sequence[Fraction]) -> None:
-    params = [Fraction(r) for r in params]
     if not params:
         raise PreconditionError("need at least one parameter")
     if params[0] < 2:
@@ -125,20 +120,59 @@ def _check_tl_params(params: Sequence[Fraction]) -> None:
 
 @dataclass(frozen=True)
 class RepSpec:
-    """Images of the alphabet's generators in SL(2,Q)."""
+    """A faithful representation of the alphabet's free group in SL(2,Q).
+
+    Without ``gen_words`` generator i maps to the family matrix of
+    ``tl_params[i-1]``.  With ``gen_words`` -- words over an auxiliary
+    alphabet with one parameter per letter, forming a basis of the subgroup
+    H they generate -- generator i maps to the product of family matrices
+    along ``gen_words[i-1]``.  The schedule must satisfy the ping-pong
+    precondition (r_1 >= 2, gaps >= 3), checked here.
+
+    Derived: ``generator_matrices``; for ``gen_words`` specs also ``basis``,
+    the Nielsen reduced basis of H, and ``basis_words``, the words v_i over
+    the alphabet with basis_i = v_i(gen_words), which carry a decoded
+    auxiliary word back to the alphabet's own letters."""
 
     alphabet: Alphabet
-    generator_matrices: tuple[Mat2Q, ...]
+    tl_params: tuple[Fraction, ...]
+    gen_words: Optional[tuple[Word, ...]] = None
+    generator_matrices: tuple[Mat2Q, ...] = field(init=False, repr=False,
+                                                  compare=False)
+    basis: Optional[GeneratingTuple] = field(init=False, repr=False,
+                                             compare=False)
+    basis_words: Optional[GeneratingTuple] = field(init=False, repr=False,
+                                                   compare=False)
+    _ping_pong: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.generator_matrices, list):
-            object.__setattr__(self, "generator_matrices",
-                               tuple(self.generator_matrices))
-        if len(self.generator_matrices) != self.alphabet.rank:
-            raise PreconditionError("need one matrix per generator")
-        for M in self.generator_matrices:
-            if mat_det(M) != 1:
-                raise PreconditionError("generator matrices must have det 1")
+        params = tuple(Fraction(r) for r in self.tl_params)
+        _check_tl_params(params)
+        gen_words, basis, basis_words = self.gen_words, None, None
+        if gen_words is None:
+            if len(params) != self.alphabet.rank:
+                raise PreconditionError("need one parameter per generator")
+            mats = tuple(tl_generator(r) for r in params)
+        else:
+            gen_words = tuple(gen_words)
+            if len(gen_words) != self.alphabet.rank:
+                raise PreconditionError("need one word per generator")
+            aux = gen_words[0].alphabet
+            if len(params) != aux.rank:
+                raise PreconditionError(
+                    "need one parameter per auxiliary generator")
+            basis, moves = nielsen_reduce(GeneratingTuple(aux, gen_words))
+            if len(basis) != len(gen_words):
+                raise PreconditionError("gen_words are not a basis (rank drops)")
+            family = RepSpec(aux, params)
+            mats = tuple(word_to_matrix(family, w) for w in gen_words)
+            basis_words = apply_moves(
+                GeneratingTuple(self.alphabet, generators(self.alphabet)), moves)
+        for name, value in (("tl_params", params), ("gen_words", gen_words),
+                            ("generator_matrices", mats), ("basis", basis),
+                            ("basis_words", basis_words),
+                            ("_ping_pong", _peel_table(params))):
+            object.__setattr__(self, name, value)
 
 
 def make_representation(alphabet: Alphabet,
@@ -152,27 +186,11 @@ def make_representation(alphabet: Alphabet,
     product of family matrices; the words must form a basis of the subgroup
     they generate (no rank drop under Nielsen reduction).
     """
-    if gen_words is None:
-        params = tuple(Fraction(r) for r in (tl_params
-                                             or default_tl_params(alphabet.rank)))
-        _check_tl_params(params)
-        if len(params) != alphabet.rank:
-            raise PreconditionError("need one parameter per generator")
-        return RepSpec(alphabet, tuple(tl_generator(r) for r in params))
-    gen_words = tuple(gen_words)
-    if len(gen_words) != alphabet.rank:
-        raise PreconditionError("need one word per generator")
-    aux = gen_words[0].alphabet
-    params = tuple(Fraction(r) for r in (tl_params
-                                         or default_tl_params(aux.rank)))
-    _check_tl_params(params)
-    if len(params) != aux.rank:
-        raise PreconditionError("need one parameter per auxiliary generator")
-    reduced, _ = nielsen_reduce(GeneratingTuple(aux, gen_words))
-    if len(reduced) != len(gen_words):
-        raise PreconditionError("gen_words are not a basis (rank drops)")
-    aux_spec = RepSpec(aux, tuple(tl_generator(r) for r in params))
-    return RepSpec(alphabet, tuple(word_to_matrix(aux_spec, w) for w in gen_words))
+    if gen_words is not None:
+        gen_words = tuple(gen_words)
+    rank = gen_words[0].alphabet.rank if gen_words else alphabet.rank
+    return RepSpec(alphabet, tuple(tl_params or default_tl_params(rank)),
+                   gen_words)
 
 
 def demo_representation(alphabet: Alphabet) -> RepSpec:
@@ -228,20 +246,6 @@ def _kmul(A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
     return (n11, n12, n21, n22, den)
 
 
-def _ksize(K: tuple[int, ...]) -> int:
-    """The decoder's measure: over the four entries in lowest terms, the bit
-    lengths of |numerator| and denominator, summed."""
-    n11, n12, n21, n22, den = K
-    if den == 1:
-        return (n11.bit_length() + n12.bit_length() + n21.bit_length()
-                + n22.bit_length() + 4)
-    total = 0
-    for n in (n11, n12, n21, n22):
-        g = math.gcd(n, den)
-        total += (n // g).bit_length() + (den // g).bit_length()
-    return total
-
-
 def _letter_matrices(spec: RepSpec) -> dict[int, tuple[int, ...]]:
     out = {}
     for i, M in enumerate(spec.generator_matrices, start=1):
@@ -261,161 +265,71 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
 
 
 # ---------------------------------------------------------------------------
-# Decoding, on kernel tuples.  Each stage runs at most once:
-#   1. greedy peel following any strict decrease of the bit-size measure;
-#   2. only when the half-ball exceeds 20 000 words: best-first search
-#      ordered by the same measure (bounded node budget) -- a found word is
-#      self-verifying, so the heuristic order is safe;
-#   3. exhaustive meet-in-the-middle for a sound "absent" answer within the
-#      bound.  A half-ball table maps each product of up to h2 letters to its
-#      word (tables for the few most recently used representations are kept);
-#      each node of the other half carries inv(prefix) * M, the key to look
-#      up, extended by left-multiplying the inverse of the next letter.
-# Faithfulness makes preimages unique, so any hit is the shortest word and
-# every stage that answers gives the same word.
+# Decoding, on kernel tuples: one exact ping-pong peel.  Letter s of the
+# family sends everything outside the interval of s^-1 into its own open
+# interval, so a reduced word w != 1 sends 0 into the interval of its first
+# letter.  M(0) = n12/n22 thus names the first letter, or no word at all when
+# it lies in no interval; left-multiplying by that letter's inverse leaves
+# the rest of the word, and the peel stops at the identity.  The intervals
+# are compared by integer cross-multiplication.  The peeled letters always
+# form a reduced word, and faithfulness makes it the unique preimage.
 # ---------------------------------------------------------------------------
 
-_SEARCH_BUDGET = 50_000
-_MITM_CAP = 200_000
-_TABLE_CACHE_SIZE = 4
+def _peel_table(params: Sequence[Fraction]) -> tuple:
+    """Per letter s of the family: (s, lo, hi, q, kernel of s^-1), where
+    (lo/q, hi/q) is the open interval that s maps into."""
+    table = []
+    for i, r in enumerate(params, start=1):
+        n11, n12, n21, n22, den = _to_kernel(tl_generator(r))
+        p, q = r.numerator, r.denominator
+        table.append((i, -p - q, q - p, q, (n22, -n12, -n21, n11, den)))
+        table.append((-i, p - q, p + q, q, (n11, n12, n21, n22, den)))
+    return tuple(table)
 
 
-def _letter_order(mats) -> list[int]:
-    return sorted(mats, key=lambda s: (abs(s), s < 0))
-
-
-def _greedy_peel(spec: RepSpec, M: tuple[int, ...],
-                 max_len: int) -> Optional[list[int]]:
-    mats = _letter_matrices(spec)
-    order = _letter_order(mats)
+def _peel(table: tuple, M: tuple[int, ...],
+          limit: int) -> Optional[list[int]]:
     letters: list[int] = []
     cur = M
-    size = _ksize(cur)
     while cur != _IDENTITY:
-        if len(letters) >= max_len:
+        if len(letters) >= limit:
             return None
-        found = None
-        for s in order:
-            if letters and s == -letters[-1]:
-                continue
-            cand = _kmul(mats[-s], cur)
-            cand_size = _ksize(cand)
-            if cand_size < size:
-                found = (s, cand, cand_size)
+        b, d = cur[1], cur[3]
+        if d < 0:
+            b, d = -b, -d
+        for s, lo, hi, q, inverse in table:
+            if lo * d < b * q < hi * d:
                 break
-        if found is None:
-            return None
-        s, cur, size = found
+        else:
+            return None  # includes d == 0: M(0) is infinity
         letters.append(s)
+        cur = _kmul(inverse, cur)
     return letters
 
 
-def _best_first(spec: RepSpec, M: tuple[int, ...], max_len: int,
-                budget: int = _SEARCH_BUDGET) -> Optional[list[int]]:
-    mats = _letter_matrices(spec)
-    order = _letter_order(mats)
-    counter = 0
-    heap = [(_ksize(M), 0, (), M)]
-    while heap and counter < budget:
-        counter += 1
-        _, _, letters, cur = heapq.heappop(heap)
-        if cur == _IDENTITY:
-            return list(letters)
-        if len(letters) >= max_len:
-            continue
-        for s in order:
-            if letters and s == -letters[-1]:
-                continue
-            nxt = _kmul(mats[-s], cur)
-            heapq.heappush(heap, (_ksize(nxt), counter * 8 + abs(s),
-                                  letters + (s,), nxt))
-    return None
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _half_table(spec: RepSpec, depth: int) -> dict[tuple, tuple[int, ...]]:
-    mats = _letter_matrices(spec)
-    order = _letter_order(mats)
-    table: dict[tuple, tuple[int, ...]] = {_IDENTITY: ()}
-    frontier = [((), _IDENTITY)]
-    for _ in range(depth):
-        nxt = []
-        for letters, mat in frontier:
-            for s in order:
-                if letters and s == -letters[-1]:
-                    continue
-                word, prod = letters + (s,), _kmul(mat, mats[s])
-                nxt.append((word, prod))
-                table.setdefault(prod, word)
-        frontier = nxt
-    return table
-
-
-def _meet_in_middle(spec: RepSpec, M: tuple[int, ...],
-                    max_len: int) -> Optional[list[int]]:
-    h2 = max_len // 2
-    h1 = max_len - h2
-    q = spec.alphabet.rank
-    if ball_size(q, h2) > _MITM_CAP or ball_size(q, h1) > _MITM_CAP:
-        raise CapExceededError(
-            f"cannot certify absence within length {max_len} at rank {q}; "
-            "the exhaustive half-ball exceeds the cap")
-    table = _half_table(spec, h2)
-    mats = _letter_matrices(spec)
-    order = _letter_order(mats)
-    best: Optional[tuple[int, ...]] = None
-
-    def consider(letters: tuple[int, ...], rest_mat: tuple[int, ...]):
-        nonlocal best
-        rest = table.get(rest_mat)
-        if rest is None:
-            return
-        if letters and rest and rest[0] == -letters[-1]:
-            return  # would cancel at the seam: not a reduced concatenation
-        if len(letters) + len(rest) > max_len:
-            return
-        cand = letters + rest
-        if best is None or len(cand) < len(best):
-            best = cand
-
-    # each node is (prefix, inv(prefix) * M)
-    frontier = [((), M)]
-    consider((), M)
-    for _ in range(h1):
-        nxt = []
-        for letters, rest_mat in frontier:
-            for s in order:
-                if letters and s == -letters[-1]:
-                    continue
-                item = (letters + (s,), _kmul(mats[-s], rest_mat))
-                nxt.append(item)
-                consider(*item)
-        frontier = nxt
-    return list(best) if best is not None else None
-
-
-def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int,
-                   search_budget: int = _SEARCH_BUDGET) -> Optional[Word]:
+def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
     """The unique word of length <= max_len evaluating to M, or None.
 
-    Raises :class:`CapExceededError` when no word is found heuristically and
-    the bound is too large to certify absence exhaustively."""
+    A ``gen_words`` spec peels the auxiliary word (at most max_len times the
+    longest generator word), expresses it over the Nielsen reduced basis and
+    carries that expression back to the alphabet's letters."""
     if mat_det(M) != 1:
         raise PreconditionError("matrix must have determinant 1")
     if max_len < 0:
         raise PreconditionError("max_len must be >= 0")
     K = _to_kernel(M)
-    letters = _greedy_peel(spec, K, max_len)
-    if letters is None:
-        # exhaustive search settles small bounds outright; otherwise spend
-        # the full budget before certifying absence
-        if ball_size(spec.alphabet.rank, max_len - max_len // 2) > 20_000:
-            letters = _best_first(spec, K, max_len, search_budget)
-        if letters is None:
-            letters = _meet_in_middle(spec, K, max_len)
+    if spec.gen_words is None:
+        letters = _peel(spec._ping_pong, K, max_len)
+        return None if letters is None else Word(spec.alphabet, letters)
+    limit = max_len * max(len(g) for g in spec.gen_words)
+    letters = _peel(spec._ping_pong, K, limit)
     if letters is None:
         return None
-    return Word(spec.alphabet, letters)
+    expr = subgroup_membership(spec.basis, Word(spec.basis.alphabet, letters))
+    if expr is None:
+        return None
+    w = expand_expression(spec.basis_words, expr)
+    return w if len(w) <= max_len else None
 
 
 # --- textual form -----------------------------------------------------------

@@ -22,7 +22,6 @@ from .keystream import (
     format_lcg_lines,
     has_max_period,
     keystream,
-    parse_kv_lines,
     parse_lcg_lines,
 )
 from .nielsen import (
@@ -33,7 +32,7 @@ from .nielsen import (
     nielsen_reduce,
     parse_tuple,
 )
-from .words import Alphabet, Word, format_word, parse_word
+from .words import Alphabet, Word, format_word, parse_kv_lines, parse_word
 
 __all__ = [
     "CipherPublicParams",

@@ -14,10 +14,10 @@ from typing import Optional, Union
 
 from .automorphisms import FactoredAutomorphism, parse_automorphism
 from .errors import DecryptionError, PreconditionError, WordSyntaxError
-from .keystream import parse_kv_lines
 from .matrices import (Mat2Q, RepSpec, format_matrix, mat_inv, mat_mul,
                        matrix_to_word, parse_matrix, word_to_matrix)
-from .words import Alphabet, Word, concat, format_word, parse_word
+from .words import (Alphabet, Word, concat, format_word, parse_kv_lines,
+                    parse_word)
 
 __all__ = [
     "PubkeyParams",
@@ -112,7 +112,10 @@ def bob_encrypt_matrix(params: PubkeyParams, c: Word, m: Word, t: int) -> Cipher
 
 def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
                          decode_bound: int = 32) -> Word:
-    """Recover g(m) = c1 * g(f^n(c2))^-1 exactly, then decode the word."""
+    """Recover g(m) = c1 * g(f^n(c2))^-1 exactly, then decode the word.
+
+    Raises :class:`DecryptionError` when no word of length <= decode_bound
+    evaluates to g(m), as with a wrong n; a miss is never anything else."""
     if params.rep is None:
         raise PreconditionError("matrix variant needs a representation")
     params._check_exponent(n)

@@ -298,3 +298,14 @@ def _format_run(alphabet: Alphabet, letter: int, count: int) -> str:
     if exp == 1:
         return name
     return f"{name}^{exp}"
+
+
+# Key, params and pair files: "key = value" lines.  Blank lines, "#"
+# comments and lines without "=" (such as a tuple block) are skipped.
+def parse_kv_lines(text: str) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for ln in text.splitlines():
+        key, sep, value = ln.strip().partition("=")
+        if sep and not key.startswith("#"):
+            out[key.strip()] = value.strip()
+    return out

@@ -146,6 +146,26 @@ class TestPubkeyCommands:
                     "--max-len", "4"]) == 0
         assert capsys.readouterr().out.strip() == "x1 x2^-1"
 
+    def test_matrix_variant_wrong_exponent(self, tmp_path, capsys):
+        # a wrong n at the default --max-len 32 is a decryption failure
+        fx = copy_fixture(tmp_path, "pubkey_demo")
+        pub = tmp_path / "c.txt"
+        run(["pubkey-keygen", "--params", str(fx / "params.txt"),
+             "--n", "2", "--out", str(pub)])
+        msg = tmp_path / "m.txt"
+        msg.write_text("x1 x2^-1\n")
+        pair = tmp_path / "pair.txt"
+        run(["pubkey-encrypt", "--params", str(fx / "params.txt"),
+             "--public", str(pub), "--message", str(msg), "--t", "2",
+             "--matrix", "--out", str(pair)])
+        capsys.readouterr()
+        assert run(["pubkey-decrypt", "--params", str(fx / "params.txt"),
+                    "--n", "3", "--pair", str(pair), "--matrix"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no word of length <= 32 matches the recovered matrix"]
+
 
 class TestToolCommands:
     def test_nielsen_reduce_fixpoint(self, tmp_path):
