@@ -2,12 +2,14 @@
 seed-derived family of automorphisms indexed by residue classes.
 
 The family with 2^m members is never materialized; member i is a pure
-function of (master_seed, i) through a splitmix64-seeded draw, so both
-parties derive identical automorphisms from the shared seed.
+function of (master_seed, i) through a seeded draw (splitmix64 below 2^64,
+SHA-256 above), so both parties derive identical automorphisms from the
+shared seed.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from .automorphisms import FactoredAutomorphism, random_whitehead_automorphism
@@ -95,10 +97,6 @@ def keystream(p: LcgParams, alpha: int, z: int) -> list[int]:
     return out
 
 
-def _rotl64(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 @dataclass(frozen=True)
 class AutFamily:
     """Lazily derived family of 2^m automorphisms, one per residue class.
@@ -119,11 +117,21 @@ class AutFamily:
 
 
 def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:
-    """Member ``index`` of the family; referentially transparent."""
+    """Member ``index`` of the family; referentially transparent.
+
+    Indices below 2^64 seed from one splitmix64 step.  Above, the seed is the
+    first 8 bytes of SHA-256 over the master seed and both 64-bit halves:
+    any splitmix64/XOR mix of public values can be solved for a colliding
+    index."""
     index %= 1 << fam.m
     low = index & _MASK64
-    high = (index >> 64) & _MASK64
-    _, seed = splitmix64((fam.master_seed ^ low ^ _rotl64(high, 32)) & _MASK64)
+    high = index >> 64
+    if high == 0:
+        _, seed = splitmix64((fam.master_seed ^ low) & _MASK64)
+    else:
+        data = b"".join(x.to_bytes(8, "big")
+                        for x in (fam.master_seed & _MASK64, low, high))
+        seed = int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
     return random_whitehead_automorphism(Prg(seed), fam.alphabet)
 
 

@@ -126,12 +126,13 @@ class TestFamily:
         ]
 
     # sha256 over i = 0..199 of each member's factor list, images and
-    # inverse images, as computed by the earlier generator-image fold
+    # inverse images (the m64 rows as computed by the earlier generator-image
+    # fold; the m128-high row covers indices >= 2^64, seeded through SHA-256)
     @pytest.mark.parametrize("names, seed, m, high, digest", [
         ("a b c d", 0x9E3779B97F4A7C15, 64, 0,
          "720ebbeef0f37b578d520a625d4306738e30e7bd0ea7dabc15cb4afc24293358"),
         ("a b c d", 0x9E3779B97F4A7C15, 128, 0xDEADBEEF,
-         "e1ac4ed279e9985e493919512b605374cf9276979482d630a65bb9e21e78164d"),
+         "f978b7d66ddc46077d635bf4aed17f35f85761a01d7c13de9466d8e677604631"),
         ("a b", 0x5EED, 64, 0,
          "a68831d6d708db0982bb89090061206741b399b36be665a60ed549afe1877140"),
         ("a b c", 0x5EED, 64, 0,
@@ -162,6 +163,15 @@ class TestFamily:
         low = derive_automorphism(fam, 5)
         high = derive_automorphism(fam, 5 + (1 << 70))
         assert format_automorphism(low) != format_automorphism(high)
+
+    def test_high_half_not_folded_into_low(self):
+        # a seed of master ^ low ^ rotl64(high, 32) made these two collide
+        fam = AutFamily(0x9E3779B97F4A7C15, ABCD, 128)
+        for h, lo in ((0xDEADBEEF, 5), (1, 0), ((1 << 64) - 1, 0x1234)):
+            rotl = ((h << 32) | (h >> 32)) & ((1 << 64) - 1)
+            a = derive_automorphism(fam, (h << 64) | lo)
+            b = derive_automorphism(fam, lo ^ rotl)
+            assert format_automorphism(a) != format_automorphism(b)
 
 
 class TestText:
