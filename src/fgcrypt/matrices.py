@@ -163,11 +163,12 @@ class RepSpec:
                     "need one parameter per auxiliary generator")
             basis, moves = nielsen_reduce(GeneratingTuple(aux, gen_words))
             if len(basis) != len(gen_words):
-                raise PreconditionError("gen_words are not a basis (rank drops)")
+                raise PreconditionError(
+                    "gen_words are not a basis (rank drops)")
             family = RepSpec(aux, params)
             mats = tuple(word_to_matrix(family, w) for w in gen_words)
-            basis_words = apply_moves(
-                GeneratingTuple(self.alphabet, generators(self.alphabet)), moves)
+            own = GeneratingTuple(self.alphabet, generators(self.alphabet))
+            basis_words = apply_moves(own, moves)
         for name, value in (("tl_params", params), ("gen_words", gen_words),
                             ("generator_matrices", mats), ("basis", basis),
                             ("basis_words", basis_words),
