@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, PreconditionError
 from .nielsen import (
     GeneratingTuple,
+    _normal_form,
     canonical_minimal_basis,
     nielsen_reduce,
 )
@@ -115,7 +116,11 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
 
     Subsets are visited in colex order over the sorted ball, so reports and
     hit indices are reproducible.  With a planted basis supplied, the report
-    carries the 1-based count of subsets examined at the first hit."""
+    carries the 1-based count of subsets examined at the first hit.
+
+    The canonical basis of a reduced tuple depends only on its normal form
+    (entries inverse-normalized and sorted), so each normal form's basis is
+    computed once per call and looked up for every later subset."""
     started = time.perf_counter()
     ball = enumerate_ball(alphabet, cfg.ball_radius)
     limit = min(cfg.max_subsets or SUBSET_CAP, SUBSET_CAP)
@@ -123,6 +128,7 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
     if oracle_known_basis is not None:
         target = canonical_minimal_basis(oracle_known_basis).elements
     candidates: dict[tuple, GeneratingTuple] = {}
+    bases: dict[tuple, GeneratingTuple] = {}
     examined = 0
     complete = True
     hit_index = None
@@ -135,7 +141,10 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
         reduced, _ = nielsen_reduce(tup)
         if len(reduced) != cfg.target_rank:
             continue
-        canon = canonical_minimal_basis(reduced)
+        normal = _normal_form(reduced)
+        canon = bases.get(normal)
+        if canon is None:
+            canon = bases[normal] = canonical_minimal_basis(reduced)
         key = tuple(w.signed for w in canon)
         if key not in candidates:
             candidates[key] = canon

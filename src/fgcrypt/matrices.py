@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, SingularMatrixError, WordSyntaxError
-from .nielsen import (GeneratingTuple, apply_moves, expand_expression,
-                      nielsen_reduce, subgroup_membership)
+from .nielsen import (GeneratingTuple, _express, _strip_candidates,
+                      apply_moves, expand_expression, nielsen_reduce)
 from .words import Alphabet, Word, generators
 
 __all__ = [
@@ -132,7 +132,8 @@ class RepSpec:
     Derived: ``generator_matrices``; for ``gen_words`` specs also ``basis``,
     the Nielsen reduced basis of H, and ``basis_words``, the words v_i over
     the alphabet with basis_i = v_i(gen_words), which carry a decoded
-    auxiliary word back to the alphabet's own letters."""
+    auxiliary word back to the alphabet's own letters.  The basis is
+    checked and its membership strips are built here, once per spec."""
 
     alphabet: Alphabet
     tl_params: tuple[Fraction, ...]
@@ -144,11 +145,12 @@ class RepSpec:
     basis_words: Optional[GeneratingTuple] = field(init=False, repr=False,
                                                    compare=False)
     _ping_pong: tuple = field(init=False, repr=False, compare=False)
+    _strips: Optional[list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = tuple(Fraction(r) for r in self.tl_params)
         _check_tl_params(params)
-        gen_words, basis, basis_words = self.gen_words, None, None
+        gen_words, basis, basis_words, strips = self.gen_words, None, None, None
         if gen_words is None:
             if len(params) != self.alphabet.rank:
                 raise PreconditionError("need one parameter per generator")
@@ -169,10 +171,12 @@ class RepSpec:
             mats = tuple(word_to_matrix(family, w) for w in gen_words)
             own = GeneratingTuple(self.alphabet, generators(self.alphabet))
             basis_words = apply_moves(own, moves)
+            strips = _strip_candidates(basis)
         for name, value in (("tl_params", params), ("gen_words", gen_words),
                             ("generator_matrices", mats), ("basis", basis),
                             ("basis_words", basis_words),
-                            ("_ping_pong", _peel_table(params))):
+                            ("_ping_pong", _peel_table(params)),
+                            ("_strips", strips)):
             object.__setattr__(self, name, value)
 
 
@@ -326,7 +330,7 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
     letters = _peel(spec._ping_pong, K, limit)
     if letters is None:
         return None
-    expr = subgroup_membership(spec.basis, Word(spec.basis.alphabet, letters))
+    expr = _express(spec._strips, tuple(letters))
     if expr is None:
         return None
     w = expand_expression(spec.basis_words, expr)

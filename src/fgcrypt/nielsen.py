@@ -4,13 +4,24 @@ deterministic reduction, canonical minimal bases and subgroup membership.
 Tuples are ordered (moves are index-addressed, 1-based); sets only appear
 through :func:`canonical_minimal_basis`, which inverse-normalizes and sorts.
 All operations are pure on immutable values.
+
+Reduction, the canonical level walk and the membership strips run on a
+kernel of plain signed tuples (``Word.signed``), multiplied and inverted by
+the same helpers that back ``concat`` and ``Word.inverse``; Words and
+GeneratingTuples are built only for results.  The level walk keeps its
+tuples rank-encoded (letter s as 2(|s|-1) + (s<0)), so the word order is
+plain tuple order and a step normalizes only the entry it replaced.  A
+canonical basis is a function of the level of the reduced tuple, and so of
+that tuple's normal form: a caller may key the bases it has computed by
+normal form, as the subset attack does within one call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -18,7 +29,8 @@ from .errors import (
     PreconditionError,
     WordSyntaxError,
 )
-from .words import Alphabet, Word, compare_words, concat, parse_word
+from .words import (Alphabet, Word, _concat_signed, _invert_signed,
+                    _rank_tuple, concat, parse_word)
 
 __all__ = [
     "GeneratingTuple",
@@ -139,18 +151,9 @@ def apply_moves(t: GeneratingTuple, moves: Iterable[ElementaryMove]) -> Generati
 # The two reducedness predicates.
 # ---------------------------------------------------------------------------
 
-class _Symbol(NamedTuple):
-    word: Word
-    entry: int   # 1-based tuple index
-    sign: int    # +1 for u_i, -1 for u_i^-1
-
-
-def _symbols(t: GeneratingTuple) -> list[_Symbol]:
-    syms: list[_Symbol] = []
-    for k, w in enumerate(t.elements, start=1):
-        syms.append(_Symbol(w, k, 1))
-        syms.append(_Symbol(w.inverse(), k, -1))
-    return syms
+def _symbols(t: GeneratingTuple) -> list[Word]:
+    """u_1, u_1^-1, u_2, u_2^-1, ...: symbol a ^ 1 is the inverse of a."""
+    return [x for w in t.elements for x in (w, w.inverse())]
 
 
 def _cancellation(u: Word, v: Word) -> int:
@@ -171,7 +174,7 @@ def is_nielsen_reduced(t: GeneratingTuple) -> bool:
     words = t.elements
     if any(w.is_identity() for w in words):
         return False
-    syms = [s.word for s in _symbols(t)]
+    syms = _symbols(t)
     n = len(syms)
     lengths = [len(w) for w in syms]
     cancel = [[0] * n for _ in range(n)]
@@ -217,8 +220,7 @@ def is_nielsen_reduced_segments(t: GeneratingTuple) -> bool:
     Requires all entries non-identity."""
     if any(w.is_identity() for w in t.elements):
         raise PreconditionError("segment predicate requires non-identity entries")
-    syms = _symbols(t)
-    seqs = [s.word.signed for s in syms]
+    seqs = [s.signed for s in _symbols(t)]
     n = len(seqs)
 
     def prefix_isolated(owner: int, prefix: tuple[int, ...]) -> bool:
@@ -279,138 +281,251 @@ def _realization(i: int, j: int, side: str, sign: int) -> list[ElementaryMove]:
     return [t1i, t2, t1i]
 
 
-def _products(elements: tuple[Word, ...]):
-    """Every replacement of one entry by its product with another, as
-    (i, j, side, sign, word): u_i*u_j^sign (side 'R') or u_j^sign*u_i
-    (side 'L'), in the order (i, j, R+, R-, L+, L-)."""
-    inverses = [w.inverse() for w in elements]
+def _products(elements: Sequence[tuple[int, ...]]):
+    """Every replacement of one entry by its product with another that
+    cancels at the seam, as (i, j, side, sign, z): u_i*u_j^sign (side 'R')
+    or u_j^sign*u_i (side 'L'), in the order (i, j, R+, R-, L+, L-).
+    Entries (non-identity) and z are signed tuples.  A product with no
+    cancellation is longer than u_i, so neither the reduction nor the level
+    walk has a use for it."""
     n = len(elements)
     for i in range(1, n + 1):
         u = elements[i - 1]
+        first, last = u[0], u[-1]
         for j in range(1, n + 1):
             if j == i:
                 continue
-            v, v_inv = elements[j - 1], inverses[j - 1]
-            yield i, j, "R", 1, concat(u, v)
-            yield i, j, "R", -1, concat(u, v_inv)
-            yield i, j, "L", 1, concat(v, u)
-            yield i, j, "L", -1, concat(v_inv, u)
+            v = elements[j - 1]
+            if last == -v[0]:
+                yield i, j, "R", 1, _concat_signed(u, v)
+            if last == v[-1]:
+                yield i, j, "R", -1, _concat_signed(u, _invert_signed(v))
+            if v[-1] == -first:
+                yield i, j, "L", 1, _concat_signed(v, u)
+            if v[0] == first:
+                yield i, j, "L", -1, _concat_signed(_invert_signed(v), u)
 
 
-def _find_half_rewrite(t: GeneratingTuple):
+def _find_half_rewrite(elements: Sequence[tuple[int, ...]]):
     """First length-preserving rewrite fixing a violated half condition.
 
-    Returns (i, j, side, sign, word) for the replacement, or None.  Assumes
+    Returns (i, j, side, sign, z) for the replacement, or None.  Assumes
     the shortening phase is exhausted, which bounds seam cancellations by
-    half of each factor and keeps the rewrites length-preserving."""
-    syms = _symbols(t)
-    for s in syms:
-        ln = len(s.word)
-        if ln == 0 or ln % 2:
+    half of each factor and keeps the rewrites length-preserving.  Symbol
+    a is u_(a//2+1) for even a and its inverse for odd a, so a ^ 1 is the
+    inverse symbol."""
+    syms = [x for u in elements for x in (u, _invert_signed(u))]
+    for a, seq in enumerate(syms):
+        ln = len(seq)
+        if ln % 2 or not ln:
             continue
         h = ln // 2
-        p = s.word.signed[:h]
-        q = s.word.inverse().signed[:h]
-        p_owners = [v for v in syms
-                    if (v.entry, v.sign) != (s.entry, s.sign)
-                    and v.word.signed[:h] == p]
-        q_owners = [v for v in syms
-                    if (v.entry, v.sign) != (s.entry, -s.sign)
-                    and v.word.signed[:h] == q]
-        if not p_owners or not q_owners:
+        p, q = seq[:h], syms[a ^ 1][:h]
+        p_owner = next((b for b, v in enumerate(syms)
+                        if b != a and v[:h] == p), None)
+        q_owner = next((b for b, v in enumerate(syms)
+                        if b != a ^ 1 and v[:h] == q), None)
+        if p_owner is None or q_owner is None:
             continue
-        p_word = Word._make(t.alphabet, p)
-        q_word = Word._make(t.alphabet, q)
-        if compare_words(q_word, p_word) < 0:
+        sign = -1 if a % 2 else 1
+        if _rank_tuple(q) < _rank_tuple(p):
             # prefix p -> q: symbol v -> w^-1 * v
-            v, w, sign = p_owners[0], s.word.inverse(), -s.sign
+            b, w, sign = p_owner, syms[a ^ 1], -sign
         else:
             # prefix q -> p: symbol v -> w * v
-            v, w, sign = q_owners[0], s.word, s.sign
-        z = concat(w, v.word)
-        if v.sign > 0:
-            return v.entry, s.entry, "L", sign, z
-        return v.entry, s.entry, "R", -sign, z.inverse()
+            b, w = q_owner, seq
+        z = _concat_signed(w, syms[b])
+        if b % 2 == 0:
+            return b // 2 + 1, a // 2 + 1, "L", sign, z
+        return b // 2 + 1, a // 2 + 1, "R", -sign, _invert_signed(z)
     return None
+
+
+def _as_tuple(alphabet: Alphabet,
+              elements: Iterable[tuple[int, ...]]) -> GeneratingTuple:
+    return GeneratingTuple(alphabet, tuple(Word._make(alphabet, e)
+                                           for e in elements))
 
 
 def nielsen_reduce(t: GeneratingTuple) -> tuple[GeneratingTuple, list[ElementaryMove]]:
     """Carry a tuple into a Nielsen reduced one; returns the result and the
     elementary move list realizing it (replay with :func:`apply_moves`)."""
     moves: list[ElementaryMove] = []
+    elements = [w.signed for w in t.elements]
     while True:
-        k = next((k for k, w in enumerate(t.elements, start=1)
-                  if w.is_identity()), None)
+        k = next((k for k, u in enumerate(elements, start=1) if not u), None)
         if k is not None:
             moves.append(ElementaryMove("T3", k))
-            t = apply_move(t, moves[-1])
+            del elements[k - 1]
             continue
-        lengths = [len(w) for w in t.elements]
-        for i, j, side, sign, z in _products(t.elements):
-            if len(z) < lengths[i - 1]:
+        for i, j, side, sign, z in _products(elements):
+            if len(z) < len(elements[i - 1]):
                 break
         else:
-            found = _find_half_rewrite(t)
+            found = _find_half_rewrite(elements)
             if found is None:
-                return t, moves
+                return _as_tuple(t.alphabet, elements), moves
             i, j, side, sign, z = found
-        t = t.replace(i, z)
+        elements[i - 1] = z
         moves.extend(_realization(i, j, side, sign))
 
 
-def _normalize(t: GeneratingTuple) -> GeneratingTuple:
-    norm = [min(w, w.inverse()) for w in t.elements]
-    norm.sort(key=Word.sort_key)
-    return GeneratingTuple(t.alphabet, tuple(norm))
+# ---------------------------------------------------------------------------
+# Canonical bases: the minimum of a level.
+#
+# The level of a tuple is everything its length-preserving replacements
+# reach.  The walk runs on normal forms: every entry is the smaller of u
+# and u^-1, rank-encoded (letter s becomes 2(|s|-1) + (s<0), so plain
+# tuple comparison is the word order at equal length), and the entries are
+# sorted by (length, ranks).  A replacement changes one entry and keeps its
+# length, so only that entry is normalized, then inserted among the rest of
+# its length; the lengths by position are the same all over the level, and
+# two normal forms compare position by position as plain tuples.
+# ---------------------------------------------------------------------------
+
+_ORBIT_LIMIT = 200000
 
 
-def _tuple_key(t: GeneratingTuple):
-    return tuple(w.sort_key() for w in t.elements)
+def _normal_entry(signed: tuple[int, ...]) -> tuple[int, ...]:
+    r = _rank_tuple(signed)
+    r_inv = tuple(x ^ 1 for x in reversed(r))
+    return r if r <= r_inv else r_inv
 
 
-def canonical_minimal_basis(t: GeneratingTuple, orbit_limit: int = 200000) -> GeneratingTuple:
-    """Deterministic canonical form of the subgroup generated by ``t``.
+def _unrank(r: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-(x >> 1) - 1 if x & 1 else (x >> 1) + 1 for x in r)
 
-    Nielsen-reduces, then explores the reduced tuple's orbit under the
-    length-preserving replacements of :func:`_products` (inverse-normalized
-    and sorted after every step, so a left product u_j^s * u_i stands for
-    u_i^-1 * u_j^-s) and returns the smallest Nielsen reduced member.
-    Reduced systems all sit at the minimal total length, and paths between
-    them may pass through non-reduced tuples of the same length multiset, so
-    the whole constant-length level is searched; the result is its minimum
-    whatever the visiting order.  The level is finite; ``orbit_limit``
-    guards against blowups."""
-    reduced, _ = nielsen_reduce(t)
-    start = _normalize(reduced)
-    if len(start) == 0:
-        return start
-    best_key = _tuple_key(start)
-    seen = {best_key}
+
+def _normal_form(t: GeneratingTuple) -> tuple[tuple[int, ...], ...]:
+    """The rank-encoded normal form of ``t``; the level of a tuple, and so
+    its minimum, depends only on this."""
+    return tuple(sorted((_normal_entry(w.signed) for w in t.elements),
+                        key=lambda r: (len(r), r)))
+
+
+def _level_minimum(reduced: GeneratingTuple,
+                   orbit_limit: int = _ORBIT_LIMIT) -> GeneratingTuple:
+    """The smallest Nielsen reduced member of the level of the Nielsen
+    reduced tuple ``reduced``, inverse-normalized and sorted."""
+    start = _normal_form(reduced)
+    lengths = [len(r) for r in start]
+    # without entry i, the other entries of its length sit at positions
+    # block[i] of the rest
+    block = [(bisect_left(lengths, n), bisect_right(lengths, n) - 1)
+             for n in lengths]
     best = start
+    seen = {start}
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        lengths = [len(w) for w in cur.elements]
-        for i, _, _, _, z in _products(cur.elements):
+        for i, _, _, _, z in _products([_unrank(r) for r in cur]):
             if len(z) != lengths[i - 1]:
                 continue
-            cand = _normalize(cur.replace(i, z))
-            key = _tuple_key(cand)
-            if key in seen:
+            rest = cur[:i - 1] + cur[i:]
+            lo, hi = block[i - 1]
+            r = _normal_entry(z)
+            k = bisect_left(rest, r, lo, hi)
+            cand = rest[:k] + (r,) + rest[k:]
+            if cand in seen:
                 continue
             if len(seen) >= orbit_limit:
                 raise CapExceededError(
                     f"canonical basis search exceeded {orbit_limit} tuples")
-            seen.add(key)
-            if key < best_key and is_nielsen_reduced_segments(cand):
-                best, best_key = cand, key
+            seen.add(cand)
+            if cand < best and is_nielsen_reduced_segments(
+                    _as_tuple(reduced.alphabet, map(_unrank, cand))):
+                best = cand
             frontier.append(cand)
-    return best
+    return _as_tuple(reduced.alphabet, map(_unrank, best))
+
+
+def canonical_minimal_basis(t: GeneratingTuple,
+                            orbit_limit: int = _ORBIT_LIMIT) -> GeneratingTuple:
+    """Deterministic canonical form of the subgroup generated by ``t``.
+
+    Nielsen-reduces, then explores the reduced tuple's level: every tuple
+    its length-preserving replacements from :func:`_products` reach,
+    inverse-normalized and sorted after every step (so a left product
+    u_j^s * u_i stands for u_i^-1 * u_j^-s).  Returns the smallest Nielsen
+    reduced member.  Reduced systems all sit at the minimal total length,
+    and paths between them may pass through non-reduced tuples of the same
+    length multiset, so the whole constant-length level is searched; the
+    result is its minimum whatever the visiting order.  Every replacement
+    can be undone by another, so the levels partition the tuples and every
+    member of a level has the same minimum.
+
+    Both steps run on signed tuples and build Words only for the result.
+    The walk keeps rank-encoded normal forms and normalizes only the
+    replaced entry, then inserts it into the already sorted rest.  The
+    level is finite; ``orbit_limit`` guards against blowups."""
+    reduced, _ = nielsen_reduce(t)
+    return _level_minimum(reduced, orbit_limit)
 
 
 # ---------------------------------------------------------------------------
 # Constructive membership on Nielsen reduced bases.
 # ---------------------------------------------------------------------------
+
+def _strip_candidates(basis: GeneratingTuple) -> list[tuple]:
+    """The strips of a Nielsen reduced basis, as (prefix, inverse, token)
+    on signed tuples: each symbol's major initial segment and, for even
+    lengths, its left half, with the symbol's inverse and signed index."""
+    if not is_nielsen_reduced(basis):
+        raise PreconditionError("membership requires a Nielsen reduced basis")
+    candidates = []
+    for k, u in enumerate(basis.elements, start=1):
+        for seq, token in ((u.signed, k), (_invert_signed(u.signed), -k)):
+            ln, inv = len(seq), _invert_signed(seq)
+            candidates.append((seq[:_major_len(ln)], inv, token))
+            if ln % 2 == 0:
+                candidates.append((seq[:ln // 2], inv, token))
+    return candidates
+
+
+def _express(candidates: list[tuple], w: tuple[int, ...]) -> Optional[list[int]]:
+    """Signed basis indices spelling the signed tuple ``w``, or None; the
+    search behind :func:`subgroup_membership`."""
+    if not w:
+        return []
+    # Iterative DFS.  Strips never lengthen the remainder; words already on
+    # the current path are skipped (the unique expression never revisits a
+    # remainder), and exhausted remainders are memoized as dead ends.
+    failed: set[tuple[int, ...]] = set()
+
+    def strips(cur: tuple[int, ...]):
+        for prefix, inv, token in candidates:
+            if cur[:len(prefix)] != prefix:
+                continue
+            rest = _concat_signed(inv, cur)
+            if len(rest) <= len(cur) and rest not in failed:
+                yield token, rest
+
+    stack: list[tuple[tuple[int, ...], object]] = [(w, strips(w))]
+    on_path = {w}
+    tokens: list[int] = []
+    while stack:
+        cur, gen = stack[-1]
+        step = None
+        for token, rest in gen:  # type: ignore[union-attr]
+            if rest in on_path:
+                continue
+            step = (token, rest)
+            break
+        if step is None:
+            failed.add(cur)
+            on_path.discard(cur)
+            stack.pop()
+            if stack:
+                tokens.pop()
+            continue
+        token, rest = step
+        tokens.append(token)
+        if not rest:
+            return tokens
+        on_path.add(rest)
+        stack.append((rest, strips(rest)))
+    return None
+
 
 def subgroup_membership(basis: GeneratingTuple, w: Word) -> Optional[list[int]]:
     """Express ``w`` over a Nielsen reduced basis.
@@ -420,62 +535,10 @@ def subgroup_membership(basis: GeneratingTuple, w: Word) -> Optional[list[int]]:
     in the subgroup.  Strips symbols whose major initial segment prefixes
     the remainder; even-length symbols may only show their left half, so
     those strips are tried with backtracking (memoized on the remainder)."""
-    if not is_nielsen_reduced(basis):
-        raise PreconditionError("membership requires a Nielsen reduced basis")
+    candidates = _strip_candidates(basis)
     if w.alphabet.names != basis.alphabet.names:
         raise PreconditionError("word and basis alphabets differ")
-    syms = _symbols(basis)
-    candidates: list[tuple[tuple[int, ...], Word, int]] = []
-    for s in syms:
-        ln = len(s.word)
-        if ln == 0:
-            continue
-        candidates.append((s.word.signed[:_major_len(ln)], s.word.inverse(),
-                           s.entry * s.sign))
-        if ln % 2 == 0:
-            candidates.append((s.word.signed[:ln // 2], s.word.inverse(),
-                               s.entry * s.sign))
-    if w.is_identity():
-        return []
-    # Iterative DFS.  Strips never lengthen the remainder; words already on
-    # the current path are skipped (the unique expression never revisits a
-    # remainder), and exhausted remainders are memoized as dead ends.
-    failed: set[tuple[int, ...]] = set()
-
-    def strips(cur: Word):
-        for prefix, inv, token in candidates:
-            k = len(prefix)
-            if len(cur.signed) < k or cur.signed[:k] != prefix:
-                continue
-            rest = concat(inv, cur)
-            if len(rest) <= len(cur) and rest.signed not in failed:
-                yield token, rest
-
-    stack: list[tuple[Word, object]] = [(w, strips(w))]
-    on_path = {w.signed}
-    tokens: list[int] = []
-    while stack:
-        cur, gen = stack[-1]
-        step = None
-        for token, rest in gen:  # type: ignore[union-attr]
-            if rest.signed in on_path:
-                continue
-            step = (token, rest)
-            break
-        if step is None:
-            failed.add(cur.signed)
-            on_path.discard(cur.signed)
-            stack.pop()
-            if stack:
-                tokens.pop()
-            continue
-        token, rest = step
-        tokens.append(token)
-        if rest.is_identity():
-            return tokens
-        on_path.add(rest.signed)
-        stack.append((rest, strips(rest)))
-    return None
+    return _express(candidates, w.signed)
 
 
 def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:

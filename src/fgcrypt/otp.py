@@ -26,7 +26,7 @@ from .keystream import (
 )
 from .nielsen import (
     GeneratingTuple,
-    canonical_minimal_basis,
+    _level_minimum,
     format_tuple,
     is_nielsen_reduced,
     nielsen_reduce,
@@ -152,7 +152,7 @@ def keygen(params: CipherPublicParams, prg: Prg,
         reduced, _ = nielsen_reduce(GeneratingTuple(params.alphabet, tuple(words)))
         if len(reduced) != n or not is_nielsen_reduced(reduced):
             continue
-        basis = canonical_minimal_basis(reduced)
+        basis = _level_minimum(reduced)
         alpha = prg.next() % params.lcg.modulus
         key = CipherPrivateKey(basis, alpha)
         key.validate(params)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import (AlphabetMismatchError, CapExceededError,
@@ -119,7 +120,7 @@ class Word:
         return not self.signed
 
     def inverse(self) -> "Word":
-        return Word._make(self.alphabet, tuple(-s for s in reversed(self.signed)))
+        return Word._make(self.alphabet, _invert_signed(self.signed))
 
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
@@ -191,17 +192,27 @@ def _same_alphabet(u: Word, v: Word) -> None:
             f"alphabet mismatch: {u.alphabet} vs {v.alphabet}")
 
 
+# The signed-tuple kernel: free reduction and inversion on plain tuples, for
+# callers that build Words only at their boundary (the Nielsen layer).
+def _concat_signed(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Freely reduced product of two freely reduced signed tuples."""
+    if not (a and b and a[-1] == -b[0]):
+        return a + b
+    c = 1
+    bound = min(len(a), len(b))
+    while c < bound and a[-1 - c] == -b[c]:
+        c += 1
+    return a[:len(a) - c] + b[c:]
+
+
+def _invert_signed(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(a)))
+
+
 def concat(u: Word, v: Word) -> Word:
     """Freely reduced product uv."""
     _same_alphabet(u, v)
-    left = list(u.signed)
-    right = v.signed
-    i = 0
-    n = len(right)
-    while left and i < n and left[-1] == -right[i]:
-        left.pop()
-        i += 1
-    return Word._make(u.alphabet, tuple(left) + right[i:])
+    return Word._make(u.alphabet, _concat_signed(u.signed, v.signed))
 
 
 def compare_words(u: Word, v: Word) -> int:

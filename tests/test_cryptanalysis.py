@@ -1,5 +1,8 @@
+import hashlib
 import math
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +15,7 @@ from fgcrypt import (
     canonical_minimal_basis,
     enumerate_ball,
     is_nielsen_reduced,
+    nielsen_reduce,
     primitive_growth_rates,
     primitive_lower_bound_rank2,
     subset_attack,
@@ -104,6 +108,57 @@ class TestSubsetAttack:
         assert "subsets_examined = " in text
         assert "hit_index = " in text
         assert "begin tuple" in text
+
+
+# The three benchmark configurations (alphabet, ball radius, target rank N,
+# subset size K) plus a rank-3 one with N = K = 3.
+ATTACK_CONFIGS = ((AB, 3, 2, 2), (AB, 2, 2, 3), (XYZ, 2, 2, 2), (XYZ, 1, 3, 3))
+
+
+def _colex(n, k):
+    return sorted(combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def _planted(rng, ball, cfg):
+    """A seeded K-subset of the ball that reduces to rank N."""
+    while True:
+        chosen = sorted(rng.sample(range(len(ball)), cfg.subset_size))
+        tup = GeneratingTuple(ball[0].alphabet, tuple(ball[i] for i in chosen))
+        if len(nielsen_reduce(tup)[0]) == cfg.target_rank:
+            return tup
+
+
+class TestAttackGolden:
+    # SHA-256 over format_report and hit_index for two seeded planted bases
+    # per configuration.  Computed with the attack that ran
+    # canonical_minimal_basis on every full-rank subset.
+    DIGEST = "a1d2f8d0dc37fcc12d65f915ea7c73bca9a1b754a566a8b91fe7bafb1c8924b6"
+
+    def test_golden_digest(self):
+        rng = random.Random("attack-golden")
+        lines = []
+        for alphabet, radius, n, k in ATTACK_CONFIGS:
+            cfg = AttackConfig(ball_radius=radius, target_rank=n, subset_size=k)
+            ball = enumerate_ball(alphabet, radius)
+            for _ in range(2):
+                report = subset_attack(alphabet, cfg, _planted(rng, ball, cfg))
+                lines.append(f"{report.hit_index}\n{format_report(report)}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+    @pytest.mark.parametrize("config", [c for c in ATTACK_CONFIGS if c[1] == 2])
+    def test_candidates_are_canonical_bases_of_full_rank_subsets(self, config):
+        alphabet, radius, n, k = config
+        cfg = AttackConfig(ball_radius=radius, target_rank=n, subset_size=k)
+        ball = enumerate_ball(alphabet, radius)
+        expected = {}
+        for subset in _colex(len(ball), k):
+            tup = GeneratingTuple(alphabet, tuple(ball[i] for i in subset))
+            if len(nielsen_reduce(tup)[0]) == n:
+                canon = canonical_minimal_basis(tup).elements
+                expected.setdefault(canon, None)
+        report = subset_attack(alphabet, cfg)
+        assert [c.elements for c in report.candidates] == list(expected)
 
 
 class TestBounds:

@@ -19,6 +19,7 @@ from fgcrypt import (
     mat_inv,
     mat_mul,
     matrix_to_word,
+    nielsen,
     parse_matrix,
     tl_generator,
     word_to_matrix,
@@ -220,6 +221,26 @@ class TestMatrixToWord:
                 w = random_word(rng, AB, 6, min_len=0)
                 assert matrix_to_word(spec, word_to_matrix(spec, w), 6) == w
             assert matrix_to_word(spec, SHEAR, 6) is None
+
+    def test_decodes_do_not_recheck_the_basis(self, monkeypatch):
+        # the spec checks its basis and builds its strips once; decodes
+        # only peel and strip
+        spec = demo_representation(ABCD)
+        calls = []
+        original = nielsen.is_nielsen_reduced
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(nielsen, "is_nielsen_reduced", counting)
+        rng = random.Random(50)
+        for _ in range(50):
+            w = random_word(rng, ABCD, 6, min_len=0)
+            assert matrix_to_word(spec, word_to_matrix(spec, w), 6) == w
+        assert calls == []
+        demo_representation(ABCD)
+        assert len(calls) == 1
 
 
 class TestPingPong:

@@ -151,6 +151,13 @@ class TestReduce:
         reduced, _ = nielsen_reduce(t(AB, "a b", "b^-1 a^-1"))
         assert len(reduced) == 1
 
+    def test_power_word_takes_three_moves_per_letter(self):
+        # each step strips one a from a^k b by right-multiplying by a^-1
+        n = 500
+        reduced, moves = nielsen_reduce(t(AB, f"a^{n} b", "a"))
+        assert [str(w) for w in reduced] == ["b", "a"]
+        assert format_moves(moves) == "\n".join(["T1 1\nT2 1 2\nT1 1"] * n)
+
     def test_replay_and_conservation(self):
         rng = random.Random(5)
         for _ in range(300):

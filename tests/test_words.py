@@ -59,6 +59,20 @@ class TestAlphabet:
             ABCD.index("e")
 
 
+class TestSignedKernel:
+    @given(words_strategy(ABCD), words_strategy(ABCD), words_strategy(ABCD))
+    def test_helpers_agree_with_word(self, u, v, w):
+        # u w . w^-1 v cancels at least |w| letters at the seam
+        a, b = concat(u, w).signed, concat(w.inverse(), v).signed
+        for x, y in ((u.signed, v.signed), (a, b)):
+            product = words._concat_signed(x, y)
+            assert product == Word(ABCD, x + y).signed
+        assert words._concat_signed(u.signed, v.signed) == concat(u, v).signed
+        inverse = words._invert_signed(u.signed)
+        assert inverse == Word(ABCD, [-s for s in reversed(u.signed)]).signed
+        assert inverse == u.inverse().signed
+
+
 class TestFreeReduce:
     def test_full_cancellation(self):
         w = Word(AB, [1, -1])
