@@ -7,6 +7,8 @@ makes the composite map equal to the leftmost factor applied outermost:
 ``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds and inverses work on
 image tuples, one step per factor; an inverse is never solved from the
 images and keeps the factor-wise inverse list (W^-1 = INV W INV).
+Applying and composing are substitutions of images, reduced by the kernel
+in :mod:`fgcrypt.words`; this module does no free reduction of its own.
 
 Automorphisms are immutable after construction and apply/compose/power/
 inverse are pure, so they are safe to share across threads; a sampler's
@@ -16,7 +18,7 @@ bit source is single-owner and must not be shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence, Union
+from typing import Iterable, Optional, Protocol, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -26,7 +28,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .nielsen import ElementaryMove, parse_moves
-from .words import Alphabet, Word, concat, generators
+from .words import Alphabet, Word, _substitute, concat, generators
 
 __all__ = [
     "WhiteheadMove",
@@ -74,27 +76,6 @@ class WhiteheadMove:
 
 
 Factor = Union[ElementaryMove, WhiteheadMove]
-
-
-def _substitute(images: Sequence[Word], w: Word, alphabet: Alphabet) -> Word:
-    """Apply the endomorphism x_i -> images[i] to w, freely reducing."""
-    out: list[int] = []
-    inv_cache: dict[int, tuple[int, ...]] = {}
-    for s in w.signed:
-        i = abs(s)
-        if s > 0:
-            seq = images[i - 1].signed
-        else:
-            seq = inv_cache.get(i)
-            if seq is None:
-                seq = tuple(-x for x in reversed(images[i - 1].signed))
-                inv_cache[i] = seq
-        for x in seq:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return Word._make(alphabet, tuple(out))
 
 
 def _step(images: tuple[Word, ...], factor: Factor,
@@ -152,13 +133,16 @@ class FactoredAutomorphism:
     def apply(self, w: Word) -> Word:
         if w.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("word is over a different alphabet")
-        return _substitute(self.images, w, self.alphabet)
+        images = [im.signed for im in self.images]
+        return Word._make(self.alphabet, _substitute(images, w.signed))
 
     def compose(self, other: "FactoredAutomorphism") -> "FactoredAutomorphism":
         """(self o other)(w) = self(other(w))."""
         if other.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("automorphisms over different alphabets")
-        images = tuple(self.apply(im) for im in other.images)
+        mine = [im.signed for im in self.images]
+        images = tuple(Word._make(self.alphabet, _substitute(mine, im.signed))
+                       for im in other.images)
         return FactoredAutomorphism(self.alphabet,
                                     self.factors + other.factors, images)
 
@@ -244,9 +228,12 @@ def _mutually_inverse(prev: WhiteheadMove, new: WhiteheadMove) -> bool:
     return prev.kind == new.kind == "INV" and prev.a == new.a
 
 
+# redraws allowed per factor, and for an identity composite
+_MAX_ATTEMPTS = 1000
+
+
 def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
-                                  length: Optional[int] = None,
-                                  max_attempts: int = 1000) -> FactoredAutomorphism:
+                                  length: Optional[int] = None) -> FactoredAutomorphism:
     """Sample a non-identity automorphism as a product of Whitehead moves.
 
     One 0/1 draw per factor selects an inversion (0) or a multiplier map (1);
@@ -264,7 +251,7 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
     bits = [prg.next() % 2 for _ in range(nbits)]
     factors: list[WhiteheadMove] = []
     for bit in bits:
-        for _ in range(max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             factor = _draw_factor(prg, q, bit)
             if not factors or not _mutually_inverse(factors[-1], factor):
                 factors.append(factor)
@@ -276,7 +263,7 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
     attempts = 0
     while images == basis:
         attempts += 1
-        if attempts > max_attempts:  # pragma: no cover
+        if attempts > _MAX_ATTEMPTS:  # pragma: no cover
             raise RuntimeError("identity-composite redraw limit hit")
         # redraw the final factor, kind bit included: with a fixed kind every
         # candidate may either cancel the previous factor or complete the

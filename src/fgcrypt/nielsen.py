@@ -5,12 +5,13 @@ Tuples are ordered (moves are index-addressed, 1-based); sets only appear
 through :func:`canonical_minimal_basis`, which inverse-normalizes and sorts.
 All operations are pure on immutable values.
 
-Reduction, the canonical level walk and the membership strips run on a
-kernel of plain signed tuples (``Word.signed``), multiplied and inverted by
-the same helpers that back ``concat`` and ``Word.inverse``; Words and
-GeneratingTuples are built only for results.  The level walk keeps its
-tuples rank-encoded (letter s as 2(|s|-1) + (s<0)), so the word order is
-plain tuple order and a step normalizes only the entry it replaced.  A
+The predicates, reduction, the canonical level walk and the membership
+strips run on plain signed tuples (``Word.signed``), multiplied, inverted
+and substituted by the free-reduction kernel of :mod:`fgcrypt.words`;
+Words and GeneratingTuples are built only for results.  The level walk
+keeps its tuples rank-encoded (letter s as 2(|s|-1) + (s<0)), so the word
+order is plain tuple order and a step normalizes only the entry it
+replaced.  A
 canonical basis is a function of the level of the reduced tuple, and so of
 that tuple's normal form: a caller may key the bases it has computed by
 normal form, as the subset attack does within one call.
@@ -30,7 +31,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .words import (Alphabet, Word, _concat_signed, _invert_signed,
-                    _rank_tuple, concat, parse_word)
+                    _rank_tuple, _seam, _substitute, concat, parse_word)
 
 __all__ = [
     "GeneratingTuple",
@@ -151,19 +152,19 @@ def apply_moves(t: GeneratingTuple, moves: Iterable[ElementaryMove]) -> Generati
 # The two reducedness predicates.
 # ---------------------------------------------------------------------------
 
-def _symbols(t: GeneratingTuple) -> list[Word]:
-    """u_1, u_1^-1, u_2, u_2^-1, ...: symbol a ^ 1 is the inverse of a."""
-    return [x for w in t.elements for x in (w, w.inverse())]
+def _symbols(elements: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """u_1, u_1^-1, u_2, u_2^-1, ... as signed tuples: symbol a is u_(a//2+1)
+    for even a and its inverse for odd a, so a ^ 1 is the inverse symbol."""
+    return [x for u in elements for x in (u, _invert_signed(u))]
 
 
-def _cancellation(u: Word, v: Word) -> int:
-    """Number of letters cancelling in the product u*v."""
-    a, b = u.signed, v.signed
-    bound = min(len(a), len(b))
-    c = 0
-    while c < bound and a[-1 - c] == -b[c]:
-        c += 1
-    return c
+def _owner(syms: Sequence[tuple[int, ...]], a: int,
+           prefix: tuple[int, ...]) -> Optional[int]:
+    """The first symbol other than ``a`` that starts with ``prefix``; None
+    when ``prefix`` is isolated in symbol ``a``."""
+    k = len(prefix)
+    return next((b for b, v in enumerate(syms) if b != a and v[:k] == prefix),
+                None)
 
 
 def is_nielsen_reduced(t: GeneratingTuple) -> bool:
@@ -171,10 +172,10 @@ def is_nielsen_reduced(t: GeneratingTuple) -> bool:
     pairs/triples.  The non-degeneracy conditions exclude exactly the formal
     inverse pairs (u_i^e, u_i^-e); products of *distinct* entries that happen
     to cancel completely do violate the length conditions."""
-    words = t.elements
-    if any(w.is_identity() for w in words):
+    elements = [w.signed for w in t.elements]
+    if not all(elements):
         return False
-    syms = _symbols(t)
+    syms = _symbols(elements)
     n = len(syms)
     lengths = [len(w) for w in syms]
     cancel = [[0] * n for _ in range(n)]
@@ -182,7 +183,7 @@ def is_nielsen_reduced(t: GeneratingTuple) -> bool:
         for b in range(n):
             if b == a ^ 1:
                 continue
-            c = _cancellation(syms[a], syms[b])
+            c = _seam(syms[a], syms[b])
             cancel[a][b] = c
             if 2 * c > min(lengths[a], lengths[b]):
                 return False
@@ -202,7 +203,7 @@ def is_nielsen_reduced(t: GeneratingTuple) -> bool:
                     continue
                 if cab + cb[c] < lb:
                     continue  # strict inequality holds automatically
-                prod = concat(concat(syms[a], syms[b]), syms[c])
+                prod = _concat_signed(_concat_signed(syms[a], syms[b]), syms[c])
                 if len(prod) <= la - lb + lengths[c]:
                     return False
     return True
@@ -220,33 +221,23 @@ def is_nielsen_reduced_segments(t: GeneratingTuple) -> bool:
     Requires all entries non-identity."""
     if any(w.is_identity() for w in t.elements):
         raise PreconditionError("segment predicate requires non-identity entries")
-    seqs = [s.signed for s in _symbols(t)]
-    n = len(seqs)
-
-    def prefix_isolated(owner: int, prefix: tuple[int, ...]) -> bool:
-        k = len(prefix)
-        for other in range(n):
-            if other != owner and seqs[other][:k] == prefix:
-                return False
-        return True
-
+    syms = _symbols(w.signed for w in t.elements)
     # Condition 1 over all 2m symbols covers major terminal segments too:
     # the major terminal segment of w is the mirror of the major initial
     # segment of w^-1, and the symbol list is closed under inversion.
-    for k, seq in enumerate(seqs):
-        if not prefix_isolated(k, seq[:_major_len(len(seq))]):
+    for a, seq in enumerate(syms):
+        if _owner(syms, a, seq[:_major_len(len(seq))]) is not None:
             return False
     # Condition 2: for even-length entries the left half must be isolated as
     # a prefix or the right half as a suffix (i.e. the left half of the
     # inverse symbol is an isolated prefix).
-    for k in range(0, n, 2):
-        seq = seqs[k]
+    for a in range(0, len(syms), 2):
+        seq = syms[a]
         if len(seq) % 2:
             continue
         h = len(seq) // 2
-        left_ok = prefix_isolated(k, seq[:h])
-        right_ok = prefix_isolated(k ^ 1, seqs[k ^ 1][:h])
-        if not (left_ok or right_ok):
+        if (_owner(syms, a, seq[:h]) is not None
+                and _owner(syms, a ^ 1, syms[a ^ 1][:h]) is not None):
             return False
     return True
 
@@ -311,20 +302,15 @@ def _find_half_rewrite(elements: Sequence[tuple[int, ...]]):
 
     Returns (i, j, side, sign, z) for the replacement, or None.  Assumes
     the shortening phase is exhausted, which bounds seam cancellations by
-    half of each factor and keeps the rewrites length-preserving.  Symbol
-    a is u_(a//2+1) for even a and its inverse for odd a, so a ^ 1 is the
-    inverse symbol."""
-    syms = [x for u in elements for x in (u, _invert_signed(u))]
+    half of each factor and keeps the rewrites length-preserving."""
+    syms = _symbols(elements)
     for a, seq in enumerate(syms):
         ln = len(seq)
         if ln % 2 or not ln:
             continue
         h = ln // 2
         p, q = seq[:h], syms[a ^ 1][:h]
-        p_owner = next((b for b, v in enumerate(syms)
-                        if b != a and v[:h] == p), None)
-        q_owner = next((b for b, v in enumerate(syms)
-                        if b != a ^ 1 and v[:h] == q), None)
+        p_owner, q_owner = _owner(syms, a, p), _owner(syms, a ^ 1, q)
         if p_owner is None or q_owner is None:
             continue
         sign = -1 if a % 2 else 1
@@ -472,13 +458,14 @@ def _strip_candidates(basis: GeneratingTuple) -> list[tuple]:
     lengths, its left half, with the symbol's inverse and signed index."""
     if not is_nielsen_reduced(basis):
         raise PreconditionError("membership requires a Nielsen reduced basis")
+    syms = _symbols(w.signed for w in basis.elements)
     candidates = []
-    for k, u in enumerate(basis.elements, start=1):
-        for seq, token in ((u.signed, k), (_invert_signed(u.signed), -k)):
-            ln, inv = len(seq), _invert_signed(seq)
-            candidates.append((seq[:_major_len(ln)], inv, token))
-            if ln % 2 == 0:
-                candidates.append((seq[:ln // 2], inv, token))
+    for a, seq in enumerate(syms):
+        ln, inv = len(seq), syms[a ^ 1]
+        token = -(a // 2 + 1) if a % 2 else a // 2 + 1
+        candidates.append((seq[:_major_len(ln)], inv, token))
+        if ln % 2 == 0:
+            candidates.append((seq[:ln // 2], inv, token))
     return candidates
 
 
@@ -543,11 +530,8 @@ def subgroup_membership(basis: GeneratingTuple, w: Word) -> Optional[list[int]]:
 
 def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:
     """Expand a signed-index expression back into a word."""
-    out = basis.alphabet.identity()
-    for token in expr:
-        u = basis.elements[abs(token) - 1]
-        out = concat(out, u if token > 0 else u.inverse())
-    return out
+    images = [u.signed for u in basis.elements]
+    return Word._make(basis.alphabet, _substitute(images, expr))
 
 
 def same_subgroup(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:

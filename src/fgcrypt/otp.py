@@ -139,15 +139,17 @@ def _random_word(prg: Prg, alphabet: Alphabet, length: int) -> Word:
     return Word(alphabet, letters)
 
 
-def keygen(params: CipherPublicParams, prg: Prg,
-           min_len: int = 2, max_len: int = 8,
-           max_attempts: int = 10000) -> CipherPrivateKey:
+# basis word lengths, and the tuples keygen draws before it gives up
+_MIN_LEN, _MAX_LEN, _MAX_ATTEMPTS = 2, 8, 10000
+
+
+def keygen(params: CipherPublicParams, prg: Prg) -> CipherPrivateKey:
     """Sample a canonical Nielsen reduced basis of rank N plus a start class."""
     n = params.n_symbols
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         words = []
         for _ in range(n):
-            length = min_len + prg.next() % (max_len - min_len + 1)
+            length = _MIN_LEN + prg.next() % (_MAX_LEN - _MIN_LEN + 1)
             words.append(_random_word(prg, params.alphabet, length))
         reduced, _ = nielsen_reduce(GeneratingTuple(params.alphabet, tuple(words)))
         if len(reduced) != n or not is_nielsen_reduced(reduced):
@@ -174,17 +176,17 @@ def _filter_symbols(params: CipherPublicParams,
     return out
 
 
-def _schedule(params: CipherPublicParams, key: CipherPrivateKey, z: int,
-              automorphisms: Optional[Sequence[FactoredAutomorphism]]):
-    indices = keystream(params.lcg, key.alpha, z)
-    if automorphisms is not None:
-        if len(automorphisms) < z:
-            raise PreconditionError(
-                f"need {z} override automorphisms, got {len(automorphisms)}")
-        auts = list(automorphisms[:z])
-    else:
-        auts = [derive_automorphism(params.fam, x) for x in indices]
-    return indices, auts
+def _automorphisms(params: CipherPublicParams, indices: Sequence[int],
+                   overrides: Optional[Sequence[FactoredAutomorphism]]
+                   ) -> list[FactoredAutomorphism]:
+    """The automorphism of each keystream index, or the override for it."""
+    if overrides is None:
+        return [derive_automorphism(params.fam, x) for x in indices]
+    z = len(indices)
+    if len(overrides) < z:
+        raise PreconditionError(
+            f"need {z} override automorphisms, got {len(overrides)}")
+    return list(overrides[:z])
 
 
 def encrypt(params: CipherPublicParams, key: CipherPrivateKey,
@@ -199,7 +201,8 @@ def encrypt(params: CipherPublicParams, key: CipherPrivateKey,
     symbols = _filter_symbols(params, plaintext)
     if not symbols:
         return Ciphertext(())
-    _, auts = _schedule(params, key, len(symbols), automorphisms)
+    indices = keystream(params.lcg, key.alpha, len(symbols))
+    auts = _automorphisms(params, indices, automorphisms)
     units = []
     for sym, f in zip(symbols, auts):
         t = params.plaintext_alphabet.index(sym)
@@ -217,7 +220,8 @@ def decrypt(params: CipherPublicParams, key: CipherPrivateKey, c: Ciphertext,
     key.validate(params)
     if not c.units:
         return []
-    _, auts = _schedule(params, key, len(c.units), automorphisms)
+    indices = keystream(params.lcg, key.alpha, len(c.units))
+    auts = _automorphisms(params, indices, automorphisms)
     out = []
     for i, (unit, f) in enumerate(zip(c.units, auts)):
         w = f.inverse().apply(unit)
@@ -236,11 +240,8 @@ def build_cipher_table(params: CipherPublicParams, key: CipherPrivateKey,
                        automorphisms: Optional[Sequence[FactoredAutomorphism]] = None
                        ) -> list[list[Word]]:
     """The N x z table of automorphism images of the key words; row k lists
-    f_{x_i}(u_k) across the scheduled automorphisms."""
-    if automorphisms is not None:
-        auts = list(automorphisms[:len(indices)])
-    else:
-        auts = [derive_automorphism(params.fam, x) for x in indices]
+    f_{x_i}(u_k) across the scheduled automorphisms, or the overrides."""
+    auts = _automorphisms(params, indices, automorphisms)
     return [[f.apply(u) for f in auts] for u in key.basis]
 
 
@@ -252,8 +253,8 @@ def decrypt_with_table(params: CipherPublicParams, key: CipherPrivateKey,
     key.validate(params)
     if not c.units:
         return []
-    indices, auts = _schedule(params, key, len(c.units), automorphisms)
-    table = build_cipher_table(params, key, indices, auts)
+    indices = keystream(params.lcg, key.alpha, len(c.units))
+    table = build_cipher_table(params, key, indices, automorphisms)
     out = []
     for i, unit in enumerate(c.units):
         for k in range(params.n_symbols):

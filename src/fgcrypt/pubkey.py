@@ -14,8 +14,8 @@ from typing import Optional, Union
 
 from .automorphisms import FactoredAutomorphism, parse_automorphism
 from .errors import DecryptionError, PreconditionError, WordSyntaxError
-from .matrices import (Mat2Q, RepSpec, format_matrix, mat_inv, mat_mul,
-                       matrix_to_word, parse_matrix, word_to_matrix)
+from .matrices import (Mat2Q, RepSpec, format_matrix, mat_mul, matrix_to_word,
+                       parse_matrix, word_to_matrix)
 from .words import (Alphabet, Word, concat, format_word, parse_kv_lines,
                     parse_word)
 
@@ -32,7 +32,8 @@ __all__ = [
     "parse_params_file",
 ]
 
-DEFAULT_MAX_EXPONENT = 32
+# the largest exponent n or t the scheme accepts
+_MAX_EXPONENT = 32
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class PubkeyParams:
     a: Word
     f: FactoredAutomorphism
     rep: Optional[RepSpec] = None
-    max_exponent: int = DEFAULT_MAX_EXPONENT
 
     def __post_init__(self):
         if self.a.is_identity():
@@ -67,9 +67,9 @@ class PubkeyParams:
     def _check_exponent(self, n: int) -> None:
         if n < 1:
             raise PreconditionError("exponent must be >= 1")
-        if n > self.max_exponent:
+        if n > _MAX_EXPONENT:
             raise PreconditionError(
-                f"exponent {n} exceeds the configured cap {self.max_exponent}")
+                f"exponent {n} exceeds the cap {_MAX_EXPONENT}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,11 @@ def alice_decrypt(params: PubkeyParams, n: int, pair: CipherPair) -> Word:
 
 
 def bob_encrypt_matrix(params: PubkeyParams, c: Word, m: Word, t: int) -> CipherPair:
-    """Matrix variant: c1 = g(m) * g(f^t(c)) in SL(2,Q), c2 as before."""
+    """Matrix variant: c1 = g(m * f^t(c)) = g(m) * g(f^t(c)), c2 as before."""
     if params.rep is None:
         raise PreconditionError("matrix variant needs a representation")
-    params._check_exponent(t)
-    ft = params.f.power(t)
-    c1 = mat_mul(word_to_matrix(params.rep, m),
-                 word_to_matrix(params.rep, ft.apply(c)))
-    return CipherPair(c1, ft.apply(params.a))
+    pair = bob_encrypt(params, c, m, t)
+    return CipherPair(word_to_matrix(params.rep, pair.c1), pair.c2)
 
 
 def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
@@ -121,9 +118,8 @@ def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
     params._check_exponent(n)
     if not isinstance(pair.c1, Mat2Q):
         raise PreconditionError("matrix-variant decrypt needs a matrix c1")
-    G = mat_mul(pair.c1,
-                mat_inv(word_to_matrix(params.rep,
-                                       params.f.power(n).apply(pair.c2))))
+    pad = params.f.power(n).apply(pair.c2).inverse()
+    G = mat_mul(pair.c1, word_to_matrix(params.rep, pad))
     m = matrix_to_word(params.rep, G, decode_bound)
     if m is None:
         raise DecryptionError(
@@ -151,8 +147,8 @@ def parse_pair_file(text: str, alphabet: Alphabet, matrix: bool = False) -> Ciph
     return CipherPair(c1, parse_word(kv["c2"], alphabet))
 
 
-def parse_params_file(text: str, aut_text: str, rep: Optional[RepSpec] = None,
-                      max_exponent: int = DEFAULT_MAX_EXPONENT) -> PubkeyParams:
+def parse_params_file(text: str, aut_text: str,
+                      rep: Optional[RepSpec] = None) -> PubkeyParams:
     """Assemble parameters from a params file plus the referenced
     automorphism file's text (the caller resolves the path)."""
     kv = parse_kv_lines(text)
@@ -162,4 +158,4 @@ def parse_params_file(text: str, aut_text: str, rep: Optional[RepSpec] = None,
     alphabet = Alphabet(tuple(kv["alphabet"].split()))
     a = parse_word(kv["a"], alphabet)
     f = parse_automorphism(aut_text, alphabet)
-    return PubkeyParams(alphabet, a, f, rep=rep, max_exponent=max_exponent)
+    return PubkeyParams(alphabet, a, f, rep=rep)

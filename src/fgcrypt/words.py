@@ -5,6 +5,11 @@ stands for the i-th generator, ``-i`` for its inverse (1-based).  Every
 ``Word`` is freely reduced by construction; unreduced letter sequences only
 exist transiently inside its constructor.  Words and alphabets are
 immutable, so all operations here are pure and thread-safe.
+
+The free-reduction kernel works on plain signed tuples: ``_seam`` (letters
+cancelling where two words meet), the product ``_concat_signed``, the
+inverse ``_invert_signed`` and the substitution ``_substitute``.  No other
+module reduces words.
 """
 
 from __future__ import annotations
@@ -126,12 +131,8 @@ class Word:
         return concat(self, other)
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word._make(self.alphabet, ())
-        for _ in range(n):
-            out = concat(out, self)
-        return out
+        letters = (1,) * n if n > 0 else (-1,) * -n
+        return Word._make(self.alphabet, _substitute((self.signed,), letters))
 
     def sort_key(self) -> tuple:
         return (len(self.signed), _rank_tuple(self.signed))
@@ -192,21 +193,51 @@ def _same_alphabet(u: Word, v: Word) -> None:
             f"alphabet mismatch: {u.alphabet} vs {v.alphabet}")
 
 
-# The signed-tuple kernel: free reduction and inversion on plain tuples, for
-# callers that build Words only at their boundary (the Nielsen layer).
+# The signed-tuple kernel: free reduction, inversion and substitution on
+# plain tuples, for callers that build Words only at their boundary.
+def _seam(a: Sequence[int], b: Sequence[int]) -> int:
+    """Number of letters cancelling in the product of two freely reduced
+    signed sequences."""
+    c = 0
+    bound = min(len(a), len(b))
+    while c < bound and a[-1 - c] == -b[c]:
+        c += 1
+    return c
+
+
 def _concat_signed(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Freely reduced product of two freely reduced signed tuples."""
     if not (a and b and a[-1] == -b[0]):
         return a + b
-    c = 1
-    bound = min(len(a), len(b))
-    while c < bound and a[-1 - c] == -b[c]:
-        c += 1
+    c = _seam(a, b)
     return a[:len(a) - c] + b[c:]
 
 
 def _invert_signed(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(a)))
+
+
+def _substitute(images: Sequence[tuple[int, ...]],
+                letters: Iterable[int]) -> tuple[int, ...]:
+    """Freely reduced image of the signed letters under x_i -> images[i-1];
+    the images are freely reduced, so letters cancel only at the seams, and
+    a seam is measured only when its first letters cancel (most do not)."""
+    inverses: dict[int, tuple[int, ...]] = {}
+    out: list[int] = []
+    for s in letters:
+        if s > 0:
+            seq = images[s - 1]
+        else:
+            seq = inverses.get(s)
+            if seq is None:
+                seq = inverses[s] = _invert_signed(images[-s - 1])
+        if out and seq and out[-1] == -seq[0]:
+            c = _seam(out, seq)
+            del out[len(out) - c:]
+            out.extend(seq[c:])
+        else:
+            out.extend(seq)
+    return tuple(out)
 
 
 def concat(u: Word, v: Word) -> Word:

@@ -111,6 +111,15 @@ class TestOtpCommands:
         assert "K: c a^2 c a^2 b^-1 a^3 d c a^2 b^-1" not in out  # sanity
         assert "K: " in out
 
+    def test_table_with_too_few_auts(self, tmp_path, capsys):
+        fx = copy_fixture(tmp_path, "otp_demo")
+        rc = run(["otp-table", "--key", str(fx / "key.txt"), "--positions",
+                  "4", "--aut", str(fx / "aut1.txt")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: need 4 override automorphisms")
+
 
 class TestPubkeyCommands:
     def test_word_variant_end_to_end(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from fgcrypt import (
     apply_move,
     apply_moves,
     canonical_minimal_basis,
+    concat,
     expand_expression,
     format_moves,
     format_tuple,
@@ -333,6 +334,19 @@ class TestMembership:
                     assert expand_expression(basis, expr) == w
                 else:
                     assert w not in ball
+
+    def test_expand_matches_concat_fold(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            basis = random_tuple(rng, ABCD, rng.randint(1, 4), 5, min_len=0)
+            n = len(basis)
+            expr = [rng.choice((1, -1)) * rng.randint(1, n)
+                    for _ in range(rng.randint(0, 10))]
+            fold = ABCD.identity()
+            for token in expr:
+                u = basis[abs(token) - 1]
+                fold = concat(fold, u if token > 0 else u.inverse())
+            assert expand_expression(basis, expr) == fold
 
 
 class TestSameSubgroup:

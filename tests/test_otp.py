@@ -189,6 +189,17 @@ class TestTable:
                                    automorphisms=[identity_automorphism(params.alphabet)])
         assert tuple(row[0] for row in table) == key.basis.elements
 
+    def test_too_few_overrides(self):
+        # the table checks its overrides as encrypt and decrypt do, instead
+        # of building rows shorter than the schedule
+        params, key, auts = demo_setup()
+        indices = keystream(params.lcg, key.alpha, 4)
+        with pytest.raises(PreconditionError, match="need 4 override"):
+            build_cipher_table(params, key, indices, automorphisms=auts[:1])
+        ct = encrypt(params, key, "ILIKEBOB", automorphisms=auts)
+        with pytest.raises(PreconditionError, match="need 8 override"):
+            decrypt_with_table(params, key, ct, automorphisms=auts[:7])
+
     def test_agrees_with_inverse_decryption(self):
         rng = random.Random(99)
         for _ in range(10):

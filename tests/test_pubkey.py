@@ -204,6 +204,20 @@ class TestMatrixVariant:
                 params.rep, params.f.power(n).apply(pair.c2))))
             assert recovered == word_to_matrix(params.rep, m)
 
+    def test_c1_is_the_product_of_evaluations(self):
+        # g is a homomorphism, so evaluating the word c1 gives the product
+        # of the two evaluations exactly
+        params = demo_params(rep=True)
+        m = demo_message()
+        for n in range(1, 5):
+            c = alice_keygen(params, n)
+            for t in range(1, 5):
+                pair = bob_encrypt_matrix(params, c, m, t)
+                ft = params.f.power(t)
+                assert pair.c1 == mat_mul(word_to_matrix(params.rep, m),
+                                          word_to_matrix(params.rep, ft.apply(c)))
+                assert pair.c2 == bob_encrypt(params, c, m, t).c2
+
     def test_bound_too_small(self):
         params = demo_params(rep=True)
         c = alice_keygen(params, 2)

@@ -152,6 +152,50 @@ class TestArithmetic:
         assert len(w.inverse()) == len(w)
 
 
+class TestKernel:
+    """The signed-tuple kernel against letter-by-letter reduction."""
+
+    @staticmethod
+    def written_out(images, letters):
+        out = []
+        for s in letters:
+            image = images[abs(s) - 1]
+            out.extend(image if s > 0 else words._invert_signed(image))
+        return out
+
+    @given(st.lists(words_strategy(), min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 6), st.booleans()), max_size=12))
+    def test_substitute_matches_letter_reduction(self, base, picks):
+        # inverse images and products of two images let a cancellation run
+        # through a whole image into the ones before it
+        images = [u.signed for u in base]
+        images += [words._invert_signed(u) for u in images]
+        images.append(words._concat_signed(images[0], images[-1]))
+        letters = [(p % len(images) + 1) * (-1 if neg else 1)
+                   for p, neg in picks]
+        got = words._substitute(images, letters)
+        assert got == Word(AB, self.written_out(images, letters)).signed
+
+    def test_cancellation_across_images(self):
+        images = [AB.parse(w).signed for w in ("a b", "b^-1", "a^-1 b a")]
+        assert words._substitute(images, [1, 2, 3]) == (2, 1)
+        assert words._substitute(images, [1, 2, 3, -3, -2, -1]) == ()
+
+    @given(words_strategy(alphabet=ABCD))
+    def test_pow_matches_concat_fold(self, w):
+        for n in range(-6, 7):
+            step = w if n >= 0 else w.inverse()
+            fold = ABCD.identity()
+            for _ in range(abs(n)):
+                fold = concat(fold, step)
+            assert w ** n == fold
+
+    @given(words_strategy(), words_strategy())
+    def test_seam_counts_cancelled_letters(self, u, v):
+        c = words._seam(u.signed, v.signed)
+        assert len(concat(u, v)) == len(u) + len(v) - 2 * c
+
+
 class TestOrder:
     def test_shorter_first(self):
         assert compare_words(AB.parse("a"), AB.parse("a b")) < 0
