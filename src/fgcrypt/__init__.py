@@ -61,14 +61,12 @@ from .matrices import (
     default_tl_params,
     demo_representation,
     format_matrix,
-    format_matrix_sequence,
     make_representation,
     mat_det,
     mat_inv,
     mat_mul,
     matrix_to_word,
     parse_matrix,
-    parse_matrix_sequence,
     tl_generator,
     word_to_matrix,
 )

@@ -35,6 +35,7 @@ __all__ = [
     "Factor",
     "FactoredAutomorphism",
     "from_factors",
+    "identity_automorphism",
     "random_whitehead_automorphism",
     "parse_automorphism",
     "format_automorphism",

@@ -95,7 +95,7 @@ def enumerate_ball(alphabet: Alphabet, radius: int,
                     nxt.append(item)
                     out.append(Word._make(alphabet, item))
         frontier = nxt
-    out.sort(key=Word.sort_key)
+    # sorted prefixes extended in letter order come out in the word order
     return out
 
 

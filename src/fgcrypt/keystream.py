@@ -112,9 +112,6 @@ class AutFamily:
         if not 1 <= self.m <= 128:
             raise PreconditionError("modulus exponent m must be in 1..128")
 
-    def member(self, index: int) -> FactoredAutomorphism:
-        return derive_automorphism(self, index)
-
 
 def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:
     """Member ``index`` of the family; referentially transparent.

@@ -10,9 +10,11 @@ generate a free group, words evaluate injectively, and a reduced word
 w != 1 sends 0 into the interval of its first letter.  The decoder reads the
 letters off one at a time that way, with no search.  Arithmetic is exact,
 with no floating point anywhere.  The public API speaks `Mat2Q` with
-`fractions.Fraction` entries; evaluation and the decoder run on an integer
-kernel instead, a matrix being the tuple (n11, n12, n21, n22, den) of its
-entries over a common denominator in lowest terms.
+`fractions.Fraction` entries; products, evaluation and the decoder run on an
+integer kernel instead, a matrix being the tuple (n11, n12, n21, n22, den) of
+its entries over a common denominator in lowest terms.  Each `RepSpec`
+derives the kernel tuples of its letters and their inverses once, and every
+evaluation reads that table.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "matrix_to_word",
     "parse_matrix",
     "format_matrix",
-    "format_matrix_sequence",
-    "parse_matrix_sequence",
 ]
 
 
@@ -70,20 +70,12 @@ class Mat2Q:
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a11, self.a12, self.a21, self.a22)
 
-    def __mul__(self, other: "Mat2Q") -> "Mat2Q":
-        return mat_mul(self, other)
-
     def __str__(self):
         return format_matrix(self)
 
 
 def mat_mul(A: Mat2Q, B: Mat2Q) -> Mat2Q:
-    return Mat2Q(
-        A.a11 * B.a11 + A.a12 * B.a21,
-        A.a11 * B.a12 + A.a12 * B.a22,
-        A.a21 * B.a11 + A.a22 * B.a21,
-        A.a21 * B.a12 + A.a22 * B.a22,
-    )
+    return _from_kernel(_kmul(_to_kernel(A), _to_kernel(B)))
 
 
 def mat_det(A: Mat2Q) -> Fraction:
@@ -129,11 +121,13 @@ class RepSpec:
     along ``gen_words[i-1]``.  The schedule must satisfy the ping-pong
     precondition (r_1 >= 2, gaps >= 3), checked here.
 
-    Derived: ``generator_matrices``; for ``gen_words`` specs also ``basis``,
-    the Nielsen reduced basis of H, and ``basis_words``, the words v_i over
-    the alphabet with basis_i = v_i(gen_words), which carry a decoded
-    auxiliary word back to the alphabet's own letters.  The basis is
-    checked and its membership strips are built here, once per spec."""
+    Derived: ``generator_matrices``, the kernel tuples of them and of their
+    inverses (one table per spec, read by every evaluation); for
+    ``gen_words`` specs also ``basis``, the Nielsen reduced basis of H, and
+    ``basis_words``, the words v_i over the alphabet with
+    basis_i = v_i(gen_words), which carry a decoded auxiliary word back to
+    the alphabet's own letters.  The basis is checked and its membership
+    strips are built here, once per spec."""
 
     alphabet: Alphabet
     tl_params: tuple[Fraction, ...]
@@ -144,6 +138,7 @@ class RepSpec:
                                              compare=False)
     basis_words: Optional[GeneratingTuple] = field(init=False, repr=False,
                                                    compare=False)
+    _letters: dict = field(init=False, repr=False, compare=False)
     _ping_pong: tuple = field(init=False, repr=False, compare=False)
     _strips: Optional[list] = field(init=False, repr=False, compare=False)
 
@@ -175,6 +170,7 @@ class RepSpec:
         for name, value in (("tl_params", params), ("gen_words", gen_words),
                             ("generator_matrices", mats), ("basis", basis),
                             ("basis_words", basis_words),
+                            ("_letters", _letter_kernels(mats)),
                             ("_ping_pong", _peel_table(params)),
                             ("_strips", strips)):
             object.__setattr__(self, name, value)
@@ -251,9 +247,10 @@ def _kmul(A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
     return (n11, n12, n21, n22, den)
 
 
-def _letter_matrices(spec: RepSpec) -> dict[int, tuple[int, ...]]:
+def _letter_kernels(mats: Sequence[Mat2Q]) -> dict[int, tuple[int, ...]]:
+    """Kernel tuples of letter i (mats[i-1]) and of its inverse -i."""
     out = {}
-    for i, M in enumerate(spec.generator_matrices, start=1):
+    for i, M in enumerate(mats, start=1):
         n11, n12, n21, n22, den = out[i] = _to_kernel(M)
         out[-i] = (n22, -n12, -n21, n11, den)  # det 1: the adjugate
     return out
@@ -262,7 +259,7 @@ def _letter_matrices(spec: RepSpec) -> dict[int, tuple[int, ...]]:
 def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
     if w.alphabet.names != spec.alphabet.names:
         raise PreconditionError("word is over a different alphabet")
-    mats = _letter_matrices(spec)
+    mats = spec._letters
     out = _IDENTITY
     for s in w.signed:
         out = _kmul(out, mats[s])
@@ -283,12 +280,12 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
 def _peel_table(params: Sequence[Fraction]) -> tuple:
     """Per letter s of the family: (s, lo, hi, q, kernel of s^-1), where
     (lo/q, hi/q) is the open interval that s maps into."""
+    kernels = _letter_kernels([tl_generator(r) for r in params])
     table = []
     for i, r in enumerate(params, start=1):
-        n11, n12, n21, n22, den = _to_kernel(tl_generator(r))
         p, q = r.numerator, r.denominator
-        table.append((i, -p - q, q - p, q, (n22, -n12, -n21, n11, den)))
-        table.append((-i, p - q, p + q, q, (n11, n12, n21, n22, den)))
+        table.append((i, -p - q, q - p, q, kernels[-i]))
+        table.append((-i, p - q, p + q, q, kernels[i]))
     return tuple(table)
 
 
@@ -366,15 +363,3 @@ def parse_matrix(text: str) -> Mat2Q:
     except (ValueError, ZeroDivisionError):
         raise WordSyntaxError(f"bad matrix entry in {text!r}") from None
     return Mat2Q(*entries)
-
-
-def format_matrix_sequence(matrices: Sequence[Mat2Q]) -> str:
-    """Whole-ciphertext form: matrices separated by ' | '."""
-    return " | ".join(format_matrix(M) for M in matrices)
-
-
-def parse_matrix_sequence(text: str) -> tuple[Mat2Q, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(parse_matrix(part) for part in text.split("|"))

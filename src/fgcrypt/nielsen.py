@@ -529,7 +529,13 @@ def subgroup_membership(basis: GeneratingTuple, w: Word) -> Optional[list[int]]:
 
 
 def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:
-    """Expand a signed-index expression back into a word."""
+    """Expand a signed-index expression back into a word; token t stands
+    for basis entry |t|, inverted when t < 0."""
+    expr = list(expr)
+    n = len(basis.elements)
+    if not all(0 < abs(t) <= n for t in expr):
+        raise PreconditionError(
+            f"expression tokens must be nonzero with |t| <= {n}")
     images = [u.signed for u in basis.elements]
     return Word._make(basis.alphabet, _substitute(images, expr))
 

@@ -10,6 +10,7 @@ from fgcrypt import (
     Alphabet,
     AttackConfig,
     GeneratingTuple,
+    Word,
     attack_cost_estimate,
     ball_size,
     canonical_minimal_basis,
@@ -20,7 +21,7 @@ from fgcrypt import (
     primitive_lower_bound_rank2,
     subset_attack,
 )
-from fgcrypt.cryptanalysis import format_report
+from fgcrypt.cryptanalysis import BALL_CAP, format_report
 from fgcrypt.errors import CapExceededError, PreconditionError
 
 AB = Alphabet(("a", "b"))
@@ -50,6 +51,17 @@ class TestBall:
                 ball = enumerate_ball(alphabet, radius, cap=10 ** 6)
                 assert len(ball) == ball_size(q, radius)
                 assert len(set(ball)) == len(ball)
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("x", "y", "z"),
+                                       ("a", "b", "c", "d")])
+    def test_emitted_in_word_order(self, names):
+        # the breadth-first build emits the word order without a sort
+        alphabet = Alphabet(names)
+        radius = 2
+        while ball_size(len(names), radius) <= BALL_CAP:
+            ball = enumerate_ball(alphabet, radius)
+            assert ball == sorted(ball, key=Word.sort_key)
+            radius += 1
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError) as err:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fgcrypt import (
     Alphabet,
@@ -33,7 +34,6 @@ from fgcrypt.matrices import (
     _IDENTITY,
     _from_kernel,
     _kmul,
-    _letter_matrices,
     _peel_table,
     _to_kernel,
 )
@@ -75,6 +75,16 @@ class TestArithmetic:
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
             mat_inv(Mat2Q(F(1), F(2), F(2), F(4)))
+
+    @example([F(0)] * 4 + [F(2), F(0), F(0), F(3)])
+    @example([F(-1, 2), F(0), F(3), F(-4, 3), F(5), F(-7, 6), F(0), F(1)])
+    @given(st.lists(st.fractions(min_value=-50, max_value=50,
+                                 max_denominator=12), min_size=8, max_size=8))
+    def test_mul_matches_fraction_formula(self, entries):
+        # any rational entries: det != 1, zero and negative ones included
+        a, b, c, d, e, f, g, h = entries
+        assert mat_mul(Mat2Q(a, b, c, d), Mat2Q(e, f, g, h)) == Mat2Q(
+            a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 class TestTlGenerator:
@@ -295,16 +305,6 @@ class TestText:
         for M in (X1, X2, Mat2Q(F(15), F(-109), F(4), F(-29))):
             assert parse_matrix(format_matrix(M)) == M
 
-    def test_sequence_round_trip(self):
-        from fgcrypt import format_matrix_sequence, parse_matrix_sequence
-        spec = demo_representation(ABCD)
-        mats = [word_to_matrix(spec, ABCD.parse(s))
-                for s in ("b a^2", "c d", "1")]
-        text = format_matrix_sequence(mats)
-        assert " | " in text
-        assert parse_matrix_sequence(text) == tuple(mats)
-        assert parse_matrix_sequence("") == ()
-
     def test_parse_errors(self):
         with pytest.raises(WordSyntaxError):
             parse_matrix("[[1, 2],[3]]")
@@ -339,6 +339,17 @@ class TestKernel:
             w = random_word(rng, alphabet, 12, min_len=0)
             assert word_to_matrix(spec, w) == _fraction_product(spec, w.signed)
 
+    @pytest.mark.parametrize("tag", ["int2", "demo4", "rat2"])
+    def test_letter_table_inverses(self, tag):
+        spec = SPECS[tag][0]()
+        table = spec._letters
+        assert sorted(table) == sorted(
+            s for i in range(1, spec.alphabet.rank + 1) for s in (i, -i))
+        for i, M in enumerate(spec.generator_matrices, start=1):
+            assert table[i] == _to_kernel(M)
+            assert _kmul(table[i], table[-i]) == _IDENTITY
+            assert _kmul(table[-i], table[i]) == _IDENTITY
+
     def test_kernel_round_trip_and_bit_size(self):
         rng = random.Random(12)
         mats = [Mat2Q(F(0), F(-3, 4), F(5, 6), F(2)),
@@ -358,7 +369,7 @@ class TestKernel:
     def test_equal_matrices_equal_keys(self, tag):
         build, alphabet = SPECS[tag]
         spec = build()
-        mats = _letter_matrices(spec)
+        mats = spec._letters
         rng = random.Random(f"kernel keys {tag}")
         for _ in range(50):
             w = random_word(rng, alphabet, 8, min_len=0)

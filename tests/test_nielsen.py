@@ -348,6 +348,12 @@ class TestMembership:
                 fold = concat(fold, u if token > 0 else u.inverse())
             assert expand_expression(basis, expr) == fold
 
+    @pytest.mark.parametrize("expr", [[0], [3], [-3], [1, 0, 2], iter([2, 3])])
+    def test_expand_rejects_bad_tokens(self, expr):
+        # token 0 and tokens past the basis name no basis entry
+        with pytest.raises(PreconditionError):
+            expand_expression(t(ABCD, "b a^2", "c d"), expr)
+
 
 class TestSameSubgroup:
     def test_examples(self):
