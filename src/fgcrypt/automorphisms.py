@@ -4,11 +4,12 @@ A factor is either a regular elementary move (T1/T2 by index) or a
 Whitehead move (a single-generator inversion, or the four-case multiplier
 map).  Factor sequences are applied left to right at the tuple level, which
 makes the composite map equal to the leftmost factor applied outermost:
-``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds and inverses work on
-image tuples, one step per factor; an inverse is never solved from the
-images and keeps the factor-wise inverse list (W^-1 = INV W INV).
-Applying and composing are substitutions of images, reduced by the kernel
-in :mod:`fgcrypt.words`; this module does no free reduction of its own.
+``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds and inverses run on
+signed image tuples through the kernel in :mod:`fgcrypt.words`, one step per
+factor, and wrap each final image in a ``Word`` once; an inverse is never
+solved from the images and keeps the factor-wise inverse list
+(W^-1 = INV W INV).  Applying and composing are kernel substitutions of
+images; this module does no free reduction of its own.
 
 Automorphisms are immutable after construction and apply/compose/power/
 inverse are pure, so they are safe to share across threads; a sampler's
@@ -22,13 +23,15 @@ from typing import Iterable, Optional, Protocol, Union
 
 from .errors import (
     AlphabetMismatchError,
+    CapExceededError,
     IllegalMoveError,
     NotRegularError,
     PreconditionError,
     WordSyntaxError,
 )
 from .nielsen import ElementaryMove, parse_moves
-from .words import Alphabet, Word, _substitute, concat, generators
+from .words import (_MAX_LETTERS, Alphabet, Word, _concat_signed,
+                    _invert_signed, _substitute)
 
 __all__ = [
     "WhiteheadMove",
@@ -79,48 +82,59 @@ class WhiteheadMove:
 Factor = Union[ElementaryMove, WhiteheadMove]
 
 
-def _step(images: tuple[Word, ...], factor: Factor,
-          inverse: bool = False) -> tuple[Word, ...]:
-    """The images of ``images o factor``, or of ``images o factor^-1``,
-    built from the factor's definition; untouched images are reused."""
+def _step(images: list[tuple[int, ...]], factor: Factor,
+          inverse: bool = False) -> None:
+    """Turn the signed images of a map into those of ``map o factor``, or of
+    ``map o factor^-1``, in place, from the factor's definition; untouched
+    images are kept."""
     q = len(images)
-    out = list(images)
     if isinstance(factor, WhiteheadMove):
-        top = max([factor.a, *factor.L, *factor.R, *factor.M])
+        a = factor.a
+        top = max([a, *factor.L, *factor.R, *factor.M])
         if top > q:
             raise IllegalMoveError(f"generator index {top} exceeds rank {q}")
-        x = images[factor.a - 1]
+        x = images[a - 1]
         if factor.kind == "INV":
-            out[factor.a - 1] = x.inverse()
-            return tuple(out)
+            images[a - 1] = _invert_signed(x)
+            return
         # W sends b to ab / b a^-1 / a b a^-1; W^-1 to a^-1 b / b a / a^-1 b a
-        left, right = (x.inverse(), x) if inverse else (x, x.inverse())
+        left, right = (_invert_signed(x), x) if inverse else (x, _invert_signed(x))
         for b in factor.L:
-            out[b - 1] = concat(left, images[b - 1])
+            images[b - 1] = _concat_signed(left, images[b - 1])
         for b in factor.R:
-            out[b - 1] = concat(images[b - 1], right)
-        for b in factor.M - {factor.a}:
-            out[b - 1] = concat(concat(left, images[b - 1]), right)
-        return tuple(out)
+            images[b - 1] = _concat_signed(images[b - 1], right)
+        for b in factor.M - {a}:
+            images[b - 1] = _concat_signed(_concat_signed(left, images[b - 1]),
+                                           right)
+        return
     if factor.kind == "T3":
         raise NotRegularError("T3 is singular; automorphisms are regular only")
     if not 1 <= factor.i <= q or (factor.kind == "T2" and not 1 <= factor.j <= q):
         raise IllegalMoveError(f"move {factor} out of range for rank {q}")
     u = images[factor.i - 1]
     if factor.kind == "T1":
-        out[factor.i - 1] = u.inverse()
+        images[factor.i - 1] = _invert_signed(u)
     else:
         v = images[factor.j - 1]
-        out[factor.i - 1] = concat(u, v.inverse() if inverse else v)
-    return tuple(out)
+        images[factor.i - 1] = _concat_signed(
+            u, _invert_signed(v) if inverse else v)
 
 
-def _fold(factors: Iterable[Factor], alphabet: Alphabet,
-          inverse: bool = False) -> tuple[Word, ...]:
-    images = generators(alphabet)
+def _basis(q: int) -> list[tuple[int, ...]]:
+    """The signed images of the identity map at rank q."""
+    return [(i,) for i in range(1, q + 1)]
+
+
+def _fold(factors: Iterable[Factor], q: int,
+          inverse: bool = False) -> list[tuple[int, ...]]:
+    images = _basis(q)
     for factor in factors:
-        images = _step(images, factor, inverse)
+        _step(images, factor, inverse)
     return images
+
+
+def _words(alphabet: Alphabet, images: list[tuple[int, ...]]) -> tuple[Word, ...]:
+    return tuple(Word._make(alphabet, im) for im in images)
 
 
 @dataclass(frozen=True)
@@ -138,14 +152,20 @@ class FactoredAutomorphism:
         return Word._make(self.alphabet, _substitute(images, w.signed))
 
     def compose(self, other: "FactoredAutomorphism") -> "FactoredAutomorphism":
-        """(self o other)(w) = self(other(w))."""
+        """(self o other)(w) = self(other(w)).  Images totalling more than
+        the word-text cap of 2^24 letters raise ``CapExceededError``, which
+        bounds power() and the finite-order check of a fast-growing map."""
         if other.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("automorphisms over different alphabets")
         mine = [im.signed for im in self.images]
-        images = tuple(Word._make(self.alphabet, _substitute(mine, im.signed))
-                       for im in other.images)
-        return FactoredAutomorphism(self.alphabet,
-                                    self.factors + other.factors, images)
+        images = [_substitute(mine, im.signed) for im in other.images]
+        total = sum(map(len, images))
+        if total > _MAX_LETTERS:
+            raise CapExceededError(
+                f"composite images total {total} letters, more than "
+                f"{_MAX_LETTERS}")
+        return FactoredAutomorphism(self.alphabet, self.factors + other.factors,
+                                    _words(self.alphabet, images))
 
     def power(self, n: int) -> "FactoredAutomorphism":
         if n < 0:
@@ -156,13 +176,14 @@ class FactoredAutomorphism:
         return out
 
     def inverse(self) -> "FactoredAutomorphism":
-        images = _fold(reversed(self.factors), self.alphabet, inverse=True)
+        images = _fold(reversed(self.factors), self.alphabet.rank, inverse=True)
         inv_factors = tuple(g for f in reversed(self.factors)
                             for g in _invert_factor(f))
-        return FactoredAutomorphism(self.alphabet, inv_factors, images)
+        return FactoredAutomorphism(self.alphabet, inv_factors,
+                                    _words(self.alphabet, images))
 
     def is_identity(self) -> bool:
-        return self.images == generators(self.alphabet)
+        return [im.signed for im in self.images] == _basis(self.alphabet.rank)
 
     def __str__(self):
         return format_automorphism(self)
@@ -182,12 +203,13 @@ def _invert_factor(factor: Factor) -> list[Factor]:
 
 
 def identity_automorphism(alphabet: Alphabet) -> FactoredAutomorphism:
-    return FactoredAutomorphism(alphabet, (), generators(alphabet))
+    return FactoredAutomorphism(alphabet, (), _words(alphabet, _basis(alphabet.rank)))
 
 
 def from_factors(factors: Iterable[Factor], alphabet: Alphabet) -> FactoredAutomorphism:
     fs = tuple(factors)
-    return FactoredAutomorphism(alphabet, fs, _fold(fs, alphabet))
+    return FactoredAutomorphism(alphabet, fs,
+                                _words(alphabet, _fold(fs, alphabet.rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +222,7 @@ class BitSource(Protocol):
 
 def _draw_distinct(prg: BitSource, pool: list[int], k: int) -> frozenset[int]:
     """Draw k members of the sorted ``pool``, removing them from it."""
-    return frozenset(pool.pop(prg.next() % len(pool)) for _ in range(k))
+    return frozenset([pool.pop(prg.next() % len(pool)) for _ in range(k)])
 
 
 def _draw_factor(prg: BitSource, q: int, bit: int) -> WhiteheadMove:
@@ -259,8 +281,8 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
                 break
         else:  # pragma: no cover - the pool always contains a valid factor
             raise RuntimeError("factor redraw limit hit")
-    images = _fold(factors, alphabet)
-    basis = generators(alphabet)
+    images = _fold(factors, q)
+    basis = _basis(q)
     attempts = 0
     while images == basis:
         attempts += 1
@@ -274,8 +296,8 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
         if len(factors) > 1 and _mutually_inverse(factors[-2], factor):
             continue
         factors[-1] = factor
-        images = _fold(factors, alphabet)
-    return FactoredAutomorphism(alphabet, tuple(factors), images)
+        images = _fold(factors, q)
+    return FactoredAutomorphism(alphabet, tuple(factors), _words(alphabet, images))
 
 
 # ---------------------------------------------------------------------------

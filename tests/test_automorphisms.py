@@ -1,14 +1,17 @@
+import functools
 import itertools
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fgcrypt import (
     Alphabet,
     AutFamily,
     ElementaryMove,
     FactoredAutomorphism,
+    Word,
     WhiteheadMove,
     canonical_minimal_basis,
     concat,
@@ -21,8 +24,9 @@ from fgcrypt import (
     parse_moves,
     random_whitehead_automorphism,
 )
-from fgcrypt.automorphisms import _mutually_inverse
+from fgcrypt.automorphisms import _mutually_inverse, _step
 from fgcrypt.errors import (
+    CapExceededError,
     IllegalMoveError,
     NotRegularError,
     PreconditionError,
@@ -55,6 +59,54 @@ def whitehead_moves(q):
             if L or R or M:
                 moves.append(WhiteheadMove("W", a, L, R, M | {a}))
     return moves
+
+
+@functools.lru_cache(maxsize=None)
+def factor_pool(q):
+    """Every Whitehead move, T1 and T2 move at rank q."""
+    pool = whitehead_moves(q) + [ElementaryMove("T1", i) for i in range(1, q + 1)]
+    return pool + [ElementaryMove("T2", i, j) for i in range(1, q + 1)
+                   for j in range(1, q + 1) if i != j]
+
+
+def reference_step(images, factor, inverse=False):
+    """Oracle: one fold step on Words, through the public ``concat`` and
+    ``Word.inverse``, as the fold ran before it moved onto signed tuples."""
+    out = list(images)
+    if isinstance(factor, WhiteheadMove):
+        x = images[factor.a - 1]
+        if factor.kind == "INV":
+            out[factor.a - 1] = x.inverse()
+            return tuple(out)
+        left, right = (x.inverse(), x) if inverse else (x, x.inverse())
+        for b in factor.L:
+            out[b - 1] = concat(left, images[b - 1])
+        for b in factor.R:
+            out[b - 1] = concat(images[b - 1], right)
+        for b in factor.M - {factor.a}:
+            out[b - 1] = concat(concat(left, images[b - 1]), right)
+        return tuple(out)
+    u = images[factor.i - 1]
+    if factor.kind == "T1":
+        out[factor.i - 1] = u.inverse()
+    else:
+        v = images[factor.j - 1]
+        out[factor.i - 1] = concat(u, v.inverse() if inverse else v)
+    return tuple(out)
+
+
+def reference_fold(factors, alphabet, inverse=False):
+    images = generators(alphabet)
+    for factor in factors:
+        images = reference_step(images, factor, inverse)
+    return images
+
+
+@st.composite
+def factor_lists(draw):
+    q = draw(st.integers(2, 4))
+    fs = draw(st.lists(st.sampled_from(factor_pool(q)), max_size=14))
+    return Alphabet(tuple("abcd"[:q])), fs
 
 
 class ScriptedPrg:
@@ -160,6 +212,21 @@ class TestComposePower:
         assert f.compose(g).apply(w) == f.apply(g.apply(w))
 
 
+class TestSizeCap:
+    # the Fibonacci map a -> ab, b -> a: image lengths grow by the golden ratio
+    FIBONACCI = "T2 1 2\nT1 1\nT2 2 1\nT1 1\nT1 2"
+
+    def test_fibonacci_images(self):
+        f = parse_automorphism(self.FIBONACCI, AB)
+        assert [str(w) for w in f.images] == ["a b", "a"]
+        assert [len(w) for w in f.power(20).images] == [17711, 10946]
+
+    def test_power_raises_past_word_cap(self):
+        f = parse_automorphism(self.FIBONACCI, AB)
+        with pytest.raises(CapExceededError, match="more than 16777216"):
+            f.power(60)
+
+
 class TestInverse:
     def test_identity(self):
         assert identity_automorphism(AB).inverse().is_identity()
@@ -253,6 +320,53 @@ class TestInverse:
                 ScriptedPrg([rng.getrandbits(32) for _ in range(4000)]), ABC)
             canon = canonical_minimal_basis(GeneratingTuple(ABC, f.images))
             assert canon.elements == gens
+
+
+class TestSignedFold:
+    @given(factor_lists())
+    def test_matches_word_fold(self, case):
+        alphabet, fs = case
+        f = from_factors(fs, alphabet)
+        assert f.images == reference_fold(fs, alphabet)
+        assert f.inverse().images == reference_fold(reversed(fs), alphabet,
+                                                    inverse=True)
+
+    def test_single_step_exhaustive_rank3(self):
+        # every Whitehead move, forward and inverse, from the basis and from
+        # images whose letters cancel against the multiplier's
+        starts = [generators(ABC),
+                  tuple(ABC.parse(t) for t in ("a b c^-1", "a^-1 b", "c a^-1")),
+                  tuple(ABC.parse(t) for t in ("b^-1 a", "a^2 b", "b a^-1 c"))]
+        count = 0
+        for move in whitehead_moves(3):
+            for start in starts:
+                for inverse in (False, True):
+                    signed = [w.signed for w in start]
+                    _step(signed, move, inverse)
+                    expected = reference_step(start, move, inverse)
+                    assert signed == [w.signed for w in expected], (move, inverse)
+                    count += 1
+        assert count == 48 * 3 * 2
+
+    def test_one_word_per_image(self, monkeypatch):
+        # the fold works on signed tuples: sampling a map and inverting it
+        # each wrap the q final images once, and build no other Word
+        made = []
+        make = Word._make.__func__
+
+        def counting(cls, alphabet, signed):
+            made.append(signed)
+            return make(cls, alphabet, signed)
+
+        monkeypatch.setattr(Word, "_make", classmethod(counting))
+        fam = AutFamily(0x5EED, ABCD, 64)
+        for index in range(8):
+            made.clear()
+            f = derive_automorphism(fam, index)
+            assert len(made) == 4
+            made.clear()
+            f.inverse()
+            assert len(made) == 4
 
 
 class TestSampler:

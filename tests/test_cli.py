@@ -122,6 +122,19 @@ class TestOtpCommands:
 
 
 class TestPubkeyCommands:
+    def test_fast_growing_f_hits_size_cap(self, tmp_path, capsys):
+        # f = (a -> ab, b -> a)^2 roughly multiplies image lengths by 2.6
+        # per power, so f^32 passes the 2^24-letter cap in compose
+        fibonacci = "T2 1 2\nT1 1\nT2 2 1\nT1 1\nT1 2\n"
+        (tmp_path / "f.aut").write_text(fibonacci * 2)
+        params = tmp_path / "params.txt"
+        params.write_text("alphabet = a b\na = a b^2\naut_file = f.aut\n")
+        assert run(["pubkey-keygen", "--params", str(params), "--n", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: composite images total")
+        assert "Traceback" not in captured.err
+
     def test_word_variant_end_to_end(self, tmp_path, capsys):
         fx = copy_fixture(tmp_path, "pubkey_demo")
         pub = tmp_path / "c.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 from pathlib import Path
@@ -282,3 +283,28 @@ class TestKeyFile:
         assert params.lcg == LcgParams(128, 5, 3)
         assert params.plaintext_alphabet == tuple("A E I O U T M L K Y B N".split())
         assert str(key.basis[2]) == "d^2 c^-2"
+
+
+class TestSessionGolden:
+    """The benchmark's session path (rank 4, N=5 symbols) pinned end to end:
+    keygen, one derived automorphism per symbol, encryption and both
+    decryptions of a 300-symbol message."""
+
+    SYMBOLS = ("A", "B", "C", "D", "E")
+
+    @pytest.mark.parametrize("m, digest", [
+        (64, "791fe3bd9a5c1d76cefc5ca2aa67125cd14971a7d42e79ce25c79f964b3b22f2"),
+        (128, "80f097d7cfe5e7a89ab9af6af174f3da7bcc7bc7c291da4b1d86a08b9cde8016"),
+    ])
+    def test_ciphertext_digest(self, m, digest):
+        params = CipherPublicParams(ABCD, self.SYMBOLS,
+                                    AutFamily(0x5E551000 + m, ABCD, m),
+                                    LcgParams(m, 5, 3))
+        key = keygen(params, Prg(0xC0FFEE + m))
+        rng = random.Random(m)
+        msg = [rng.choice(self.SYMBOLS) for _ in range(300)]
+        ct = encrypt(params, key, msg)
+        text = format_ciphertext(ct)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert decrypt(params, key, ct) == msg
+        assert decrypt_with_table(params, key, ct) == msg
