@@ -1,5 +1,7 @@
+import hashlib
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,8 @@ from fgcrypt import (
     word_to_matrix,
 )
 from fgcrypt.errors import DecryptionError, PreconditionError
-from fgcrypt.pubkey import parse_pair_file, write_pair_file
+from fgcrypt.pubkey import (parse_pair_file, parse_params_file,
+                            write_pair_file)
 
 from conftest import random_word
 
@@ -246,3 +249,35 @@ class TestPairFile:
                                   X123.parse("x1 x2"), 2)
         again = parse_pair_file(write_pair_file(pair), X123, matrix=True)
         assert again == pair
+
+
+class TestPairFileGolden:
+    """Pinned ``write_pair_file`` bytes for every n, t in 1..7 on the bundled
+    demo, with seeded messages; each text must parse back to its pair."""
+
+    DEMO = Path(__file__).parent / "fixtures" / "pubkey_demo"
+    GOLDEN = {
+        "word": "789d5d2fbce08562d0fc0089c7be1fc73d9d008a79ffcb1a059190a4f36fbe1d",
+        "matrix": "d0efc70887875646091a3feccd4006f3f38586fe07c08297dd1b3dece40c3339",
+    }
+
+    @pytest.mark.parametrize("variant", ["word", "matrix"])
+    def test_pair_texts(self, variant):
+        matrix = variant == "matrix"
+        params = parse_params_file((self.DEMO / "params.txt").read_text(),
+                                   (self.DEMO / "f.aut").read_text())
+        if matrix:
+            params = PubkeyParams(params.alphabet, params.a, params.f,
+                                  rep=make_representation(params.alphabet))
+        encrypt = bob_encrypt_matrix if matrix else bob_encrypt
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            c = alice_keygen(params, n)
+            for t in range(1, 8):
+                m = random_word(rng, params.alphabet, 12, min_len=0)
+                pair = encrypt(params, c, m, t)
+                text = write_pair_file(pair)
+                assert parse_pair_file(text, params.alphabet, matrix) == pair
+                digest.update(text.encode())
+        assert digest.hexdigest() == self.GOLDEN[variant]
