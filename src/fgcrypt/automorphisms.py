@@ -8,8 +8,9 @@ makes the composite map equal to the leftmost factor applied outermost:
 signed image tuples through the kernel in :mod:`fgcrypt.words`, one step per
 factor, and wrap each final image in a ``Word`` once; an inverse is never
 solved from the images and keeps the factor-wise inverse list
-(W^-1 = INV W INV).  Applying and composing are kernel substitutions of
-images; this module does no free reduction of its own.
+(W^-1 = INV W INV).  Applying, composing and powers are kernel substitutions
+of images; a power substitutes signed tuples once per exponent step and also
+wraps only its final images.  This module does no free reduction of its own.
 
 Automorphisms are immutable after construction and apply/compose/power/
 inverse are pure, so they are safe to share across threads; a sampler's
@@ -133,6 +134,23 @@ def _fold(factors: Iterable[Factor], q: int,
     return images
 
 
+def _compose_signed(outer: list[tuple[int, ...]],
+                    inner: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Signed images of ``outer o inner``.  The running total is checked
+    against the cap after each image, so at most one image overshoots it."""
+    images = []
+    total = 0
+    for im in inner:
+        image = _substitute(outer, im)
+        total += len(image)
+        if total > _MAX_LETTERS:
+            raise CapExceededError(
+                f"composite images total {total} letters, more than "
+                f"{_MAX_LETTERS}")
+        images.append(image)
+    return images
+
+
 def _words(alphabet: Alphabet, images: list[tuple[int, ...]]) -> tuple[Word, ...]:
     return tuple(Word._make(alphabet, im) for im in images)
 
@@ -157,23 +175,24 @@ class FactoredAutomorphism:
         bounds power() and the finite-order check of a fast-growing map."""
         if other.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("automorphisms over different alphabets")
-        mine = [im.signed for im in self.images]
-        images = [_substitute(mine, im.signed) for im in other.images]
-        total = sum(map(len, images))
-        if total > _MAX_LETTERS:
-            raise CapExceededError(
-                f"composite images total {total} letters, more than "
-                f"{_MAX_LETTERS}")
+        images = _compose_signed([im.signed for im in self.images],
+                                 [im.signed for im in other.images])
         return FactoredAutomorphism(self.alphabet, self.factors + other.factors,
                                     _words(self.alphabet, images))
 
     def power(self, n: int) -> "FactoredAutomorphism":
+        """f^n with factors ``self.factors * n``; the images are folded as
+        signed tuples, f^(k+1) = f^k o f, under the same cap as compose."""
         if n < 0:
             raise PreconditionError("power requires n >= 0")
-        out = identity_automorphism(self.alphabet)
-        for _ in range(n):
-            out = out.compose(self)
-        return out
+        if n == 0:
+            return identity_automorphism(self.alphabet)
+        mine = [im.signed for im in self.images]
+        images = mine
+        for _ in range(n - 1):
+            images = _compose_signed(images, mine)
+        return FactoredAutomorphism(self.alphabet, self.factors * n,
+                                    _words(self.alphabet, images))
 
     def inverse(self) -> "FactoredAutomorphism":
         images = _fold(reversed(self.factors), self.alphabet.rank, inverse=True)

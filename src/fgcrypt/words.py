@@ -15,7 +15,8 @@ module reduces words.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -40,6 +41,9 @@ class Alphabet:
     """An ordered finite set of generator names; rank q = len(names)."""
 
     names: tuple[str, ...]
+    # name -> 1-based index, derived from ``names``
+    _index: dict[str, int] = field(init=False, repr=False, compare=False,
+                                   hash=False)
 
     def __post_init__(self):
         if isinstance(self.names, list):  # tolerate list input
@@ -58,6 +62,8 @@ class Alphabet:
             if name in seen:
                 raise PreconditionError(f"duplicate generator name {name!r}")
             seen.add(name)
+        object.__setattr__(self, "_index",
+                           {name: i for i, name in enumerate(self.names, 1)})
 
     @property
     def rank(self) -> int:
@@ -66,8 +72,8 @@ class Alphabet:
     def index(self, name: str) -> int:
         """1-based index of a generator name."""
         try:
-            return self.names.index(name) + 1
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise InvalidLetterError(f"unknown generator {name!r}") from None
 
     def generator(self, i: int) -> "Word":
@@ -270,7 +276,10 @@ def ball_size(q: int, radius: int) -> int:
 # ---------------------------------------------------------------------------
 # Textual form.  Grammar:  word := "1" | unit (" " unit)* ;
 #                          unit := name ("^" nonzero-integer)?
-# Canonical output merges runs of a letter into one unit, single spaces.
+# Any whitespace separates units.  A text is read in one pass: each unit is
+# cancelled against the reduced word so far, and the letter cap counts units
+# as spelled, before free reduction.  Canonical output merges runs of a
+# letter into one unit, single spaces.
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
@@ -281,65 +290,76 @@ _MAX_LETTERS = 1 << 24
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    tokens = list(_TOKEN.finditer(text))
-    if not tokens:
+    """Read a word text in one pass over its units, cancelling each unit
+    against the reduced word so far, so no unreduced letter list is built."""
+    units = text.split()  # splits exactly where _TOKEN does
+    if not units:
         raise WordSyntaxError("empty word text; identity is spelled '1'")
-    if len(tokens) == 1 and tokens[0].group() == "1":
+    if units == ["1"]:
         return Word._make(alphabet, ())
-    signed: list[int] = []
-    for tok in tokens:
-        unit = tok.group()
-        pos = tok.start()
-        if unit == "1":
-            raise WordSyntaxError("'1' cannot be mixed with other units", pos)
-        name, sep, exp_text = unit.partition("^")
-        try:
-            idx = alphabet.index(name)
-        except InvalidLetterError:
-            raise WordSyntaxError(f"unknown generator {name!r}", pos) from None
-        if sep:
+    index = alphabet._index
+    cap = _MAX_LETTERS
+    spelled = 0
+    out: list[int] = []
+    for k, unit in enumerate(units):
+        idx = index.get(unit)
+        if idx is not None:  # a bare name
+            letter, count = idx, 1
+        else:
+            name, _, exp_text = unit.partition("^")
+            idx = index.get(name)
+            if idx is None:
+                if unit == "1":
+                    raise WordSyntaxError(
+                        "'1' cannot be mixed with other units", _position(text, k))
+                raise WordSyntaxError(f"unknown generator {name!r}",
+                                      _position(text, k))
             try:
                 exp = int(exp_text)
             except ValueError:
-                raise WordSyntaxError(f"bad exponent {exp_text!r}", pos) from None
+                raise WordSyntaxError(f"bad exponent {exp_text!r}",
+                                      _position(text, k)) from None
             if exp == 0:
-                raise WordSyntaxError("exponent must be nonzero", pos)
-        else:
-            exp = 1
+                raise WordSyntaxError("exponent must be nonzero",
+                                      _position(text, k))
+            letter, count = (idx, exp) if exp > 0 else (-idx, -exp)
         # the cap is checked before a unit expands, so no text costs more
         # than _MAX_LETTERS letters of memory
-        if len(signed) + abs(exp) > _MAX_LETTERS:
+        spelled += count
+        if spelled > cap:
             raise CapExceededError(
-                f"word text spells more than {_MAX_LETTERS} letters "
-                f"(at position {pos})")
-        letter = idx if exp > 0 else -idx
-        signed.extend([letter] * abs(exp))
-    reduced = _reduce_signed(signed)
-    return Word._make(alphabet, reduced)
+                f"word text spells more than {cap} letters "
+                f"(at position {_position(text, k)})")
+        while count and out and out[-1] == -letter:
+            out.pop()
+            count -= 1
+        out += [letter] * count
+    return Word._make(alphabet, tuple(out))
+
+
+def _position(text: str, k: int) -> int:
+    """Offset of the k-th unit of a word text (error path only)."""
+    return next(islice(_TOKEN.finditer(text), k, None)).start()
 
 
 def format_word(w: Word) -> str:
-    if not w.signed:
+    signed = w.signed
+    if not signed:
         return "1"
+    names = w.alphabet.names
     parts: list[str] = []
-    run_letter = w.signed[0]
-    run_len = 1
-    for s in w.signed[1:]:
-        if s == run_letter:
-            run_len += 1
+    run, count = signed[0], 0
+    for s in signed + (0,):  # 0 is no letter: it closes the last run
+        if s == run:
+            count += 1
+            continue
+        if run > 0:
+            parts.append(names[run - 1] if count == 1
+                         else f"{names[run - 1]}^{count}")
         else:
-            parts.append(_format_run(w.alphabet, run_letter, run_len))
-            run_letter, run_len = s, 1
-    parts.append(_format_run(w.alphabet, run_letter, run_len))
+            parts.append(f"{names[-run - 1]}^-{count}")
+        run, count = s, 1
     return " ".join(parts)
-
-
-def _format_run(alphabet: Alphabet, letter: int, count: int) -> str:
-    name = alphabet.names[abs(letter) - 1]
-    exp = count if letter > 0 else -count
-    if exp == 1:
-        return name
-    return f"{name}^{exp}"
 
 
 # Key, params and pair files: "key = value" lines.  Blank lines, "#"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from fgcrypt import (
     parse_moves,
     random_whitehead_automorphism,
 )
+from fgcrypt import automorphisms
 from fgcrypt.automorphisms import _mutually_inverse, _step
 from fgcrypt.errors import (
     CapExceededError,
@@ -204,6 +206,26 @@ class TestComposePower:
         for m, n in itertools.product(range(5), repeat=2):
             assert f.power(m + n).images == f.power(m).compose(f.power(n)).images
 
+    def test_power_builds_q_words(self, monkeypatch):
+        # the power loop folds signed images and wraps each final image once
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
+        made = []
+        make = Word._make.__func__
+
+        def counting(cls, alphabet, signed):
+            made.append(signed)
+            return make(cls, alphabet, signed)
+
+        monkeypatch.setattr(Word, "_make", classmethod(counting))
+        for n in range(1, 8):
+            made.clear()
+            fn = f.power(n)
+            assert len(made) == X123.rank
+            assert fn.factors == f.factors * n
+        zero = f.power(0)
+        assert zero == identity_automorphism(X123)
+        assert zero.factors == () and zero.is_identity()
+
     def test_compose_order(self):
         # (f o g)(w) = f(g(w))
         f = from_factors([ElementaryMove("T2", 1, 2)], AB)
@@ -225,6 +247,20 @@ class TestSizeCap:
         f = parse_automorphism(self.FIBONACCI, AB)
         with pytest.raises(CapExceededError, match="more than 16777216"):
             f.power(60)
+
+    @pytest.mark.parametrize("how", ["power", "compose"])
+    def test_overshoot_is_at_most_one_image(self, how, monkeypatch):
+        # x_i -> x_i x_(i+1) roughly doubles every image per power; with the
+        # cap at the size of f^6, all of f^7 would overshoot it by 585 letters
+        f = from_factors(parse_moves("T2 1 2\nT2 2 3\nT2 3 4\nT2 4 1"), ABCD)
+        f6 = f.power(6)
+        cap = sum(map(len, f6.images))
+        longest = max(map(len, f.power(7).images))
+        monkeypatch.setattr(automorphisms, "_MAX_LETTERS", cap)
+        with pytest.raises(CapExceededError) as err:
+            f.power(7) if how == "power" else f.compose(f6)
+        total = int(re.search(r"total (\d+) letters", str(err.value)).group(1))
+        assert cap < total <= cap + longest
 
 
 class TestInverse:

@@ -1,7 +1,8 @@
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fgcrypt import (
     Alphabet,
@@ -57,6 +58,15 @@ class TestAlphabet:
     def test_unknown_generator(self):
         with pytest.raises(InvalidLetterError):
             ABCD.index("e")
+
+    def test_derived_index_leaves_value_semantics(self):
+        # the name -> index map is derived, so equality, hashing and repr
+        # see the names alone
+        assert Alphabet(["a", "b"]) == AB
+        assert hash(Alphabet(["a", "b"])) == hash(AB) == hash((AB.names,))
+        assert AB != Alphabet(("b", "a"))
+        assert repr(AB) == "Alphabet(names=('a', 'b'))"
+        assert [ABCD.index(n) for n in ABCD.names] == [1, 2, 3, 4]
 
 
 class TestSignedKernel:
@@ -264,3 +274,87 @@ class TestText:
     @given(words_strategy(alphabet=ABCD))
     def test_round_trip(self, w):
         assert parse_word(format_word(w), ABCD) == w
+
+
+def reference_parse(text, alphabet):
+    """The letter-list parser: expand every unit, then reduce the list."""
+    tokens = list(words._TOKEN.finditer(text))
+    if not tokens:
+        raise WordSyntaxError("empty word text; identity is spelled '1'")
+    if len(tokens) == 1 and tokens[0].group() == "1":
+        return Word(alphabet, ())
+    signed = []
+    for tok in tokens:
+        unit = tok.group()
+        pos = tok.start()
+        if unit == "1":
+            raise WordSyntaxError("'1' cannot be mixed with other units", pos)
+        name, sep, exp_text = unit.partition("^")
+        try:
+            idx = alphabet.index(name)
+        except InvalidLetterError:
+            raise WordSyntaxError(f"unknown generator {name!r}", pos) from None
+        if sep:
+            try:
+                exp = int(exp_text)
+            except ValueError:
+                raise WordSyntaxError(f"bad exponent {exp_text!r}", pos) from None
+            if exp == 0:
+                raise WordSyntaxError("exponent must be nonzero", pos)
+        else:
+            exp = 1
+        if len(signed) + abs(exp) > words._MAX_LETTERS:
+            raise CapExceededError(
+                f"word text spells more than {words._MAX_LETTERS} letters "
+                f"(at position {pos})")
+        signed.extend([idx if exp > 0 else -idx] * abs(exp))
+    return Word(alphabet, words._reduce_signed(signed))
+
+
+SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u2003", "\x1c", " \u3000"])
+UNITS = st.tuples(st.sampled_from(ABCD.names),
+                  st.one_of(st.none(), st.integers(-6, 6).filter(bool)))
+
+
+class TestParserOracle:
+    """The one-pass parser against the letter-list reference."""
+
+    def test_split_agrees_with_token_pattern(self):
+        # the parser splits with str.split(); positions come from _TOKEN
+        every = "".join(map(chr, range(0x110000)))
+        assert every.split() == words._TOKEN.findall(every)
+        for sep in ("\u2003", "\x1c", "\x85", "\u3000"):
+            assert sep.isspace() and re.fullmatch(r"\s", sep)
+
+    @given(st.lists(st.tuples(UNITS, SPACES), min_size=1, max_size=40),
+           SPACES, st.booleans())
+    @example([(("a", 5), " "), (("a", -3), " "), (("b", None), " "),
+              (("b", -1), " "), (("a", -2), " ")], " ", False)
+    def test_same_word(self, units, lead, pad):
+        text = (lead if pad else "") + "".join(
+            (name if exp is None else f"{name}^{exp}") + sep
+            for (name, exp), sep in units)
+        assert parse_word(text, ABCD) == reference_parse(text, ABCD)
+
+    def test_cancellation_across_units(self):
+        assert parse_word("a^5 a^-3 b b^-1 a^-2", ABCD).is_identity()
+        assert parse_word("a b^2 b^-3 a^-1", ABCD) == ABCD.parse("a b^-1 a^-1")
+
+    @pytest.mark.parametrize("text", [
+        "", " \u2003\x1c ",                 # empty
+        "1 a", "a\u20031", "a^2 1",         # '1' mixed with units
+        "a q^2", "a\x1cq", "a 1^2",         # unknown name
+        "a^x", "b\u2003a^", "a a^2^3",      # bad exponent
+        "a b^0", "b\x1ca^-0",               # zero exponent
+        "a^6 b a^-5", "b\u2003" * 11,       # past a cap of 10 letters
+    ])
+    def test_same_error(self, text, monkeypatch):
+        monkeypatch.setattr(words, "_MAX_LETTERS", 10)
+        with pytest.raises((WordSyntaxError, CapExceededError)) as ref:
+            reference_parse(text, ABCD)
+        with pytest.raises(type(ref.value)) as got:
+            parse_word(text, ABCD)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+        assert getattr(got.value, "position", None) == \
+            getattr(ref.value, "position", None)
