@@ -36,7 +36,10 @@ def _alphabet(text: str) -> Alphabet:
 
 
 def _seed(text: str) -> int:
-    return int(text, 16) & ((1 << 64) - 1)
+    seed = int(text, 16)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is not in 0..2^64-1")
+    return seed
 
 
 def _derived_seed(seed: int, label: bytes) -> int:

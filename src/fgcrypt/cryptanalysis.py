@@ -52,6 +52,8 @@ class AttackConfig:
             raise PreconditionError("target rank must be >= 2")
         if self.subset_size < self.target_rank:
             raise PreconditionError("subset size must be >= target rank")
+        if self.max_subsets is not None and self.max_subsets < 1:
+            raise PreconditionError("max subsets must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,22 @@ def enumerate_ball(alphabet: Alphabet, radius: int,
 
 
 def _colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Index k-subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
+    """Index k-subsets of range(n) in colexicographic order, lazily and
+    without recursion (Knuth, TAOCP 7.2.1.3, Algorithm L)."""
+    if k > n:
         return
-    for top in range(k - 1, n):
-        for rest in _colex_subsets(top, k - 1):
-            yield rest + (top,)
+    c = list(range(k)) + [n]  # c[k] is a sentinel
+    while True:
+        yield tuple(c[:k])
+        # the lowest entry that can rise without meeting the next one rises;
+        # the entries below it restart at 0, 1, ...
+        j = 0
+        while j < k and c[j] + 1 == c[j + 1]:
+            c[j] = j
+            j += 1
+        if j == k:
+            return
+        c[j] += 1
 
 
 def subset_attack(alphabet: Alphabet, cfg: AttackConfig,

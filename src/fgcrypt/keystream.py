@@ -99,7 +99,8 @@ def keystream(p: LcgParams, alpha: int, z: int) -> list[int]:
 
 @dataclass(frozen=True)
 class AutFamily:
-    """Lazily derived family of 2^m automorphisms, one per residue class.
+    """Lazily derived family of 2^m automorphisms, one per residue class,
+    from a ``master_seed`` in 0..2^64-1.
 
     Members come from at most 2^64 derivation seeds, so they are distinct
     only with high probability, never by construction."""
@@ -111,6 +112,8 @@ class AutFamily:
     def __post_init__(self):
         if not 1 <= self.m <= 128:
             raise PreconditionError("modulus exponent m must be in 1..128")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise PreconditionError("master seed must be in 0..2^64-1")
 
 
 def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:
@@ -124,10 +127,10 @@ def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:
     low = index & _MASK64
     high = index >> 64
     if high == 0:
-        _, seed = splitmix64((fam.master_seed ^ low) & _MASK64)
+        _, seed = splitmix64(fam.master_seed ^ low)
     else:
         data = b"".join(x.to_bytes(8, "big")
-                        for x in (fam.master_seed & _MASK64, low, high))
+                        for x in (fam.master_seed, low, high))
         seed = int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
     return random_whitehead_automorphism(Prg(seed), fam.alphabet)
 
@@ -136,7 +139,7 @@ def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:
 
 def format_lcg_lines(p: LcgParams, seed: int) -> str:
     return (f"m = {p.m}\nbeta = {p.beta}\ngamma = {p.gamma}\n"
-            f"seed = {seed & _MASK64:016x}")
+            f"seed = {seed:016x}")
 
 
 def parse_lcg_lines(text: str) -> tuple[LcgParams, int]:

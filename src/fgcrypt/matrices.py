@@ -9,11 +9,9 @@ intervals are pairwise disjoint and miss 0, so by the ping-pong lemma
 generate a free group, words evaluate injectively, and a reduced word
 w != 1 sends 0 into the interval of its first letter.  The decoder reads the
 letters off one at a time that way, with no search.  Arithmetic is exact,
-with no floating point anywhere.  The public API speaks `Mat2Q` with
-`fractions.Fraction` entries; products, evaluation and the decoder run on an
-integer kernel instead, a matrix being the tuple (n11, n12, n21, n22, den) of
-its entries over a common denominator in lowest terms.  Each `RepSpec`
-derives the kernel tuples of its letters and their inverses once, and every
+with no floating point anywhere: a `Mat2Q` is an integer tuple, and
+products, evaluation and the decoder run on plain ints.  Each `RepSpec`
+derives the tuples of its letters and their inverses once, and every
 evaluation reads that table.
 """
 
@@ -47,46 +45,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mat2Q:
-    a11: Fraction
-    a12: Fraction
-    a21: Fraction
-    a22: Fraction
+_IDENTITY = (1, 0, 0, 1, 1)
 
-    def __post_init__(self):
-        for name in ("a11", "a12", "a21", "a22"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+
+@dataclass(frozen=True, init=False)
+class Mat2Q:
+    """A 2x2 rational matrix [[a11, a12], [a21, a22]].
+
+    Stored as one integer tuple ``k = (n11, n12, n21, n22, den)`` with entries
+    n_ij / den, den > 0 and the gcd of all five numbers 1.  The form is
+    unique, so equal matrices have equal tuples and a tuple serves as a
+    dictionary key.  ``Mat2Q(a11, a12, a21, a22)`` takes anything
+    ``Fraction()`` takes; ``entries()`` is the ``Fraction`` view."""
+
+    k: tuple[int, int, int, int, int]
+
+    def __init__(self, a11, a12, a21, a22):
+        entries = [Fraction(a) for a in (a11, a12, a21, a22)]
+        den = math.lcm(*(e.denominator for e in entries))
+        object.__setattr__(self, "k", tuple(
+            e.numerator * (den // e.denominator) for e in entries) + (den,))
+
+    @classmethod
+    def _make(cls, k: tuple[int, ...]) -> "Mat2Q":
+        """Internal: wrap a tuple already in lowest terms."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "k", k)
+        return M
 
     @classmethod
     def identity(cls) -> "Mat2Q":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        return cls._make(_IDENTITY)
 
     def is_identity(self) -> bool:
-        return self == Mat2Q.identity()
+        return self.k == _IDENTITY
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a11, self.a12, self.a21, self.a22)
+        *nums, den = self.k
+        return tuple(Fraction(n, den) for n in nums)
 
     def __str__(self):
         return format_matrix(self)
 
 
 def mat_mul(A: Mat2Q, B: Mat2Q) -> Mat2Q:
-    return _from_kernel(_kmul(_to_kernel(A), _to_kernel(B)))
+    return Mat2Q._make(_kmul(A.k, B.k))
 
 
 def mat_det(A: Mat2Q) -> Fraction:
-    return A.a11 * A.a22 - A.a12 * A.a21
+    n11, n12, n21, n22, den = A.k
+    return Fraction(n11 * n22 - n12 * n21, den * den)
 
 
 def mat_inv(A: Mat2Q) -> Mat2Q:
-    d = mat_det(A)
+    n11, n12, n21, n22, den = A.k
+    d = mat_det(A) * den  # A^-1 is the adjugate's numerators over den * det
     if d == 0:
         raise SingularMatrixError("matrix is singular")
-    return Mat2Q(A.a22 / d, -A.a12 / d, -A.a21 / d, A.a11 / d)
+    return Mat2Q(*(n / d for n in (n22, -n12, -n21, n11)))
 
 
 def tl_generator(r) -> Mat2Q:
@@ -167,11 +183,13 @@ class RepSpec:
             own = GeneratingTuple(self.alphabet, generators(self.alphabet))
             basis_words = apply_moves(own, moves)
             strips = _strip_candidates(basis)
+        letters = _letter_kernels(mats)
+        ping_pong = (_peel_table(params, letters) if gen_words is None
+                     else family._ping_pong)  # the family's own table
         for name, value in (("tl_params", params), ("gen_words", gen_words),
                             ("generator_matrices", mats), ("basis", basis),
                             ("basis_words", basis_words),
-                            ("_letters", _letter_kernels(mats)),
-                            ("_ping_pong", _peel_table(params)),
+                            ("_letters", letters), ("_ping_pong", ping_pong),
                             ("_strips", strips)):
             object.__setattr__(self, name, value)
 
@@ -208,29 +226,10 @@ def demo_representation(alphabet: Alphabet) -> RepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Exact integer kernel.  Evaluation and decoding run on plain ints: a matrix
-# is the tuple (n11, n12, n21, n22, den) with entries n_ij / den, den > 0 and
-# the gcd of all five numbers 1.  The form is unique, so equal matrices have
-# equal tuples and a tuple serves as a dictionary key.  A product costs eight
-# integer multiplies plus one gcd, and the gcd only when den != 1; the
-# inverse of a determinant-1 matrix is its adjugate over the same den.
-# Mat2Q and Fraction appear only at the public boundary.
+# Integer kernel, on `Mat2Q.k` tuples.  A product costs eight integer
+# multiplies plus one gcd, and the gcd only when den != 1; the inverse of a
+# determinant-1 matrix is its adjugate over the same den.
 # ---------------------------------------------------------------------------
-
-_IDENTITY = (1, 0, 0, 1, 1)
-
-
-def _to_kernel(M: Mat2Q) -> tuple[int, ...]:
-    entries = M.entries()
-    den = math.lcm(*(e.denominator for e in entries))
-    return tuple(e.numerator * (den // e.denominator) for e in entries) + (den,)
-
-
-def _from_kernel(K: tuple[int, ...]) -> Mat2Q:
-    n11, n12, n21, n22, den = K
-    return Mat2Q(Fraction(n11, den), Fraction(n12, den),
-                 Fraction(n21, den), Fraction(n22, den))
-
 
 def _kmul(A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
     a11, a12, a21, a22, p = A
@@ -251,7 +250,7 @@ def _letter_kernels(mats: Sequence[Mat2Q]) -> dict[int, tuple[int, ...]]:
     """Kernel tuples of letter i (mats[i-1]) and of its inverse -i."""
     out = {}
     for i, M in enumerate(mats, start=1):
-        n11, n12, n21, n22, den = out[i] = _to_kernel(M)
+        n11, n12, n21, n22, den = out[i] = M.k
         out[-i] = (n22, -n12, -n21, n11, den)  # det 1: the adjugate
     return out
 
@@ -263,7 +262,7 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
     out = _IDENTITY
     for s in w.signed:
         out = _kmul(out, mats[s])
-    return _from_kernel(out)
+    return Mat2Q._make(out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +276,10 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
 # form a reduced word, and faithfulness makes it the unique preimage.
 # ---------------------------------------------------------------------------
 
-def _peel_table(params: Sequence[Fraction]) -> tuple:
-    """Per letter s of the family: (s, lo, hi, q, kernel of s^-1), where
-    (lo/q, hi/q) is the open interval that s maps into."""
-    kernels = _letter_kernels([tl_generator(r) for r in params])
+def _peel_table(params: Sequence[Fraction], kernels: dict) -> tuple:
+    """Per letter s of the family with letter table ``kernels``:
+    (s, lo, hi, q, kernel of s^-1), where (lo/q, hi/q) is the open interval
+    that s maps into."""
     table = []
     for i, r in enumerate(params, start=1):
         p, q = r.numerator, r.denominator
@@ -315,11 +314,11 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
     A ``gen_words`` spec peels the auxiliary word (at most max_len times the
     longest generator word), expresses it over the Nielsen reduced basis and
     carries that expression back to the alphabet's letters."""
-    if mat_det(M) != 1:
+    n11, n12, n21, n22, den = K = M.k
+    if n11 * n22 - n12 * n21 != den * den:
         raise PreconditionError("matrix must have determinant 1")
     if max_len < 0:
         raise PreconditionError("max_len must be >= 0")
-    K = _to_kernel(M)
     if spec.gen_words is None:
         letters = _peel(spec._ping_pong, K, max_len)
         return None if letters is None else Word(spec.alphabet, letters)
@@ -336,15 +335,15 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
 
 # --- textual form -----------------------------------------------------------
 
-def _format_entry(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"{e.numerator}/{e.denominator}"
+def _format_entry(n: int, den: int) -> str:
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def format_matrix(M: Mat2Q) -> str:
-    return (f"[[{_format_entry(M.a11)}, {_format_entry(M.a12)}],"
-            f"[{_format_entry(M.a21)}, {_format_entry(M.a22)}]]")
+    *nums, den = M.k
+    a11, a12, a21, a22 = (_format_entry(n, den) for n in nums)
+    return f"[[{a11}, {a12}],[{a21}, {a22}]]"
 
 
 # entries are [+-]int or [+-]int/int, as written by format_matrix; Fraction's

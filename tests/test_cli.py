@@ -89,6 +89,26 @@ class TestOtpCommands:
                     "--out", str(back)]) == 0
         assert back.read_text().strip() == "HELLOWORLD"
 
+    def test_keygen_seed_outside_64_bits(self, tmp_path, capsys):
+        # 10000000000000005 used to be masked to 5
+        args = ["otp-keygen", "--alphabet", "a b", "--plaintext-alphabet",
+                "X Y", "--modulus-exponent", "16", "--seed"]
+        for bad in ("10000000000000005", "-1"):
+            assert run(args + [bad]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "Traceback" not in err
+        assert run(args + ["ffffffffffffffff"]) == 0
+
+    def test_key_file_seed_outside_64_bits(self, tmp_path, capsys):
+        fx = copy_fixture(tmp_path, "otp_demo")
+        key = fx / "key.txt"
+        key.write_text(key.read_text().replace("0000000000000000",
+                                               "1dde04cfe366bd8cb"))
+        assert run(["otp-encrypt", "--key", str(key), "--in",
+                    str(fx / "message.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_decrypt_failure_exit_2(self, tmp_path):
         key = tmp_path / "key.txt"
         run(["otp-keygen", "--alphabet", "a b", "--plaintext-alphabet", "X Y",
@@ -269,6 +289,14 @@ class TestToolCommands:
         out = capsys.readouterr().out
         assert "subsets_examined = 120" in out
         assert "hit_index = 2" in out
+
+    def test_attack_max_subsets_below_one(self, capsys):
+        for bad in ("0", "-1"):
+            assert run(["attack", "--alphabet", "a b", "--ball-radius", "2",
+                        "--rank", "2", "--subset-size", "2",
+                        "--max-subsets", bad]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_attack_estimate(self, capsys):
         rc = run(["attack", "--alphabet", "a b c d", "--ball-radius", "7",

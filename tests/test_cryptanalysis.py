@@ -21,7 +21,7 @@ from fgcrypt import (
     primitive_lower_bound_rank2,
     subset_attack,
 )
-from fgcrypt.cryptanalysis import BALL_CAP, format_report
+from fgcrypt.cryptanalysis import BALL_CAP, _colex_subsets, format_report
 from fgcrypt.errors import CapExceededError, PreconditionError
 
 AB = Alphabet(("a", "b"))
@@ -106,6 +106,13 @@ class TestSubsetAttack:
         assert not report.complete
         assert report.subsets_examined == 10
 
+    @pytest.mark.parametrize("max_subsets", [0, -1])
+    def test_max_subsets_below_one_rejected(self, max_subsets):
+        # 0 used to mean "no limit" and -1 to examine nothing
+        with pytest.raises(PreconditionError):
+            AttackConfig(ball_radius=2, target_rank=2, subset_size=2,
+                         max_subsets=max_subsets)
+
     def test_deterministic(self):
         cfg = AttackConfig(ball_radius=2, target_rank=2, subset_size=2)
         r1 = subset_attack(AB, cfg, t(AB, "a", "b"))
@@ -129,6 +136,32 @@ ATTACK_CONFIGS = ((AB, 3, 2, 2), (AB, 2, 2, 3), (XYZ, 2, 2, 2), (XYZ, 1, 3, 3))
 
 def _colex(n, k):
     return sorted(combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def _colex_recursive(n, k):
+    """The recursive enumeration the iterative one replaced: one level per
+    subset element, so it overflows the stack at large k."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in _colex_recursive(top, k - 1):
+            yield rest + (top,)
+
+
+class TestColexSubsets:
+    def test_matches_recursive_oracle(self):
+        for n in range(9):
+            for k in range(n + 2):
+                got = list(_colex_subsets(n, k))
+                assert got == list(_colex_recursive(n, k)), (n, k)
+                assert got == _colex(n, k)
+
+    def test_large_subset_size_is_lazy_and_flat(self):
+        # 1100 nested generators exceeded the default recursion limit
+        subsets = _colex_subsets(1500, 1100)
+        assert next(subsets) == tuple(range(1100))
+        assert next(subsets) == tuple(range(1099)) + (1100,)
 
 
 def _planted(rng, ball, cfg):

@@ -149,6 +149,13 @@ class TestFamily:
             h.update(b"\n\n")
         assert h.hexdigest() == digest
 
+    def test_master_seed_is_64_bit(self):
+        for seed in (0, (1 << 64) - 1):
+            assert AutFamily(seed, ABCD, 64).master_seed == seed
+        for seed in (-1, 1 << 64, (1 << 64) + 5):
+            with pytest.raises(PreconditionError):
+                AutFamily(seed, ABCD, 64)
+
     def test_never_identity_and_distinct(self):
         fam = AutFamily(0xABCDEF, ABCD, 64)
         images = set()

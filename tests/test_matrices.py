@@ -30,13 +30,7 @@ from fgcrypt.errors import (
     SingularMatrixError,
     WordSyntaxError,
 )
-from fgcrypt.matrices import (
-    _IDENTITY,
-    _from_kernel,
-    _kmul,
-    _peel_table,
-    _to_kernel,
-)
+from fgcrypt.matrices import _IDENTITY, _kmul
 
 from conftest import random_word
 
@@ -78,13 +72,36 @@ class TestArithmetic:
 
     @example([F(0)] * 4 + [F(2), F(0), F(0), F(3)])
     @example([F(-1, 2), F(0), F(3), F(-4, 3), F(5), F(-7, 6), F(0), F(1)])
+    @example([F(1), F(2), F(-2), F(-4), F(3, 4), F(-5, 6), F(7, 10), F(2)])
     @given(st.lists(st.fractions(min_value=-50, max_value=50,
                                  max_denominator=12), min_size=8, max_size=8))
     def test_mul_matches_fraction_formula(self, entries):
         # any rational entries: det != 1, zero and negative ones included
         a, b, c, d, e, f, g, h = entries
-        assert mat_mul(Mat2Q(a, b, c, d), Mat2Q(e, f, g, h)) == Mat2Q(
+        A = Mat2Q(a, b, c, d)
+        assert mat_mul(A, Mat2Q(e, f, g, h)) == Mat2Q(
             a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        # one value: ints, Fractions and strings all give the lowest-terms
+        # tuple over the least common denominator
+        den = math.lcm(a.denominator, b.denominator, c.denominator,
+                       d.denominator)
+        key = Mat2Q._make(tuple(int(x * den) for x in (a, b, c, d)) + (den,))
+        assert _is_canonical(key.k)
+        ints = [x.numerator if x.denominator == 1 else x for x in (a, b, c, d)]
+        for M in (A, Mat2Q(*ints), Mat2Q(*map(str, (a, b, c, d)))):
+            assert M == key and hash(M) == hash(key)
+            assert M.entries() == (a, b, c, d)
+        det = a * d - b * c
+        assert mat_det(A) == det
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                mat_inv(A)
+        else:
+            assert mat_inv(A) == Mat2Q(d / det, -b / det, -c / det, a / det)
+        for name in ("k", "a11"):
+            with pytest.raises(AttributeError):
+                setattr(A, name, 0)
+        assert A == key
 
 
 class TestTlGenerator:
@@ -268,8 +285,10 @@ class TestPingPong:
         ends = sorted(interval.values())
         assert all(hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
         assert not any(lo <= 0 <= hi for lo, hi in ends)
+        names = tuple(f"x{i}" for i in range(1, len(params) + 1))
+        spec = make_representation(Alphabet(names), tl_params=params)
         assert [(s, F(lo, q), F(hi, q)) for s, lo, hi, q, _ in
-                _peel_table(params)] == [(s, *interval[s]) for s in interval]
+                spec._ping_pong] == [(s, *interval[s]) for s in interval]
 
         maps = {}
         for s in interval:
@@ -346,7 +365,7 @@ class TestKernel:
         assert sorted(table) == sorted(
             s for i in range(1, spec.alphabet.rank + 1) for s in (i, -i))
         for i, M in enumerate(spec.generator_matrices, start=1):
-            assert table[i] == _to_kernel(M)
+            assert table[i] == M.k
             assert _kmul(table[i], table[-i]) == _IDENTITY
             assert _kmul(table[-i], table[i]) == _IDENTITY
 
@@ -361,9 +380,10 @@ class TestKernel:
             mats += [word_to_matrix(spec, random_word(rng, alphabet, 9, 0))
                      for _ in range(40)]
         for M in mats:
-            K = _to_kernel(M)
+            K = M.k
             assert _is_canonical(K)
-            assert _from_kernel(K) == M
+            assert Mat2Q._make(K) == M
+            assert Mat2Q(*M.entries()) == M
 
     @pytest.mark.parametrize("tag", ["int2", "demo4", "rat2"])
     def test_equal_matrices_equal_keys(self, tag):
@@ -381,8 +401,7 @@ class TestKernel:
                                      _IDENTITY)
                     for letters in (w.signed, padded, w.signed + (x, -x))]
             assert all(_is_canonical(K) for K in keys)
-            assert keys[0] == keys[1] == keys[2] == \
-                _to_kernel(word_to_matrix(spec, w))
+            assert keys[0] == keys[1] == keys[2] == word_to_matrix(spec, w).k
 
 
 def _decode_outcome(spec, M, bound):

@@ -272,6 +272,16 @@ class TestKeyFile:
         with pytest.raises(WordSyntaxError):
             parse_key_file(text.replace(old, new))
 
+    def test_seed_outside_64_bits_rejected(self):
+        # a 65-bit seed used to be masked to its low 64 bits, so it encrypted
+        # like another key file and did not round-trip
+        text = (FIXTURES / "key.txt").read_text()
+        for seed in ("1dde04cfe366bd8cb", "-1"):
+            with pytest.raises(PreconditionError):
+                parse_key_file(text.replace("0000000000000000", seed))
+        top = text.replace("0000000000000000", "ffffffffffffffff")
+        assert write_key_file(*parse_key_file(top)) == top
+
     def test_duplicate_alphabet_name(self):
         text = (FIXTURES / "key.txt").read_text()
         with pytest.raises(PreconditionError):
