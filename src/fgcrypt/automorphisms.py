@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     WordSyntaxError,
 )
-from .nielsen import ElementaryMove, parse_moves
+from .nielsen import ElementaryMove, _move, _realization, parse_moves
 from .words import (_MAX_LETTERS, Alphabet, Word, _concat_signed,
                     _invert_signed, _substitute)
 
@@ -87,9 +87,10 @@ def _step(images: list[tuple[int, ...]], factor: Factor,
           inverse: bool = False) -> None:
     """Turn the signed images of a map into those of ``map o factor``, or of
     ``map o factor^-1``, in place, from the factor's definition; untouched
-    images are kept."""
-    q = len(images)
+    images are kept.  Regular factors are the Nielsen moves of
+    :func:`fgcrypt.nielsen._move`."""
     if isinstance(factor, WhiteheadMove):
+        q = len(images)
         a = factor.a
         top = max([a, *factor.L, *factor.R, *factor.M])
         if top > q:
@@ -110,15 +111,7 @@ def _step(images: list[tuple[int, ...]], factor: Factor,
         return
     if factor.kind == "T3":
         raise NotRegularError("T3 is singular; automorphisms are regular only")
-    if not 1 <= factor.i <= q or (factor.kind == "T2" and not 1 <= factor.j <= q):
-        raise IllegalMoveError(f"move {factor} out of range for rank {q}")
-    u = images[factor.i - 1]
-    if factor.kind == "T1":
-        images[factor.i - 1] = _invert_signed(u)
-    else:
-        v = images[factor.j - 1]
-        images[factor.i - 1] = _concat_signed(
-            u, _invert_signed(v) if inverse else v)
+    _move(images, factor, inverse)
 
 
 def _basis(q: int) -> list[tuple[int, ...]]:
@@ -209,16 +202,12 @@ class FactoredAutomorphism:
 
 
 def _invert_factor(factor: Factor) -> list[Factor]:
+    if factor.kind in ("INV", "T1"):
+        return [factor]
     if isinstance(factor, WhiteheadMove):
-        if factor.kind == "INV":
-            return [factor]
         ia = WhiteheadMove("INV", factor.a)
         return [ia, factor, ia]
-    if factor.kind == "T1":
-        return [factor]
-    # (T2)_{i.j}^-1 = (T1)_j (T2)_{i.j} (T1)_j
-    t1j = ElementaryMove("T1", factor.j)
-    return [t1j, factor, t1j]
+    return _realization(factor.i, factor.j, "R", -1)  # u_i -> u_i u_j^-1
 
 
 def identity_automorphism(alphabet: Alphabet) -> FactoredAutomorphism:

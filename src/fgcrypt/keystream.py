@@ -48,7 +48,9 @@ class Prg:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise PreconditionError("PRG seed must be in 0..2^64-1")
+        self.state = seed
 
     def next(self) -> int:
         self.state, out = splitmix64(self.state)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import PreconditionError, SingularMatrixError, WordSyntaxError
 from .nielsen import (GeneratingTuple, _express, _strip_candidates,
                       apply_moves, expand_expression, nielsen_reduce)
-from .words import Alphabet, Word, generators
+from .words import _INTEGER, Alphabet, Word, generators
 
 __all__ = [
     "Mat2Q",
@@ -348,7 +348,7 @@ def format_matrix(M: Mat2Q) -> str:
 
 # entries are [+-]int or [+-]int/int, as written by format_matrix; Fraction's
 # own grammar would also take exponents, so "1e99999999" would cost minutes
-_ENTRY = r"\s*([+-]?[0-9]+(?:/[0-9]+)?)\s*"
+_ENTRY = rf"\s*({_INTEGER}(?:/[0-9]+)?)\s*"
 _MATRIX_RE = re.compile(
     rf"\s*\[\s*\[{_ENTRY},{_ENTRY}\]\s*,\s*\[{_ENTRY},{_ENTRY}\]\s*\]\s*$")
 

@@ -31,7 +31,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .words import (Alphabet, Word, _concat_signed, _invert_signed,
-                    _rank_tuple, _seam, _substitute, concat, parse_word)
+                    _parse_int, _rank_tuple, _seam, _substitute, parse_word)
 
 __all__ = [
     "GeneratingTuple",
@@ -81,12 +81,6 @@ class GeneratingTuple:
     def total_length(self) -> int:
         return sum(len(w) for w in self.elements)
 
-    def replace(self, i: int, w: Word) -> "GeneratingTuple":
-        """New tuple with 1-based entry i replaced by w."""
-        e = list(self.elements)
-        e[i - 1] = w
-        return GeneratingTuple(self.alphabet, tuple(e))
-
     def __str__(self):
         return format_tuple(self)
 
@@ -124,28 +118,40 @@ class ElementaryMove:
         return f"{self.kind} {self.i}"
 
 
-def apply_move(t: GeneratingTuple, m: ElementaryMove) -> GeneratingTuple:
-    n = len(t)
-    if not 1 <= m.i <= n:
-        raise IllegalMoveError(f"index {m.i} out of range for tuple of size {n}")
+def _move(elements: list[tuple[int, ...]], m: ElementaryMove,
+          inverse: bool = False) -> None:
+    """Apply ``m`` in place to a list of signed tuples, or the step of its
+    inverse fold: with ``inverse`` set, T2 right-multiplies by u_j^-1."""
+    n = len(elements)
+    if not 1 <= m.i <= n or (m.kind == "T2" and not 1 <= m.j <= n):
+        raise IllegalMoveError(f"move {m} out of range for tuple of size {n}")
+    u = elements[m.i - 1]
     if m.kind == "T1":
-        return t.replace(m.i, t.elements[m.i - 1].inverse())
-    if m.kind == "T2":
-        if not 1 <= m.j <= n:  # type: ignore[operator]
-            raise IllegalMoveError(f"index {m.j} out of range for tuple of size {n}")
-        return t.replace(m.i, concat(t.elements[m.i - 1], t.elements[m.j - 1]))
-    # T3
-    if not t.elements[m.i - 1].is_identity():
+        elements[m.i - 1] = _invert_signed(u)
+    elif m.kind == "T2":
+        v = elements[m.j - 1]
+        elements[m.i - 1] = _concat_signed(u, _invert_signed(v) if inverse else v)
+    elif u:
         raise IllegalMoveError(f"T3 {m.i}: entry is not the identity")
-    e = list(t.elements)
-    del e[m.i - 1]
-    return GeneratingTuple(t.alphabet, tuple(e))
+    else:
+        del elements[m.i - 1]
+
+
+def _as_tuple(alphabet: Alphabet,
+              elements: Iterable[tuple[int, ...]]) -> GeneratingTuple:
+    return GeneratingTuple(alphabet, tuple(Word._make(alphabet, e)
+                                           for e in elements))
+
+
+def apply_move(t: GeneratingTuple, m: ElementaryMove) -> GeneratingTuple:
+    return apply_moves(t, (m,))
 
 
 def apply_moves(t: GeneratingTuple, moves: Iterable[ElementaryMove]) -> GeneratingTuple:
+    elements = [w.signed for w in t.elements]
     for m in moves:
-        t = apply_move(t, m)
-    return t
+        _move(elements, m)
+    return _as_tuple(t.alphabet, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +331,6 @@ def _find_half_rewrite(elements: Sequence[tuple[int, ...]]):
             return b // 2 + 1, a // 2 + 1, "L", sign, z
         return b // 2 + 1, a // 2 + 1, "R", -sign, _invert_signed(z)
     return None
-
-
-def _as_tuple(alphabet: Alphabet,
-              elements: Iterable[tuple[int, ...]]) -> GeneratingTuple:
-    return GeneratingTuple(alphabet, tuple(Word._make(alphabet, e)
-                                           for e in elements))
 
 
 def nielsen_reduce(t: GeneratingTuple) -> tuple[GeneratingTuple, list[ElementaryMove]]:
@@ -584,13 +584,11 @@ def format_moves(moves: Iterable[ElementaryMove]) -> str:
 
 
 def _parse_move_line(ln: str) -> ElementaryMove:
-    parts = ln.split()
+    kind, *indices = ln.split()
     try:
-        if parts[0] == "T2" and len(parts) == 3:
-            return ElementaryMove("T2", int(parts[1]), int(parts[2]))
-        if parts[0] in ("T1", "T3") and len(parts) == 2:
-            return ElementaryMove(parts[0], int(parts[1]))
-    except ValueError:
+        if len(indices) == (2 if kind == "T2" else 1):
+            return ElementaryMove(kind, *map(_parse_int, indices))
+    except ValueError:  # IllegalMoveError too: unknown kinds, T2 i i, T1 0
         pass
     raise WordSyntaxError(f"bad move line {ln.strip()!r}")
 

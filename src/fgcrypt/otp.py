@@ -152,7 +152,7 @@ def keygen(params: CipherPublicParams, prg: Prg) -> CipherPrivateKey:
             length = _MIN_LEN + prg.next() % (_MAX_LEN - _MIN_LEN + 1)
             words.append(_random_word(prg, params.alphabet, length))
         reduced, _ = nielsen_reduce(GeneratingTuple(params.alphabet, tuple(words)))
-        if len(reduced) != n or not is_nielsen_reduced(reduced):
+        if len(reduced) != n:
             continue
         basis = _level_minimum(reduced)
         alpha = prg.next() % params.lcg.modulus

@@ -92,10 +92,11 @@ class Alphabet:
         return " ".join(self.names)
 
 
-def _as_signed(letter: int) -> int:
-    if isinstance(letter, int) and letter != 0:
+def _as_signed(letter: int, q: int) -> int:
+    """A raw letter, checked before free reduction can cancel it."""
+    if isinstance(letter, int) and letter and -q <= letter <= q:
         return letter
-    raise InvalidLetterError(f"not a letter: {letter!r}")
+    raise InvalidLetterError(f"not a letter of rank {q}: {letter!r}")
 
 
 class Word:
@@ -109,9 +110,9 @@ class Word:
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         object.__setattr__(self, "alphabet", alphabet)
-        reduced = _reduce_signed(_as_signed(l) for l in letters)
-        _check_range(reduced, alphabet)
-        object.__setattr__(self, "signed", reduced)
+        q = alphabet.rank
+        object.__setattr__(self, "signed",
+                           _reduce_signed(_as_signed(l, q) for l in letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -178,14 +179,6 @@ def _reduce_signed(seq: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(s)
     return tuple(out)
-
-
-def _check_range(signed: Sequence[int], alphabet: Alphabet) -> None:
-    q = alphabet.rank
-    for s in signed:
-        if not 1 <= abs(s) <= q:
-            raise InvalidLetterError(
-                f"letter index {abs(s)} out of range 1..{q}")
 
 
 def _rank_tuple(signed: Sequence[int]) -> tuple[int, ...]:
@@ -276,6 +269,7 @@ def ball_size(q: int, radius: int) -> int:
 # ---------------------------------------------------------------------------
 # Textual form.  Grammar:  word := "1" | unit (" " unit)* ;
 #                          unit := name ("^" nonzero-integer)?
+# with integer := [+-]?[0-9]+ (ASCII digits only).
 # Any whitespace separates units.  A text is read in one pass: each unit is
 # cancelled against the reduced word so far, and the letter cap counts units
 # as spelled, before free reduction.  Canonical output merges runs of a
@@ -283,6 +277,19 @@ def ball_size(q: int, radius: int) -> int:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
+
+# exponents, move indices and matrix entries are ASCII decimals: int() alone
+# would also read "1_0" as 10 and Arabic-Indic digits as their values
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER)
+
+
+def _parse_int(text: str) -> int:
+    """int() restricted to ``_INTEGER``; raises ValueError as int() does."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
 
 # letters a word text may spell before free reduction; alice_keygen(n=32) on
 # the bundled pubkey demo yields 9.7M letters
@@ -301,6 +308,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     cap = _MAX_LETTERS
     spelled = 0
     out: list[int] = []
+    exps: dict[str, int] = {}  # each distinct exponent text is read once
     for k, unit in enumerate(units):
         idx = index.get(unit)
         if idx is not None:  # a bare name
@@ -314,11 +322,13 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                         "'1' cannot be mixed with other units", _position(text, k))
                 raise WordSyntaxError(f"unknown generator {name!r}",
                                       _position(text, k))
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise WordSyntaxError(f"bad exponent {exp_text!r}",
-                                      _position(text, k)) from None
+            exp = exps.get(exp_text)
+            if exp is None:
+                try:
+                    exp = exps[exp_text] = _parse_int(exp_text)
+                except ValueError:
+                    raise WordSyntaxError(f"bad exponent {exp_text!r}",
+                                          _position(text, k)) from None
             if exp == 0:
                 raise WordSyntaxError("exponent must be nonzero",
                                       _position(text, k))

@@ -14,6 +14,8 @@ from fgcrypt import (
     FactoredAutomorphism,
     Word,
     WhiteheadMove,
+    apply_move,
+    apply_moves,
     canonical_minimal_basis,
     concat,
     derive_automorphism,
@@ -109,6 +111,28 @@ def factor_lists(draw):
     q = draw(st.integers(2, 4))
     fs = draw(st.lists(st.sampled_from(factor_pool(q)), max_size=14))
     return Alphabet(tuple("abcd"[:q])), fs
+
+
+@st.composite
+def regular_move_lists(draw):
+    """A rank 2-4 alphabet and a list of its T1 and T2 moves."""
+    q = draw(st.integers(2, 4))
+    moves = [f for f in factor_pool(q) if isinstance(f, ElementaryMove)]
+    return Alphabet(tuple("abcd"[:q])), draw(st.lists(st.sampled_from(moves),
+                                                      max_size=14))
+
+
+@st.composite
+def lists_with_out_of_range_move(draw):
+    """A regular move list with one T1 or T2 naming index q + 1 inserted;
+    returns the alphabet, that move and the list."""
+    alphabet, moves = draw(regular_move_lists())
+    q, k = alphabet.rank, draw(st.integers(1, alphabet.rank))
+    bad = draw(st.sampled_from([ElementaryMove("T1", q + 1),
+                                ElementaryMove("T2", k, q + 1),
+                                ElementaryMove("T2", q + 1, k)]))
+    pos = draw(st.integers(0, len(moves)))
+    return alphabet, bad, moves[:pos] + [bad] + moves[pos:]
 
 
 class ScriptedPrg:
@@ -449,6 +473,37 @@ class TestSampler:
         assert len(f.factors) == 7
 
 
+class TestMoveEngine:
+    """Tuple moves and the automorphism fold share one move engine: moving
+    the generators gives the automorphism's images, and moving them by the
+    inverse's factors gives the inverse's images."""
+
+    @given(regular_move_lists())
+    def test_tuple_moves_are_automorphism_images(self, case):
+        alphabet, moves = case
+        start = GeneratingTuple(alphabet, generators(alphabet))
+        f = from_factors(moves, alphabet)
+        moved = apply_moves(start, moves)
+        assert moved.elements == f.images
+        inv = f.inverse()
+        assert apply_moves(start, inv.factors).elements == inv.images
+        assert apply_moves(moved, inv.factors).elements == generators(alphabet)
+
+    @given(lists_with_out_of_range_move())
+    def test_out_of_range_move_raises_everywhere(self, case):
+        alphabet, bad, moves = case
+        start = GeneratingTuple(alphabet, generators(alphabet))
+        with pytest.raises(IllegalMoveError):
+            apply_move(start, bad)
+        with pytest.raises(IllegalMoveError):
+            apply_moves(start, moves)
+        with pytest.raises(IllegalMoveError):
+            from_factors(moves, alphabet)
+        built = FactoredAutomorphism(alphabet, tuple(moves), generators(alphabet))
+        with pytest.raises(IllegalMoveError):
+            built.inverse()
+
+
 class TestFactorErrors:
     @pytest.mark.parametrize("factor", [
         WhiteheadMove("INV", 3),
@@ -490,7 +545,8 @@ class TestText:
         assert "W b ; L = a ; R = d ; M = b c" in text
 
     @pytest.mark.parametrize("text", ["T1 x", "T2 1", "T2 1 1", "T1 0", "T4 1",
-                                      "W a ; L = b", "INV"])
+                                      "W a ; L = b", "INV", "T2 1_0 2",
+                                      "T1 \u0663", "T2 1 \u0662"])
     def test_malformed_lines(self, text):
         with pytest.raises(WordSyntaxError):
             parse_automorphism(text, ABCD)

@@ -91,6 +91,14 @@ class TestPrg:
         assert [prg.next() for _ in range(3)] == [
             0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(PreconditionError):
+            Prg(seed)
+
+    def test_seed_bounds_accepted(self):
+        assert Prg((1 << 64) - 1).next() == splitmix64((1 << 64) - 1)[1]
+
     def test_stateless_step(self):
         state, out = splitmix64(0)
         assert out == 0xE220A8397B1DCDAF

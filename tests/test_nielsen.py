@@ -23,7 +23,8 @@ from fgcrypt import (
     same_subgroup_by_membership,
     subgroup_membership,
 )
-from fgcrypt.errors import CapExceededError, IllegalMoveError, PreconditionError
+from fgcrypt.errors import (CapExceededError, IllegalMoveError,
+                            PreconditionError, WordSyntaxError)
 
 from conftest import random_tuple, random_word, subgroup_ball
 
@@ -68,6 +69,13 @@ class TestMoves:
             apply_move(t(AB, "a"), ElementaryMove("T1", 2))
         with pytest.raises(IllegalMoveError):
             ElementaryMove("T2", 1, 1)
+
+    @pytest.mark.parametrize("line", ["T2 1_0 2", "T2 1 \u0662", "T1 \u0661",
+                                      "T3 1_1", "T1 +-1", "T1 1.0",
+                                      "T1 " + "9" * 5000])
+    def test_move_indices_are_ascii_decimals(self, line):
+        with pytest.raises(WordSyntaxError):
+            parse_moves(line)
 
     def test_move_text_round_trip(self):
         moves = [ElementaryMove("T1", 2), ElementaryMove("T2", 1, 3),

@@ -103,6 +103,12 @@ class TestFreeReduce:
         with pytest.raises(InvalidLetterError):
             Word(AB, [3])
 
+    @pytest.mark.parametrize("raw", [[3, -3], [1, 7, -7], [-3, 3, 2]])
+    def test_out_of_range_checked_before_reduction(self, raw):
+        # letters that would cancel are still not letters of the alphabet
+        with pytest.raises(InvalidLetterError):
+            Word(AB, raw)
+
     @pytest.mark.parametrize("letter", [0, "a", 1.0, None])
     def test_non_letters_rejected(self, letter):
         with pytest.raises(InvalidLetterError):
@@ -245,7 +251,10 @@ class TestText:
             parse_word("a q^2", AB)
         assert err.value.position == 2
 
-    @pytest.mark.parametrize("bad", ["", "a^0", "a^x", "1 a", "a 1"])
+    @pytest.mark.parametrize("bad", ["", "a^0", "a^x", "1 a", "a 1",
+                                     "a^1_0", "b a^-1_0", "a^\u0663",
+                                     "a^\uff13", "a^ 2", "a^+-2", "a^",
+                                     "a^" + "9" * 5000])
     def test_syntax_errors(self, bad):
         with pytest.raises(WordSyntaxError):
             parse_word(bad, AB)
