@@ -19,7 +19,8 @@ from . import otp
 from . import pubkey as pk
 from .errors import FgError
 from .keystream import AutFamily, LcgParams, Prg, has_max_period, keystream
-from .words import Alphabet, format_word, parse_kv_lines, parse_word
+from .words import (Alphabet, _parse_int, format_word, parse_kv_lines,
+                    parse_word)
 
 
 class UsageError(Exception):
@@ -36,7 +37,7 @@ def _alphabet(text: str) -> Alphabet:
 
 
 def _seed(text: str) -> int:
-    seed = int(text, 16)
+    seed = _parse_int(text, 16)
     if not 0 <= seed < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed {text!r} is not in 0..2^64-1")
     return seed
@@ -82,9 +83,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--plaintext-alphabet", required=True)
     sp.add_argument("--seed", type=_seed, required=True, help="hex64")
-    sp.add_argument("--modulus-exponent", type=int, default=128)
-    sp.add_argument("--beta", type=int, default=5)
-    sp.add_argument("--gamma", type=int, default=3)
+    sp.add_argument("--modulus-exponent", type=_parse_int, default=128)
+    sp.add_argument("--beta", type=_parse_int, default=5)
+    sp.add_argument("--gamma", type=_parse_int, default=3)
     sp.add_argument("--out", default=None)
 
     for name in ("otp-encrypt", "otp-decrypt"):
@@ -97,31 +98,31 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("otp-table", help="emit the N x z cipher table")
     sp.add_argument("--key", required=True)
-    sp.add_argument("--positions", type=int, required=True)
+    sp.add_argument("--positions", type=_parse_int, required=True)
     sp.add_argument("--aut", action="append", default=[])
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("pubkey-keygen", help="publish c = f^n(a)")
     sp.add_argument("--params", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_parse_int, required=True)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("pubkey-encrypt")
     sp.add_argument("--params", required=True)
     sp.add_argument("--public", required=True, help="file holding c")
     sp.add_argument("--message", required=True)
-    sp.add_argument("--t", type=int, required=True)
+    sp.add_argument("--t", type=_parse_int, required=True)
     sp.add_argument("--matrix", action="store_true")
     sp.add_argument("--rep-preset", default="default")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("pubkey-decrypt")
     sp.add_argument("--params", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_parse_int, required=True)
     sp.add_argument("--pair", required=True)
     sp.add_argument("--matrix", action="store_true")
     sp.add_argument("--rep-preset", default="default")
-    sp.add_argument("--max-len", type=int, default=32)
+    sp.add_argument("--max-len", type=_parse_int, default=32)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("nielsen-reduce")
@@ -154,23 +155,23 @@ def build_parser() -> _Parser:
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--preset", default="default")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--max-len", type=int, default=16)
+    sp.add_argument("--max-len", type=_parse_int, default=16)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("attack")
     sp.add_argument("--alphabet", required=True)
-    sp.add_argument("--ball-radius", type=int, required=True)
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--subset-size", type=int, required=True)
-    sp.add_argument("--max-subsets", type=int, default=None)
+    sp.add_argument("--ball-radius", type=_parse_int, required=True)
+    sp.add_argument("--rank", type=_parse_int, required=True)
+    sp.add_argument("--subset-size", type=_parse_int, required=True)
+    sp.add_argument("--max-subsets", type=_parse_int, default=None)
     sp.add_argument("--planted", default=None, help="tuple file with the true key")
     sp.add_argument("--estimate-only", action="store_true")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("lcg-check")
-    sp.add_argument("--modulus-exponent", type=int, required=True)
-    sp.add_argument("--beta", type=int, required=True)
-    sp.add_argument("--gamma", type=int, required=True)
+    sp.add_argument("--modulus-exponent", type=_parse_int, required=True)
+    sp.add_argument("--beta", type=_parse_int, required=True)
+    sp.add_argument("--gamma", type=_parse_int, required=True)
 
     return p
 
@@ -215,13 +216,10 @@ def _cmd_otp_table(args) -> None:
 def _load_pubkey_params(args) -> pk.PubkeyParams:
     params_path = Path(args.params)
     text = params_path.read_text()
-    kv = parse_kv_lines(text)
-    if "aut_file" not in kv:
-        raise UsageError("params file is missing 'aut_file = ...'")
+    kv = parse_kv_lines(text, ("alphabet", "aut_file"))
     aut_text = (params_path.parent / kv["aut_file"]).read_text()
     rep = None
-    # without an alphabet line parse_params_file reports the missing line
-    if getattr(args, "matrix", False) and "alphabet" in kv:
+    if getattr(args, "matrix", False):
         rep = _rep_for(_alphabet(kv["alphabet"]), args.rep_preset)
     return pk.parse_params_file(text, aut_text, rep=rep)
 

@@ -13,8 +13,8 @@ import hashlib
 from dataclasses import dataclass
 
 from .automorphisms import FactoredAutomorphism, random_whitehead_automorphism
-from .errors import PreconditionError, WordSyntaxError
-from .words import Alphabet, parse_kv_lines
+from .errors import PreconditionError
+from .words import Alphabet, _parse_int, parse_kv_lines
 
 __all__ = [
     "LcgParams",
@@ -145,12 +145,7 @@ def format_lcg_lines(p: LcgParams, seed: int) -> str:
 
 
 def parse_lcg_lines(text: str) -> tuple[LcgParams, int]:
-    kv = parse_kv_lines(text)
-    try:
-        params = LcgParams(int(kv["m"]), int(kv["beta"]), int(kv["gamma"]))
-        seed = int(kv["seed"], 16)
-    except KeyError as missing:
-        raise WordSyntaxError(f"missing LCG line {missing}") from None
-    except ValueError as bad:
-        raise WordSyntaxError(f"bad LCG value: {bad}") from None
-    return params, seed
+    kv = parse_kv_lines(text, ("m", "beta", "gamma", "seed"))
+    params = LcgParams(_parse_int(kv["m"]), _parse_int(kv["beta"]),
+                       _parse_int(kv["gamma"]))
+    return params, _parse_int(kv["seed"], 16)

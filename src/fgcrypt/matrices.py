@@ -139,19 +139,17 @@ class RepSpec:
 
     Derived: ``generator_matrices``, the kernel tuples of them and of their
     inverses (one table per spec, read by every evaluation); for
-    ``gen_words`` specs also ``basis``, the Nielsen reduced basis of H, and
-    ``basis_words``, the words v_i over the alphabet with
-    basis_i = v_i(gen_words), which carry a decoded auxiliary word back to
-    the alphabet's own letters.  The basis is checked and its membership
-    strips are built here, once per spec."""
+    ``gen_words`` specs also ``basis_words``, the words v_i over the
+    alphabet with basis_i = v_i(gen_words) for the Nielsen reduced basis
+    of H, which carry a decoded auxiliary word back to the alphabet's own
+    letters.  The basis is checked and its membership strips are built
+    here, once per spec."""
 
     alphabet: Alphabet
     tl_params: tuple[Fraction, ...]
     gen_words: Optional[tuple[Word, ...]] = None
     generator_matrices: tuple[Mat2Q, ...] = field(init=False, repr=False,
                                                   compare=False)
-    basis: Optional[GeneratingTuple] = field(init=False, repr=False,
-                                             compare=False)
     basis_words: Optional[GeneratingTuple] = field(init=False, repr=False,
                                                    compare=False)
     _letters: dict = field(init=False, repr=False, compare=False)
@@ -161,7 +159,7 @@ class RepSpec:
     def __post_init__(self):
         params = tuple(Fraction(r) for r in self.tl_params)
         _check_tl_params(params)
-        gen_words, basis, basis_words, strips = self.gen_words, None, None, None
+        gen_words, basis_words, strips = self.gen_words, None, None
         if gen_words is None:
             if len(params) != self.alphabet.rank:
                 raise PreconditionError("need one parameter per generator")
@@ -187,7 +185,7 @@ class RepSpec:
         ping_pong = (_peel_table(params, letters) if gen_words is None
                      else family._ping_pong)  # the family's own table
         for name, value in (("tl_params", params), ("gen_words", gen_words),
-                            ("generator_matrices", mats), ("basis", basis),
+                            ("generator_matrices", mats),
                             ("basis_words", basis_words),
                             ("_letters", letters), ("_ping_pong", ping_pong),
                             ("_strips", strips)):

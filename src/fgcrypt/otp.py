@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .automorphisms import FactoredAutomorphism
-from .errors import DecryptionError, EncodingError, PreconditionError, WordSyntaxError
+from .errors import (CapExceededError, DecryptionError, EncodingError,
+                     PreconditionError, WordSyntaxError)
 from .keystream import (
     AutFamily,
     LcgParams,
@@ -32,7 +33,8 @@ from .nielsen import (
     nielsen_reduce,
     parse_tuple,
 )
-from .words import Alphabet, Word, format_word, parse_kv_lines, parse_word
+from .words import (Alphabet, Word, _parse_int, format_word, parse_kv_lines,
+                    parse_word)
 
 __all__ = [
     "CipherPublicParams",
@@ -139,12 +141,19 @@ def _random_word(prg: Prg, alphabet: Alphabet, length: int) -> Word:
     return Word(alphabet, letters)
 
 
-# basis word lengths, and the tuples keygen draws before it gives up
-_MIN_LEN, _MAX_LEN, _MAX_ATTEMPTS = 2, 8, 10000
+# basis word lengths, the tuples keygen draws before it gives up, and the
+# level size past which it draws a fresh tuple
+_MIN_LEN, _MAX_LEN, _MAX_ATTEMPTS, _LEVEL_BUDGET = 2, 8, 10000, 10_000
 
 
 def keygen(params: CipherPublicParams, prg: Prg) -> CipherPrivateKey:
-    """Sample a canonical Nielsen reduced basis of rank N plus a start class."""
+    """Sample a canonical Nielsen reduced basis of rank N plus a start class.
+
+    A drawn tuple whose level holds more than ``_LEVEL_BUDGET`` tuples is
+    dropped and a fresh one drawn, so such subgroups never become keys.
+    That is the bias of the key distribution: at rank 4 over the seeds
+    0..9999 it dropped 0 of 10 000 full-rank draws at N=5 and 65 of
+    10 065 (0.65%) at N=7."""
     n = params.n_symbols
     for _ in range(_MAX_ATTEMPTS):
         words = []
@@ -154,7 +163,10 @@ def keygen(params: CipherPublicParams, prg: Prg) -> CipherPrivateKey:
         reduced, _ = nielsen_reduce(GeneratingTuple(params.alphabet, tuple(words)))
         if len(reduced) != n:
             continue
-        basis = _level_minimum(reduced)
+        try:
+            basis = _level_minimum(reduced, _LEVEL_BUDGET)
+        except CapExceededError:
+            continue
         alpha = prg.next() % params.lcg.modulus
         key = CipherPrivateKey(basis, alpha)
         key.validate(params)
@@ -311,15 +323,9 @@ def write_key_file(params: CipherPublicParams, key: CipherPrivateKey) -> str:
 
 
 def parse_key_file(text: str) -> tuple[CipherPublicParams, CipherPrivateKey]:
-    kv = parse_kv_lines(text)
-    for field_name in ("alphabet", "N", "plaintext_alphabet", "alpha"):
-        if field_name not in kv:
-            raise WordSyntaxError(f"key file is missing '{field_name} = ...'")
+    kv = parse_kv_lines(text, ("alphabet", "N", "plaintext_alphabet", "alpha"))
     lcg, seed = parse_lcg_lines(text)
-    try:
-        n, alpha = int(kv["N"]), int(kv["alpha"])
-    except ValueError as bad:
-        raise WordSyntaxError(f"bad key file value: {bad}") from None
+    n, alpha = _parse_int(kv["N"]), _parse_int(kv["alpha"])
     alphabet = Alphabet(tuple(kv["alphabet"].split()))
     fam = AutFamily(seed, alphabet, lcg.m)
     params = CipherPublicParams(alphabet, tuple(kv["plaintext_alphabet"].split()),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .automorphisms import FactoredAutomorphism, parse_automorphism
-from .errors import DecryptionError, PreconditionError, WordSyntaxError
+from .errors import DecryptionError, PreconditionError
 from .matrices import (Mat2Q, RepSpec, format_matrix, mat_mul, matrix_to_word,
                        parse_matrix, word_to_matrix)
 from .words import (Alphabet, Word, concat, format_word, parse_kv_lines,
@@ -140,9 +140,7 @@ def write_pair_file(pair: CipherPair) -> str:
 
 
 def parse_pair_file(text: str, alphabet: Alphabet, matrix: bool = False) -> CipherPair:
-    kv = parse_kv_lines(text)
-    if "c1" not in kv or "c2" not in kv:
-        raise WordSyntaxError("pair file needs 'c1 = ...' and 'c2 = ...'")
+    kv = parse_kv_lines(text, ("c1", "c2"))
     c1 = parse_matrix(kv["c1"]) if matrix else parse_word(kv["c1"], alphabet)
     return CipherPair(c1, parse_word(kv["c2"], alphabet))
 
@@ -151,10 +149,7 @@ def parse_params_file(text: str, aut_text: str,
                       rep: Optional[RepSpec] = None) -> PubkeyParams:
     """Assemble parameters from a params file plus the referenced
     automorphism file's text (the caller resolves the path)."""
-    kv = parse_kv_lines(text)
-    for field_name in ("alphabet", "a"):
-        if field_name not in kv:
-            raise WordSyntaxError(f"params file is missing '{field_name} = ...'")
+    kv = parse_kv_lines(text, ("alphabet", "a"))
     alphabet = Alphabet(tuple(kv["alphabet"].split()))
     a = parse_word(kv["a"], alphabet)
     f = parse_automorphism(aut_text, alphabet)

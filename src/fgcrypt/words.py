@@ -278,17 +278,19 @@ def ball_size(q: int, radius: int) -> int:
 
 _TOKEN = re.compile(r"\S+")
 
-# exponents, move indices and matrix entries are ASCII decimals: int() alone
-# would also read "1_0" as 10 and Arabic-Indic digits as their values
+# int() alone would also read "1_0" as 10, " 7" as 7, "0x10" in base 16 and
+# Arabic-Indic digits as their values
 _INTEGER = r"[+-]?[0-9]+"
-_INTEGER_RE = re.compile(_INTEGER)
+_INTEGER_RES = {10: re.compile(_INTEGER), 16: re.compile(r"[+-]?[0-9a-fA-F]+")}
 
 
-def _parse_int(text: str) -> int:
-    """int() restricted to ``_INTEGER``; raises ValueError as int() does."""
-    if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+def _parse_int(text: str, base: int = 10) -> int:
+    """The only reader of integers in text fields and flags: ASCII digits
+    after an optional sign, hex digits in base 16 (seeds).  Anything else
+    raises WordSyntaxError, a ValueError."""
+    if not _INTEGER_RES[base].fullmatch(text):
+        raise WordSyntaxError(f"not a base-{base} integer: {text!r}")
+    return int(text, base)
 
 
 # letters a word text may spell before free reduction; alice_keygen(n=32) on
@@ -372,12 +374,16 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-# Key, params and pair files: "key = value" lines.  Blank lines, "#"
-# comments and lines without "=" (such as a tuple block) are skipped.
-def parse_kv_lines(text: str) -> dict[str, str]:
+def parse_kv_lines(text: str, required: Iterable[str]) -> dict[str, str]:
+    """The "key = value" lines of a key, params or pair file.  Blank lines,
+    "#" comments and lines without "=" (such as a tuple block) are skipped;
+    the first ``required`` key without a line raises WordSyntaxError."""
     out: dict[str, str] = {}
     for ln in text.splitlines():
         key, sep, value = ln.strip().partition("=")
         if sep and not key.startswith("#"):
             out[key.strip()] = value.strip()
+    for key in required:
+        if key not in out:
+            raise WordSyntaxError(f"missing '{key} = ...' line")
     return out

@@ -47,3 +47,30 @@ def test_traced_names_exist():
         else:
             cls, method = path
             assert method in vars(getattr(mod, cls)), name
+
+
+def test_one_integer_reader():
+    """Every integer read from a file field or a flag goes through
+    ``words._parse_int``: no other code in the package calls ``int(...)``
+    or gives argparse ``type=int``, both of which accept "1_0", " 7" and
+    non-ASCII digits."""
+    found = []
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "words.py":
+            reader = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == "_parse_int")
+            allowed = {id(node) for node in ast.walk(reader)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "int"):
+                found.append(f"{path.name}:{node.lineno}: int(...)")
+            if (isinstance(node, ast.keyword) and node.arg == "type"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "int"):
+                found.append(f"{path.name}:{node.value.lineno}: type=int")
+    assert found == []

@@ -89,6 +89,10 @@ GRAMMARS = {
                     ["otp-decrypt", "--key", "{file}", "--in",
                      str(OTP / "ciphertext.txt")]),
     "pubkey-decrypt": (WORD_PAIR, ["pubkey-decrypt"] + PUBKEY),
+    # the mutated file is the params file: its aut_file = f.aut resolves
+    # inside the work directory
+    "pubkey-keygen": ((PUB / "params.txt").read_text(),
+                      ["pubkey-keygen", "--params", "{file}", "--n", "2"]),
     "pubkey-decrypt-matrix": (MATRIX_PAIR,
                               ["pubkey-decrypt", "--matrix"] + PUBKEY),
     "rep-decode": ("[[-2, 3],[1, -2]]",
@@ -105,7 +109,7 @@ def workdir():
         yield Path(d)
 
 
-# 40 examples per grammar (280 runs, about 10 s on a 2-vCPU machine) keep
+# 100 examples per grammar (800 runs, about 8 s on a 2-vCPU machine) keep
 # the suite's time reasonable; the @example rows pin the inputs that crashed
 # before every grammar went through one wrapped parser.  The deadline is far
 # above the slowest seen example (otp-decrypt, well under 0.2 s) so only a

@@ -90,6 +90,16 @@ class TestKeygen:
         params, key, _ = demo_setup()
         key.validate(params)  # Nielsen reduced, 12 entries, no identity
 
+    def test_level_past_budget_is_redrawn(self):
+        # the README setup at N=7: Prg(1792) first draws a tuple whose level
+        # holds more than 200 000 tuples, which used to raise after ~12 s
+        lcg = LcgParams(64, 5, 3)
+        params = CipherPublicParams(ABCD, tuple("HELOWRD"),
+                                    AutFamily(0x1234, ABCD, 64), lcg)
+        key = keygen(params, Prg(1792))
+        key.validate(params)
+        assert key.basis.elements == canonical_minimal_basis(key.basis).elements
+
     def test_rejects_bad_keys(self):
         params = small_params()
         bad = CipherPrivateKey(GeneratingTuple(
