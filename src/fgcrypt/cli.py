@@ -61,10 +61,11 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _load_auts(paths, alphabet):
-    if not paths:
-        return None
-    return [am.parse_automorphism(_read(p), alphabet) for p in paths]
+def _load_key(args):
+    """The key file's parameters and key, and the --aut overrides or None."""
+    params, key = otp.parse_key_file(_read(args.key))
+    auts = [am.parse_automorphism(_read(p), params.alphabet) for p in args.aut]
+    return params, key, auts or None
 
 
 def _rep_for(alphabet: Alphabet, preset: str) -> mx.RepSpec:
@@ -187,24 +188,21 @@ def _cmd_otp_keygen(args) -> None:
 
 
 def _cmd_otp_encrypt(args) -> None:
-    params, key = otp.parse_key_file(_read(args.key))
-    auts = _load_auts(args.aut, params.alphabet)
+    params, key, auts = _load_key(args)
     message = _read(args.infile).rstrip("\n")
     ct = otp.encrypt(params, key, message, automorphisms=auts)
     _write(args.out, otp.format_ciphertext(ct))
 
 
 def _cmd_otp_decrypt(args) -> None:
-    params, key = otp.parse_key_file(_read(args.key))
-    auts = _load_auts(args.aut, params.alphabet)
+    params, key, auts = _load_key(args)
     ct = otp.parse_ciphertext(_read(args.infile), params.alphabet)
     symbols = otp.decrypt(params, key, ct, automorphisms=auts)
     _write(args.out, "".join(symbols))
 
 
 def _cmd_otp_table(args) -> None:
-    params, key = otp.parse_key_file(_read(args.key))
-    auts = _load_auts(args.aut, params.alphabet)
+    params, key, auts = _load_key(args)
     indices = keystream(params.lcg, key.alpha, args.positions)
     table = otp.build_cipher_table(params, key, indices, automorphisms=auts)
     lines = [f"columns = {' '.join(str(x) for x in indices)}"]
@@ -216,6 +214,7 @@ def _cmd_otp_table(args) -> None:
 def _load_pubkey_params(args) -> pk.PubkeyParams:
     params_path = Path(args.params)
     text = params_path.read_text()
+    # the representation needs the alphabet before the params are assembled
     kv = parse_kv_lines(text, ("alphabet", "aut_file"))
     aut_text = (params_path.parent / kv["aut_file"]).read_text()
     rep = None
@@ -332,13 +331,8 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -148,7 +148,7 @@ def parse_pair_file(text: str, alphabet: Alphabet, matrix: bool = False) -> Ciph
 def parse_params_file(text: str, aut_text: str,
                       rep: Optional[RepSpec] = None) -> PubkeyParams:
     """Assemble parameters from a params file plus the referenced
-    automorphism file's text (the caller resolves the path)."""
+    automorphism file's text; the caller checks and resolves aut_file."""
     kv = parse_kv_lines(text, ("alphabet", "a"))
     alphabet = Alphabet(tuple(kv["alphabet"].split()))
     a = parse_word(kv["a"], alphabet)

@@ -290,7 +290,10 @@ def _parse_int(text: str, base: int = 10) -> int:
     raises WordSyntaxError, a ValueError."""
     if not _INTEGER_RES[base].fullmatch(text):
         raise WordSyntaxError(f"not a base-{base} integer: {text!r}")
-    return int(text, base)
+    try:
+        return int(text, base)
+    except ValueError:  # more decimal digits than sys.get_int_max_str_digits()
+        raise WordSyntaxError(f"integer has {len(text)} digits") from None
 
 
 # letters a word text may spell before free reduction; alice_keygen(n=32) on

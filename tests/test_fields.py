@@ -26,6 +26,9 @@ LCG = format_lcg_lines(LcgParams(64, 5, 3), 0x1234)
 # int() reads each of these: underscores, non-ASCII digits, a base prefix
 # (with base 16) and surrounding spaces
 BAD_INTEGERS = ["1_0", "٣", "0x10", " 7"]
+# past sys.get_int_max_str_digits() decimal digits int() raises a plain
+# ValueError, which must reach the CLI as a syntax error too
+LONG = "9" * 5000
 
 
 def _params():
@@ -76,6 +79,23 @@ def test_lcg_integer_fields(key, bad):
         parse_lcg_lines(_set(LCG, key, bad))
 
 
+@pytest.mark.parametrize("key", ["N", "alpha", "m", "beta", "gamma"])
+def test_key_file_overlong_integer(key, tmp_path, capsys):
+    text = _set(KEY, key, LONG)
+    with pytest.raises(WordSyntaxError, match="integer has 5000 digits"):
+        parse_key_file(text)
+    (tmp_path / "key.txt").write_text(text)
+    assert run(["otp-encrypt", "--key", str(tmp_path / "key.txt"),
+                "--in", str(MESSAGE)]) == 2
+    assert capsys.readouterr().err == "error: integer has 5000 digits\n"
+
+
+@pytest.mark.parametrize("key", ["m", "beta", "gamma"])
+def test_lcg_overlong_integer(key):
+    with pytest.raises(WordSyntaxError, match="integer has 5000 digits"):
+        parse_lcg_lines(_set(LCG, key, LONG))
+
+
 # (flag, an argv in which the flag's value is {v}); files are never read,
 # because the flag fails while the arguments are parsed
 _FLAGS = {
@@ -119,7 +139,7 @@ _FLAGS = {
 @pytest.mark.parametrize("flag", sorted(_FLAGS))
 def test_integer_flags_exit_1(flag, capsys):
     option = flag.split()[-1]
-    for bad in BAD_INTEGERS:
+    for bad in BAD_INTEGERS + [LONG]:
         argv = [a.format(v=bad) for a in _FLAGS[flag]]
         assert run(argv) == 1, (flag, bad)
         err = capsys.readouterr().err

@@ -30,11 +30,13 @@ from fgcrypt import (
     write_key_file,
 )
 from fgcrypt.errors import (
+    CapExceededError,
     DecryptionError,
     EncodingError,
     PreconditionError,
     WordSyntaxError,
 )
+from fgcrypt.nielsen import _level_minimum, nielsen_reduce, parse_tuple
 from fgcrypt.otp import check_polyalphabetic
 
 FIXTURES = Path(__file__).parent / "fixtures" / "otp_demo"
@@ -99,6 +101,16 @@ class TestKeygen:
         key = keygen(params, Prg(1792))
         key.validate(params)
         assert key.basis.elements == canonical_minimal_basis(key.basis).elements
+
+    def test_budget_drops_only_larger_levels(self):
+        # the level of (a b, b c, a c) holds 16 tuples: a budget of 16 walks
+        # it and 15 drops it, so keygen keeps levels of _LEVEL_BUDGET tuples
+        t = parse_tuple("begin tuple\na b\nb c\na c\nend tuple",
+                        Alphabet(("a", "b", "c")))
+        reduced, _ = nielsen_reduce(t)
+        _level_minimum(reduced, 16)
+        with pytest.raises(CapExceededError, match="exceeded 15 tuples"):
+            _level_minimum(reduced, 15)
 
     def test_rejects_bad_keys(self):
         params = small_params()
