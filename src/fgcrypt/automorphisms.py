@@ -4,10 +4,10 @@ A factor is either a regular elementary move (T1/T2 by index) or a
 Whitehead move (a single-generator inversion, or the four-case multiplier
 map).  Factor sequences are applied left to right at the tuple level, which
 makes the composite map equal to the leftmost factor applied outermost:
-``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds and inverses run on
-signed image tuples through the kernel in :mod:`fgcrypt.words`, one step per
-factor, and wrap each final image in a ``Word`` once; an inverse is never
-solved from the images and keeps the factor-wise inverse list
+``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds run on signed image
+tuples through the kernel in :mod:`fgcrypt.words`, one step per factor, and
+wrap each final image in a ``Word`` once.  An inverse is never solved from
+the images: they are the fold of the factor-wise inverse list
 (W^-1 = INV W INV).  Applying, composing and powers are kernel substitutions
 of images; a power substitutes signed tuples once per exponent step and also
 wraps only its final images.  This module does no free reduction of its own.
@@ -59,11 +59,8 @@ class WhiteheadMove:
     M: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "L", frozenset(self.L))
-        object.__setattr__(self, "R", frozenset(self.R))
-        object.__setattr__(self, "M", frozenset(self.M))
-        if self.a < 1:
-            raise IllegalMoveError("generator index must be >= 1")
+        for part in ("L", "R", "M"):
+            object.__setattr__(self, part, frozenset(getattr(self, part)))
         if self.kind == "INV":
             if self.L or self.R or self.M:
                 raise IllegalMoveError("INV carries no letter sets")
@@ -83,35 +80,26 @@ class WhiteheadMove:
 Factor = Union[ElementaryMove, WhiteheadMove]
 
 
-def _step(images: list[tuple[int, ...]], factor: Factor,
-          inverse: bool = False) -> None:
-    """Turn the signed images of a map into those of ``map o factor``, or of
-    ``map o factor^-1``, in place, from the factor's definition; untouched
-    images are kept.  Regular factors are the Nielsen moves of
-    :func:`fgcrypt.nielsen._move`."""
+def _step(images: list[tuple[int, ...]], factor: Factor) -> None:
+    """Turn the signed images of a map into those of ``map o factor`` in place;
+    untouched images are kept.  Regular factors are the Nielsen moves of
+    :func:`fgcrypt.nielsen._move`; Whitehead indices are checked beforehand."""
     if isinstance(factor, WhiteheadMove):
-        q = len(images)
         a = factor.a
-        top = max([a, *factor.L, *factor.R, *factor.M])
-        if top > q:
-            raise IllegalMoveError(f"generator index {top} exceeds rank {q}")
         x = images[a - 1]
         if factor.kind == "INV":
             images[a - 1] = _invert_signed(x)
             return
-        # W sends b to ab / b a^-1 / a b a^-1; W^-1 to a^-1 b / b a / a^-1 b a
-        left, right = (_invert_signed(x), x) if inverse else (x, _invert_signed(x))
+        # W sends b to ab / b a^-1 / a b a^-1
+        x_inv = _invert_signed(x)
         for b in factor.L:
-            images[b - 1] = _concat_signed(left, images[b - 1])
+            images[b - 1] = _concat_signed(x, images[b - 1])
         for b in factor.R:
-            images[b - 1] = _concat_signed(images[b - 1], right)
+            images[b - 1] = _concat_signed(images[b - 1], x_inv)
         for b in factor.M - {a}:
-            images[b - 1] = _concat_signed(_concat_signed(left, images[b - 1]),
-                                           right)
+            images[b - 1] = _concat_signed(_concat_signed(x, images[b - 1]), x_inv)
         return
-    if factor.kind == "T3":
-        raise NotRegularError("T3 is singular; automorphisms are regular only")
-    _move(images, factor, inverse)
+    _move(images, factor)
 
 
 def _basis(q: int) -> list[tuple[int, ...]]:
@@ -119,11 +107,10 @@ def _basis(q: int) -> list[tuple[int, ...]]:
     return [(i,) for i in range(1, q + 1)]
 
 
-def _fold(factors: Iterable[Factor], q: int,
-          inverse: bool = False) -> list[tuple[int, ...]]:
+def _fold(factors: Iterable[Factor], q: int) -> list[tuple[int, ...]]:
     images = _basis(q)
     for factor in factors:
-        _step(images, factor, inverse)
+        _step(images, factor)
     return images
 
 
@@ -188,11 +175,8 @@ class FactoredAutomorphism:
                                     _words(self.alphabet, images))
 
     def inverse(self) -> "FactoredAutomorphism":
-        images = _fold(reversed(self.factors), self.alphabet.rank, inverse=True)
-        inv_factors = tuple(g for f in reversed(self.factors)
-                            for g in _invert_factor(f))
-        return FactoredAutomorphism(self.alphabet, inv_factors,
-                                    _words(self.alphabet, images))
+        return from_factors([g for f in reversed(self.factors)
+                             for g in _invert_factor(f)], self.alphabet)
 
     def is_identity(self) -> bool:
         return [im.signed for im in self.images] == _basis(self.alphabet.rank)
@@ -202,7 +186,7 @@ class FactoredAutomorphism:
 
 
 def _invert_factor(factor: Factor) -> list[Factor]:
-    if factor.kind in ("INV", "T1"):
+    if factor.kind in ("INV", "T1", "T3"):  # T3 has none; from_factors rejects it
         return [factor]
     if isinstance(factor, WhiteheadMove):
         ia = WhiteheadMove("INV", factor.a)
@@ -215,9 +199,18 @@ def identity_automorphism(alphabet: Alphabet) -> FactoredAutomorphism:
 
 
 def from_factors(factors: Iterable[Factor], alphabet: Alphabet) -> FactoredAutomorphism:
+    """The automorphism folded from ``factors``, which it checks: a Whitehead
+    index outside 1..rank raises ``IllegalMoveError``, a T3 ``NotRegularError``."""
     fs = tuple(factors)
-    return FactoredAutomorphism(alphabet, fs,
-                                _words(alphabet, _fold(fs, alphabet.rank)))
+    q = alphabet.rank
+    for factor in fs:
+        if isinstance(factor, WhiteheadMove):
+            ix = (factor.a, *factor.L, *factor.R, *factor.M)
+            if min(ix) < 1 or max(ix) > q:
+                raise IllegalMoveError(f"{factor.kind} index out of range 1..{q}")
+        elif factor.kind == "T3":
+            raise NotRegularError("T3 is singular; automorphisms are regular only")
+    return FactoredAutomorphism(alphabet, fs, _words(alphabet, _fold(fs, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,13 @@ def format_lcg_lines(p: LcgParams, seed: int) -> str:
             f"seed = {seed:016x}")
 
 
-def parse_lcg_lines(text: str) -> tuple[LcgParams, int]:
-    kv = parse_kv_lines(text, ("m", "beta", "gamma", "seed"))
-    params = LcgParams(_parse_int(kv["m"]), _parse_int(kv["beta"]),
-                       _parse_int(kv["gamma"]))
+_LCG_KEYS = ("m", "beta", "gamma", "seed")
+
+
+def _lcg_fields(kv: dict[str, str]) -> tuple[LcgParams, int]:
+    params = LcgParams(*(_parse_int(kv[key]) for key in ("m", "beta", "gamma")))
     return params, _parse_int(kv["seed"], 16)
+
+
+def parse_lcg_lines(text: str) -> tuple[LcgParams, int]:
+    return _lcg_fields(parse_kv_lines(text, _LCG_KEYS))

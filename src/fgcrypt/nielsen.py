@@ -118,10 +118,8 @@ class ElementaryMove:
         return f"{self.kind} {self.i}"
 
 
-def _move(elements: list[tuple[int, ...]], m: ElementaryMove,
-          inverse: bool = False) -> None:
-    """Apply ``m`` in place to a list of signed tuples, or the step of its
-    inverse fold: with ``inverse`` set, T2 right-multiplies by u_j^-1."""
+def _move(elements: list[tuple[int, ...]], m: ElementaryMove) -> None:
+    """Apply ``m`` in place to a list of signed tuples."""
     n = len(elements)
     if not 1 <= m.i <= n or (m.kind == "T2" and not 1 <= m.j <= n):
         raise IllegalMoveError(f"move {m} out of range for tuple of size {n}")
@@ -129,8 +127,7 @@ def _move(elements: list[tuple[int, ...]], m: ElementaryMove,
     if m.kind == "T1":
         elements[m.i - 1] = _invert_signed(u)
     elif m.kind == "T2":
-        v = elements[m.j - 1]
-        elements[m.i - 1] = _concat_signed(u, _invert_signed(v) if inverse else v)
+        elements[m.i - 1] = _concat_signed(u, elements[m.j - 1])
     elif u:
         raise IllegalMoveError(f"T3 {m.i}: entry is not the identity")
     else:

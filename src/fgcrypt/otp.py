@@ -16,14 +16,15 @@ from .automorphisms import FactoredAutomorphism
 from .errors import (CapExceededError, DecryptionError, EncodingError,
                      PreconditionError, WordSyntaxError)
 from .keystream import (
+    _LCG_KEYS,
     AutFamily,
     LcgParams,
     Prg,
+    _lcg_fields,
     derive_automorphism,
     format_lcg_lines,
     has_max_period,
     keystream,
-    parse_lcg_lines,
 )
 from .nielsen import (
     GeneratingTuple,
@@ -323,8 +324,9 @@ def write_key_file(params: CipherPublicParams, key: CipherPrivateKey) -> str:
 
 
 def parse_key_file(text: str) -> tuple[CipherPublicParams, CipherPrivateKey]:
-    kv = parse_kv_lines(text, ("alphabet", "N", "plaintext_alphabet", "alpha"))
-    lcg, seed = parse_lcg_lines(text)
+    kv = parse_kv_lines(text, ("alphabet", "N", "plaintext_alphabet", "alpha",
+                               *_LCG_KEYS))
+    lcg, seed = _lcg_fields(kv)
     n, alpha = _parse_int(kv["N"]), _parse_int(kv["alpha"])
     alphabet = Alphabet(tuple(kv["alphabet"].split()))
     fam = AutFamily(seed, alphabet, lcg.m)

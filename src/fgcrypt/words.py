@@ -54,7 +54,7 @@ class Alphabet:
         for name in self.names:
             if not name:
                 raise PreconditionError("generator names must be non-empty")
-            if any(ch.isspace() for ch in name) or "^" in name or "|" in name:
+            if any(ch.isspace() or ch in "^|=;" for ch in name):
                 raise PreconditionError(f"invalid generator name {name!r}")
             if name.isdigit():
                 raise PreconditionError(
@@ -378,14 +378,16 @@ def format_word(w: Word) -> str:
 
 
 def parse_kv_lines(text: str, required: Iterable[str]) -> dict[str, str]:
-    """The "key = value" lines of a key, params or pair file.  Blank lines,
-    "#" comments and lines without "=" (such as a tuple block) are skipped;
-    the first ``required`` key without a line raises WordSyntaxError."""
+    """The "key = value" lines of a key, params or pair file; blank lines,
+    "#" comments and other lines without "=" are skipped.  A repeated key,
+    or the first ``required`` key without a line, raises WordSyntaxError."""
     out: dict[str, str] = {}
     for ln in text.splitlines():
-        key, sep, value = ln.strip().partition("=")
+        key, sep, value = (part.strip() for part in ln.partition("="))
         if sep and not key.startswith("#"):
-            out[key.strip()] = value.strip()
+            if key in out:
+                raise WordSyntaxError(f"repeated '{key} = ...' line")
+            out[key] = value
     for key in required:
         if key not in out:
             raise WordSyntaxError(f"missing '{key} = ...' line")

@@ -28,7 +28,7 @@ from fgcrypt import (
     random_whitehead_automorphism,
 )
 from fgcrypt import automorphisms
-from fgcrypt.automorphisms import _mutually_inverse, _step
+from fgcrypt.automorphisms import _invert_factor, _mutually_inverse, _step
 from fgcrypt.errors import (
     CapExceededError,
     IllegalMoveError,
@@ -393,7 +393,8 @@ class TestSignedFold:
 
     def test_single_step_exhaustive_rank3(self):
         # every Whitehead move, forward and inverse, from the basis and from
-        # images whose letters cancel against the multiplier's
+        # images whose letters cancel against the multiplier's; the inverse
+        # steps through the move's factor-wise inverse list
         starts = [generators(ABC),
                   tuple(ABC.parse(t) for t in ("a b c^-1", "a^-1 b", "c a^-1")),
                   tuple(ABC.parse(t) for t in ("b^-1 a", "a^2 b", "b a^-1 c"))]
@@ -402,11 +403,20 @@ class TestSignedFold:
             for start in starts:
                 for inverse in (False, True):
                     signed = [w.signed for w in start]
-                    _step(signed, move, inverse)
+                    for factor in _invert_factor(move) if inverse else [move]:
+                        _step(signed, factor)
                     expected = reference_step(start, move, inverse)
                     assert signed == [w.signed for w in expected], (move, inverse)
                     count += 1
         assert count == 48 * 3 * 2
+
+    @given(st.integers(2, 4).flatmap(lambda q: st.tuples(
+        st.just(q), st.sampled_from(factor_pool(q)))))
+    def test_factor_wise_inverse_cancels(self, case):
+        q, f = case
+        alphabet = Alphabet(tuple("abcd"[:q]))
+        assert from_factors([f, *_invert_factor(f)], alphabet).is_identity()
+        assert from_factors([*_invert_factor(f), f], alphabet).is_identity()
 
     def test_one_word_per_image(self, monkeypatch):
         # the fold works on signed tuples: sampling a map and inverting it
@@ -513,6 +523,10 @@ class TestFactorErrors:
         ElementaryMove("T1", 3),
         ElementaryMove("T2", 1, 3),
         ElementaryMove("T2", 3, 1),
+        WhiteheadMove("W", 1, L={0}, M={1}),
+        WhiteheadMove("W", 1, L={-1}, M={1}),
+        WhiteheadMove("W", 2, R={0}, M={2}),
+        WhiteheadMove("W", 1, M={1, 0}),
     ], ids=repr)
     def test_out_of_range_factor(self, factor):
         with pytest.raises(IllegalMoveError):

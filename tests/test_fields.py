@@ -1,7 +1,8 @@
 """Every text field goes through one reader.  An integer in a key, LCG,
 params or pair file or in a CLI flag is ASCII ``[+-]?[0-9]+`` (hex digits
-for seeds), and a file without a required ``key = value`` line raises
-``WordSyntaxError`` naming the key, which the CLI reports with exit 2."""
+for seeds), and a file without a required ``key = value`` line, or with
+two lines for one key, raises ``WordSyntaxError`` naming the key, which the
+CLI reports with exit 2."""
 
 import re
 from pathlib import Path
@@ -197,3 +198,51 @@ def test_pair_file_missing_line(key, tmp_path, capsys):
     assert run(["pubkey-decrypt", "--params", str(PARAMS), "--n", "2",
                 "--pair", str(tmp_path / "pair.txt")]) == 2
     assert capsys.readouterr().err == f"error: missing '{key} = ...' line\n"
+
+
+# a second line for a key is an error, not a silent override, wherever it
+# sits; the key file's repeat comes after its tuple block
+def _repeat(text, key, value):
+    return text.rstrip("\n") + f"\n{key} = {value}\n"
+
+
+def _otp_encrypt_fails(text, key, tmp_path, capsys):
+    (tmp_path / "key.txt").write_text(text)
+    assert run(["otp-encrypt", "--key", str(tmp_path / "key.txt"),
+                "--in", str(MESSAGE)]) == 2
+    assert capsys.readouterr().err == f"error: repeated '{key} = ...' line\n"
+
+
+def test_key_file_repeated_line(tmp_path, capsys):
+    text = _repeat(KEY, "alpha", "7")
+    with pytest.raises(WordSyntaxError, match="repeated 'alpha = ...' line"):
+        parse_key_file(text)
+    _otp_encrypt_fails(text, "alpha", tmp_path, capsys)
+
+
+def test_lcg_repeated_line(tmp_path, capsys):
+    # the CLI reads LCG lines inside a key file
+    with pytest.raises(WordSyntaxError, match="repeated 'seed = ...' line"):
+        parse_lcg_lines(_repeat(LCG, "seed", "00ff"))
+    _otp_encrypt_fails(_repeat(KEY, "seed", "00ff"), "seed", tmp_path, capsys)
+
+
+def test_params_file_repeated_line(tmp_path, capsys):
+    text = _repeat(PARAMS.read_text(), "a", "x1")
+    with pytest.raises(WordSyntaxError, match="repeated 'a = ...' line"):
+        parse_params_file(text, AUT)
+    (tmp_path / "params.txt").write_text(text)
+    (tmp_path / "f.aut").write_text(AUT)
+    assert run(["pubkey-keygen", "--params", str(tmp_path / "params.txt"),
+                "--n", "2"]) == 2
+    assert capsys.readouterr().err == "error: repeated 'a = ...' line\n"
+
+
+def test_pair_file_repeated_line(tmp_path, capsys):
+    text = _repeat(_pair_text(), "c1", "x1")
+    with pytest.raises(WordSyntaxError, match="repeated 'c1 = ...' line"):
+        parse_pair_file(text, _params().alphabet)
+    (tmp_path / "pair.txt").write_text(text)
+    assert run(["pubkey-decrypt", "--params", str(PARAMS), "--n", "2",
+                "--pair", str(tmp_path / "pair.txt")]) == 2
+    assert capsys.readouterr().err == "error: repeated 'c1 = ...' line\n"

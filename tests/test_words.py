@@ -45,7 +45,7 @@ class TestAlphabet:
 
     @pytest.mark.parametrize("names", [
         (), ("a", "a"), ("a", ""), ("a", "x y"), ("a", "b^"), ("a", "b|c"),
-        ("a", "12"),
+        ("a", "12"), ("a", "b=c"), ("a", "b;c"),
     ])
     def test_invalid_names(self, names):
         with pytest.raises(ValueError):
