@@ -1,5 +1,5 @@
 """Desk-scale eavesdropper toolkit: Cayley-ball enumeration, the K-subset
-Nielsen-reduction attack, primitive-element bound estimators and exact attack
+subgroup-recovery attack, primitive-element bound estimators and exact attack
 cost arithmetic.
 
 The attack is intentionally exponential; hard caps keep it demonstrative.
@@ -14,12 +14,8 @@ from math import comb
 from typing import Iterator, Optional
 
 from .errors import CapExceededError, PreconditionError
-from .nielsen import (
-    GeneratingTuple,
-    _normal_form,
-    canonical_minimal_basis,
-    nielsen_reduce,
-)
+from .nielsen import (GeneratingTuple, _as_tuple, _core_graph,
+                      canonical_minimal_basis)
 from .words import Alphabet, Word, ball_size
 
 __all__ = [
@@ -123,23 +119,26 @@ def _colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
                   oracle_known_basis: Optional[GeneratingTuple] = None
                   ) -> AttackReport:
-    """Nielsen-reduce K-subsets of the ball and collect rank-N candidates.
+    """Fold K-subsets of the ball into core graphs and collect the canonical
+    bases of the rank-N subgroups they generate.
 
     Subsets are visited in colex order over the sorted ball, so reports and
     hit indices are reproducible.  With a planted basis supplied, the report
     carries the 1-based count of subsets examined at the first hit.
 
-    The canonical basis of a reduced tuple depends only on its normal form
-    (entries inverse-normalized and sorted), so each normal form's basis is
-    computed once per call and looked up for every later subset."""
+    Each subset's Stallings core graph gives its subgroup's rank, a key that
+    is equal exactly for equal subgroups, and an N-word free basis.  The
+    canonical basis is a subgroup invariant, so it is computed once per
+    distinct key, from that basis, and looked up for every later subset;
+    candidates are the distinct subgroups in order of first appearance."""
     started = time.perf_counter()
     ball = enumerate_ball(alphabet, cfg.ball_radius)
+    signed = [w.signed for w in ball]
     limit = min(cfg.max_subsets or SUBSET_CAP, SUBSET_CAP)
     target = None
     if oracle_known_basis is not None:
         target = canonical_minimal_basis(oracle_known_basis).elements
-    candidates: dict[tuple, GeneratingTuple] = {}
-    bases: dict[tuple, GeneratingTuple] = {}
+    bases: dict[tuple, GeneratingTuple] = {}  # graph key -> canonical basis
     examined = 0
     complete = True
     hit_index = None
@@ -148,21 +147,17 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
             complete = False
             break
         examined += 1
-        tup = GeneratingTuple(alphabet, tuple(ball[i] for i in subset))
-        reduced, _ = nielsen_reduce(tup)
-        if len(reduced) != cfg.target_rank:
+        rank, key, tree = _core_graph([signed[i] for i in subset])
+        if rank != cfg.target_rank:
             continue
-        normal = _normal_form(reduced)
-        canon = bases.get(normal)
+        canon = bases.get(key)
         if canon is None:
-            canon = bases[normal] = canonical_minimal_basis(reduced)
-        key = tuple(w.signed for w in canon)
-        if key not in candidates:
-            candidates[key] = canon
+            canon = bases[key] = canonical_minimal_basis(
+                _as_tuple(alphabet, tree))
         if target is not None and hit_index is None and canon.elements == target:
             hit_index = examined
     return AttackReport(
-        candidates=tuple(candidates.values()),
+        candidates=tuple(bases.values()),
         subsets_examined=examined,
         elapsed=time.perf_counter() - started,
         complete=complete,

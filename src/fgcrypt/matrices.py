@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import PreconditionError, SingularMatrixError, WordSyntaxError
+from .errors import (CapExceededError, PreconditionError, SingularMatrixError,
+                     WordSyntaxError)
 from .nielsen import (GeneratingTuple, _express, _strip_candidates,
                       apply_moves, expand_expression, nielsen_reduce)
 from .words import _INTEGER, Alphabet, Word, generators
@@ -46,6 +47,12 @@ __all__ = [
 
 
 _IDENTITY = (1, 0, 0, 1, 1)
+
+# the largest entry (numerator or denominator) an evaluation may produce:
+# 2^14284 < 10^4300, so every entry prints in at most 4300 decimal digits,
+# the most that str() and int() convert by default (and so the most that
+# parse_matrix and words._parse_int read back)
+_MAX_ENTRY_BITS = 14_284
 
 
 @dataclass(frozen=True, init=False)
@@ -257,9 +264,21 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
     if w.alphabet.names != spec.alphabet.names:
         raise PreconditionError("word is over a different alphabet")
     mats = spec._letters
+    # n letters multiply entries of at most b bits each into entries of
+    # about n * b bits: refuse before the loop when that passes the cap,
+    # and check the exact result after it
+    letter_bits = max(abs(x) for k in mats.values() for x in k).bit_length()
+    if len(w) * letter_bits > _MAX_ENTRY_BITS:
+        raise CapExceededError(
+            f"a {len(w)}-letter word would evaluate to entries of about "
+            f"{len(w) * letter_bits} bits; the cap is {_MAX_ENTRY_BITS}")
     out = _IDENTITY
     for s in w.signed:
         out = _kmul(out, mats[s])
+    bits = max(abs(x) for x in out).bit_length()
+    if bits > _MAX_ENTRY_BITS:
+        raise CapExceededError(
+            f"the matrix has a {bits}-bit entry; the cap is {_MAX_ENTRY_BITS}")
     return Mat2Q._make(out)
 
 

@@ -1,5 +1,6 @@
 """Elementary Nielsen transformations, the two reducedness predicates,
-deterministic reduction, canonical minimal bases and subgroup membership.
+deterministic reduction, canonical minimal bases, Stallings core graphs and
+subgroup membership.
 
 Tuples are ordered (moves are index-addressed, 1-based); sets only appear
 through :func:`canonical_minimal_basis`, which inverse-normalizes and sorts.
@@ -14,7 +15,8 @@ order is plain tuple order and a step normalizes only the entry it
 replaced.  A
 canonical basis is a function of the level of the reduced tuple, and so of
 that tuple's normal form: a caller may key the bases it has computed by
-normal form, as the subset attack does within one call.
+normal form.  It is also a function of the subgroup alone, so a caller may
+key them by the subgroup's core graph instead (:func:`_core_graph`).
 """
 
 from __future__ import annotations
@@ -443,6 +445,100 @@ def canonical_minimal_basis(t: GeneratingTuple,
     level is finite; ``orbit_limit`` guards against blowups."""
     reduced, _ = nielsen_reduce(t)
     return _level_minimum(reduced, orbit_limit)
+
+
+# ---------------------------------------------------------------------------
+# Stallings core graphs (Stallings, "Topology of finite graphs", 1983;
+# Kapovich-Myasnikov, "Stallings foldings and subgroups of free groups",
+# 2002).  The reduced words are read as loops at a base vertex and folded
+# until no vertex has two edges with one label.  Two subgroups are equal
+# exactly when their based core graphs are isomorphic, and the rank is
+# E - V + 1.  Edge labels are rank codes (letter s as 2(|s|-1) + (s<0)),
+# so code ^ 1 labels the reverse edge and the codes sort as x1, x1^-1,
+# x2, ...
+# ---------------------------------------------------------------------------
+
+def _core_graph(elements: Iterable[tuple[int, ...]]
+                ) -> tuple[int, tuple, tuple[tuple[int, ...], ...]]:
+    """(rank, key, basis) of the subgroup the reduced signed tuples
+    generate.
+
+    ``key`` is the core graph's adjacency, with the vertices numbered
+    breadth-first from the base and each vertex's edges taken in label
+    order; equal keys mean equal subgroups.  ``basis`` is the free basis
+    path(v) * s * path(t)^-1 over the edges v -s-> t outside that
+    breadth-first tree, each a reduced signed tuple."""
+    out: list[dict[int, int]] = [{}]  # out[v][code] = target; vertex 0 is the base
+    merges = []
+    for word in elements:
+        last = len(word) - 1
+        u = 0
+        for k, s in enumerate(word):
+            # the rank code, as _rank_tuple gives it (inline: the fold is
+            # the attack's hot loop)
+            code = 2 * s - 2 if s > 0 else -2 * s - 1
+            if k == last:
+                v = 0
+            else:
+                v = len(out)
+                out.append({})
+            # a label clash is a fold to make; in reduced words only the
+            # base vertex has any
+            w = out[u].setdefault(code, v)
+            if w != v:
+                merges.append((w, v))
+            w = out[v].setdefault(code ^ 1, u)
+            if w != u:
+                merges.append((w, u))
+            u = v
+    parent = list(range(len(out)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    while merges:
+        a, b = merges.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a  # the base stays a root
+        parent[b] = a
+        edges = out[a]
+        for c, t in out[b].items():
+            w = edges.setdefault(c, t)
+            if w != t:
+                merges.append((w, t))
+    # Each root now keeps one edge per label, and the graph is already a
+    # core: a word leaves each of its inner vertices by two different
+    # labels (s^-1 back, the next letter on), which no fold merges, so
+    # no vertex but the base ends with a single edge to prune.
+    order = [0]  # the roots in breadth-first order; grows during the walk
+    number = {0: 0}
+    paths: list[tuple[int, ...]] = [()]  # the tree path from the base
+    key = []
+    basis = []
+    for i, v in enumerate(order):
+        edges = out[v]
+        row = []
+        for c in sorted(edges):
+            t = find(edges[c])
+            s = -(c >> 1) - 1 if c & 1 else (c >> 1) + 1  # as _unrank
+            n = number.get(t)
+            if n is None:
+                n = number[t] = len(order)
+                order.append(t)
+                paths.append(paths[i] + (s,))
+            elif n > i or (n == i and not c & 1):
+                # each edge outside the tree once: from its lower-numbered
+                # end, and a loop by its positive label
+                basis.append(paths[i] + (s,) + _invert_signed(paths[n]))
+            row += (c, n)
+        key.append(tuple(row))
+    edge_count = sum(map(len, key)) // 4  # two entries per edge, two ints each
+    return edge_count - len(order) + 1, tuple(key), tuple(basis)
 
 
 # ---------------------------------------------------------------------------

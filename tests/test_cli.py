@@ -3,6 +3,8 @@ import shutil
 import time
 from pathlib import Path
 
+import pytest
+
 from fgcrypt import (
     Alphabet,
     Prg,
@@ -208,6 +210,36 @@ class TestPubkeyCommands:
         assert captured.err.splitlines() == [
             "error: no word of length <= 32 matches the recovered matrix"]
 
+    # n = t = 16 is the largest equal pair whose words fit the 2^24-letter
+    # cap: f^32(a) has 9.7M letters
+    @pytest.mark.parametrize("n", ["10", "16"])
+    def test_matrix_variant_past_the_entry_cap(self, tmp_path, capsys, n):
+        fx = copy_fixture(tmp_path, "pubkey_demo")
+        pub = tmp_path / "c.txt"
+        assert run(["pubkey-keygen", "--params", str(fx / "params.txt"),
+                    "--n", n, "--out", str(pub)]) == 0
+        msg = tmp_path / "m.txt"
+        msg.write_text("x1 x2^-1\n")
+        pair = tmp_path / "pair.txt"
+        rc = run(["pubkey-encrypt", "--params", str(fx / "params.txt"),
+                  "--public", str(pub), "--message", str(msg), "--t", n,
+                  "--matrix", "--out", str(pair)])
+        _assert_written_or_refused(rc, capsys.readouterr())
+        if rc == 0:
+            assert run(["pubkey-decrypt", "--params", str(fx / "params.txt"),
+                        "--n", n, "--pair", str(pair), "--matrix"]) == 0
+            assert capsys.readouterr().out.strip() == "x1 x2^-1"
+
+
+def _assert_written_or_refused(rc, captured):
+    """Exit 0, or exit 2 with an error line and no output: never a
+    traceback."""
+    assert "Traceback" not in captured.err
+    if rc != 0:
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestToolCommands:
     def test_nielsen_reduce_fixpoint(self, tmp_path):
@@ -264,6 +296,18 @@ class TestToolCommands:
                                                 ABCD.parse("b a^2")))
         assert capsys.readouterr().out.strip() == expected
 
+    def test_rep_eval_past_the_entry_cap(self, capsys):
+        word = "a^4000 b"
+        rc = run(["rep-eval", "--alphabet", "a b c d", "--preset",
+                  "rank4-demo", "--word", word])
+        captured = capsys.readouterr()
+        _assert_written_or_refused(rc, captured)
+        if rc == 0:
+            assert run(["rep-decode", "--alphabet", "a b c d", "--preset",
+                        "rank4-demo", "--matrix", captured.out.strip(),
+                        "--max-len", "4001"]) == 0
+            assert capsys.readouterr().out.strip() == word
+
     def test_rep_decode(self, capsys):
         rc = run(["rep-eval", "--alphabet", "a b", "--word", "a b^-1 a"])
         matrix_text = capsys.readouterr().out.strip()
@@ -289,6 +333,18 @@ class TestToolCommands:
         out = capsys.readouterr().out
         assert "subsets_examined = 120" in out
         assert "hit_index = 2" in out
+
+    def test_attack_large_subset_is_bounded_by_max_subsets(self, capsys):
+        # one 1100-word subset is one fold, not a Nielsen reduction that is
+        # quadratic in the subset size
+        started = time.perf_counter()
+        rc = run(["attack", "--alphabet", "a b", "--ball-radius", "6",
+                  "--rank", "2", "--subset-size", "1100", "--max-subsets", "1"])
+        assert rc == 0
+        assert time.perf_counter() - started < 2
+        assert capsys.readouterr().out.splitlines() == [
+            "subsets_examined = 1", "candidates = 1", "hit_index = none",
+            "complete = false", "begin tuple", "a", "b", "end tuple"]
 
     def test_attack_max_subsets_below_one(self, capsys):
         for bad in ("0", "-1"):

@@ -14,7 +14,9 @@ from fgcrypt import (
     attack_cost_estimate,
     ball_size,
     canonical_minimal_basis,
+    cryptanalysis,
     enumerate_ball,
+    generators,
     is_nielsen_reduced,
     nielsen_reduce,
     primitive_growth_rates,
@@ -204,6 +206,27 @@ class TestAttackGolden:
                 expected.setdefault(canon, None)
         report = subset_attack(alphabet, cfg)
         assert [c.elements for c in report.candidates] == list(expected)
+
+
+class TestAttackWork:
+    # distinct rank-N subgroups among the subsets of each benchmark
+    # configuration; the attack walks once per subgroup, not per subset
+    @pytest.mark.parametrize("config,subgroups",
+                             zip(ATTACK_CONFIGS[:3], (185, 10, 86)))
+    def test_one_canonical_walk_per_subgroup(self, monkeypatch, config,
+                                             subgroups):
+        walks = []
+        real = cryptanalysis.canonical_minimal_basis
+        monkeypatch.setattr(cryptanalysis, "canonical_minimal_basis",
+                            lambda tup: walks.append(tup) or real(tup))
+        alphabet, radius, n, k = config
+        cfg = AttackConfig(ball_radius=radius, target_rank=n, subset_size=k)
+        report = subset_attack(alphabet, cfg)
+        assert len(walks) == len(report.candidates) == subgroups
+        walks.clear()
+        planted = GeneratingTuple(alphabet, generators(alphabet)[:n])
+        assert subset_attack(alphabet, cfg, planted).hit_index is not None
+        assert len(walks) == subgroups + 1  # and one for the planted key
 
 
 class TestBounds:

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from fgcrypt import (
     Alphabet,
     Mat2Q,
+    matrices,
     concat,
     default_tl_params,
     demo_representation,
@@ -26,11 +27,12 @@ from fgcrypt import (
     word_to_matrix,
 )
 from fgcrypt.errors import (
+    CapExceededError,
     PreconditionError,
     SingularMatrixError,
     WordSyntaxError,
 )
-from fgcrypt.matrices import _IDENTITY, _kmul
+from fgcrypt.matrices import _IDENTITY, _MAX_ENTRY_BITS, _kmul
 
 from conftest import random_word
 
@@ -184,6 +186,33 @@ class TestWordToMatrix:
                 assert isinstance(e, F)
                 assert e.denominator >= 1
                 assert math.gcd(abs(e.numerator), e.denominator) == 1
+
+
+class TestEntryCap:
+    def test_cap_is_the_largest_entry_that_reads_back(self):
+        big = (1 << _MAX_ENTRY_BITS) - 1
+        M = Mat2Q._make((big, 1, -big, 1, big - 2))
+        assert parse_matrix(format_matrix(M)) == M
+        with pytest.raises(ValueError):  # one bit more may not print
+            str((1 << (_MAX_ENTRY_BITS + 1)) - 1)
+
+    def test_long_word_refused_before_any_product(self, monkeypatch):
+        spec = demo_representation(ABCD)
+        monkeypatch.setattr(matrices, "_kmul", None)
+        with pytest.raises(CapExceededError, match="4001-letter word"):
+            word_to_matrix(spec, ABCD.parse("a^4000 b"))
+
+    def test_result_past_the_cap_refused(self):
+        # the letter of y1^8 at r = 2 has 15-bit entries but grows by its
+        # eigenvalue (2 + 3^(1/2))^8, about 2^15.2, per letter: a^940 passes
+        # the length bound (940 * 15 bits) and only the exact check stops it
+        a = Alphabet(("a",))
+        spec = make_representation(
+            a, gen_words=(Alphabet(("y1",)).parse("y1^8"),), tl_params=(2,))
+        M = word_to_matrix(spec, a.parse("a^939"))
+        assert parse_matrix(format_matrix(M)) == M
+        with pytest.raises(CapExceededError, match="14288-bit entry"):
+            word_to_matrix(spec, a.parse("a^940"))
 
 
 class TestMatrixToWord:

@@ -2,11 +2,13 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgcrypt import (
     Alphabet,
     ElementaryMove,
     GeneratingTuple,
+    Word,
     apply_move,
     apply_moves,
     canonical_minimal_basis,
@@ -25,10 +27,12 @@ from fgcrypt import (
 )
 from fgcrypt.errors import (CapExceededError, IllegalMoveError,
                             PreconditionError, WordSyntaxError)
+from fgcrypt.nielsen import _core_graph
 
 from conftest import random_tuple, random_word, subgroup_ball
 
 AB = Alphabet(("a", "b"))
+XYZ = Alphabet(("x", "y", "z"))
 ABCD = Alphabet(("a", "b", "c", "d"))
 
 DEMO_BASIS = tuple(ABCD.parse(s) for s in (
@@ -377,6 +381,72 @@ class TestSameSubgroup:
             s1 = random_tuple(rng, alphabet, rng.randint(1, 3), 4)
             s2 = random_tuple(rng, alphabet, rng.randint(1, 3), 4)
             assert same_subgroup(s1, s2) == same_subgroup_by_membership(s1, s2)
+
+
+def _graph(tup):
+    return _core_graph(w.signed for w in tup.elements)
+
+
+@st.composite
+def small_tuples(draw, alphabet):
+    q = alphabet.rank
+    letters = st.lists(st.integers(-q, q).filter(bool), max_size=5)
+    words = draw(st.lists(letters, min_size=1, max_size=3))
+    return GeneratingTuple(alphabet, tuple(Word(alphabet, w) for w in words))
+
+
+class TestCoreGraph:
+    """The Stallings core graph: a third subgroup-equality oracle beside
+    canonical forms and mutual membership."""
+
+    @pytest.mark.parametrize("texts,rank,vertices", [
+        (("a", "b"), 2, 1),
+        (("a b", "a b^-1"), 2, 2),
+        (("a b a^-1", "a b^2 a^-1"), 1, 2),  # the hair to the base stays
+        (("a^2", "a^3"), 1, 1),
+        (("a b a^-1 b^-1",), 1, 4),
+        (("1",), 0, 1),
+    ])
+    def test_examples(self, texts, rank, vertices):
+        got, key, basis = _graph(t(AB, *texts))
+        assert got == rank == len(basis)
+        assert len(key) == vertices
+
+    def test_key_is_the_numbered_adjacency(self):
+        # (a b, a b^-1): the base (0) -a-> 1, and 1 -b-> 0, 0 -b-> 1; label
+        # codes a = 0, a^-1 = 1, b = 2, b^-1 = 3
+        _, key, basis = _graph(t(AB, "a b", "a b^-1"))
+        assert key == ((0, 1, 2, 1, 3, 1), (1, 0, 2, 0, 3, 0))
+        assert basis == ((2, -1), (-2, -1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_reduction_and_both_equality_oracles(self, data):
+        alphabet = data.draw(st.sampled_from([AB, XYZ]))
+        s1 = data.draw(small_tuples(alphabet))
+        s2 = data.draw(small_tuples(alphabet))
+        rank, key, basis = _graph(s1)
+        assert rank == len(nielsen_reduce(s1)[0]) == len(basis)
+        # a core: every vertex but the base has two edges or more
+        assert all(len(row) >= 4 for row in key[1:])
+        tree = GeneratingTuple(alphabet,
+                               tuple(Word(alphabet, b) for b in basis))
+        assert tuple(w.signed for w in tree) == basis  # already reduced
+        assert (canonical_minimal_basis(tree).elements
+                == canonical_minimal_basis(s1).elements)
+        equal = _graph(s2)[1] == key
+        assert same_subgroup(s1, s2) == equal
+        assert same_subgroup_by_membership(s1, s2) == equal
+        # Nielsen moves keep the subgroup, and so the key
+        n = len(s1)
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, n),
+                                             st.integers(1, n)), max_size=4))
+        moves = [ElementaryMove("T1", i) if i == j else ElementaryMove("T2", i, j)
+                 for i, j in pairs]
+        moved = apply_moves(s1, moves)
+        assert _graph(moved)[1] == key
+        assert same_subgroup(s1, moved)
+        assert same_subgroup_by_membership(s1, moved)
 
 
 class TestTupleText:
