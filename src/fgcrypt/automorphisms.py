@@ -76,6 +76,17 @@ class WhiteheadMove:
         if not (self.L or self.R or (self.M - {self.a})):
             raise IllegalMoveError("move would be the identity map")
 
+    @classmethod
+    def _make(cls, kind: str, a: int, L: frozenset[int] = frozenset(),
+              R: frozenset[int] = frozenset(),
+              M: frozenset[int] = frozenset()) -> "WhiteheadMove":
+        """Internal: a factor valid by construction, built without the checks
+        of ``__post_init__``.  Only the sampler's draw and the factor inverse
+        call it; ``from_factors`` still checks the indices of every factor."""
+        w = object.__new__(cls)
+        w.__dict__.update(kind=kind, a=a, L=L, R=R, M=M)
+        return w
+
 
 Factor = Union[ElementaryMove, WhiteheadMove]
 
@@ -83,7 +94,9 @@ Factor = Union[ElementaryMove, WhiteheadMove]
 def _step(images: list[tuple[int, ...]], factor: Factor) -> None:
     """Turn the signed images of a map into those of ``map o factor`` in place;
     untouched images are kept.  Regular factors are the Nielsen moves of
-    :func:`fgcrypt.nielsen._move`; Whitehead indices are checked beforehand."""
+    :func:`fgcrypt.nielsen._move`.  A Whitehead factor is not checked here
+    (``from_factors`` checks its indices first); a multiplier map walks M
+    and skips a."""
     if isinstance(factor, WhiteheadMove):
         a = factor.a
         x = images[a - 1]
@@ -91,13 +104,15 @@ def _step(images: list[tuple[int, ...]], factor: Factor) -> None:
             images[a - 1] = _invert_signed(x)
             return
         # W sends b to ab / b a^-1 / a b a^-1
-        x_inv = _invert_signed(x)
+        x_inv = _invert_signed(x) if factor.R or len(factor.M) > 1 else ()
         for b in factor.L:
             images[b - 1] = _concat_signed(x, images[b - 1])
         for b in factor.R:
             images[b - 1] = _concat_signed(images[b - 1], x_inv)
-        for b in factor.M - {a}:
-            images[b - 1] = _concat_signed(_concat_signed(x, images[b - 1]), x_inv)
+        for b in factor.M:
+            if b != a:
+                images[b - 1] = _concat_signed(_concat_signed(x, images[b - 1]),
+                                               x_inv)
         return
     _move(images, factor)
 
@@ -189,7 +204,7 @@ def _invert_factor(factor: Factor) -> list[Factor]:
     if factor.kind in ("INV", "T1", "T3"):  # T3 has none; from_factors rejects it
         return [factor]
     if isinstance(factor, WhiteheadMove):
-        ia = WhiteheadMove("INV", factor.a)
+        ia = WhiteheadMove._make("INV", factor.a)
         return [ia, factor, ia]
     return _realization(factor.i, factor.j, "R", -1)  # u_i -> u_i u_j^-1
 
@@ -203,10 +218,11 @@ def from_factors(factors: Iterable[Factor], alphabet: Alphabet) -> FactoredAutom
     index outside 1..rank raises ``IllegalMoveError``, a T3 ``NotRegularError``."""
     fs = tuple(factors)
     q = alphabet.rank
+    valid = frozenset(range(1, q + 1))
     for factor in fs:
         if isinstance(factor, WhiteheadMove):
-            ix = (factor.a, *factor.L, *factor.R, *factor.M)
-            if min(ix) < 1 or max(ix) > q:
+            if not (factor.a in valid and factor.L <= valid
+                    and factor.R <= valid and factor.M <= valid):
                 raise IllegalMoveError(f"{factor.kind} index out of range 1..{q}")
         elif factor.kind == "T3":
             raise NotRegularError("T3 is singular; automorphisms are regular only")
@@ -221,29 +237,32 @@ class BitSource(Protocol):
     def next(self) -> int: ...
 
 
-def _draw_distinct(prg: BitSource, pool: list[int], k: int) -> frozenset[int]:
-    """Draw k members of the sorted ``pool``, removing them from it."""
-    return frozenset([pool.pop(prg.next() % len(pool)) for _ in range(k)])
+_EMPTY: frozenset[int] = frozenset()
 
 
 def _draw_factor(prg: BitSource, q: int, bit: int) -> WhiteheadMove:
-    z = 1 + prg.next() % q
+    """One factor: an inversion for bit 0, else a multiplier map whose set
+    sizes are drawn first and whose members are then drawn for L, R and M in
+    turn, each popped from the sorted pool of the other generators."""
+    draw = prg.next
+    z = 1 + draw() % q
     if bit == 0:
-        return WhiteheadMove("INV", z)
-    z1 = prg.next() % q
-    z2 = prg.next() % (q - z1)
-    z3 = prg.next() % (q - z1 - z2)
-    others = [b for b in range(1, q + 1) if b != z]
+        return WhiteheadMove._make("INV", z)
+    z1 = draw() % q
+    z2 = draw() % (q - z1)
+    z3 = draw() % (q - z1 - z2)
+    pool = [*range(1, z), *range(z + 1, q + 1)]
+    pop = pool.pop
     if z1 == z2 == z3 == 0:
         # would be the identity map: put one extra letter in L, R or M
-        extra = _draw_distinct(prg, others, 1)
-        which = prg.next() % 3
-        L, R, M = (extra if which == part else frozenset() for part in range(3))
+        drawn = [pop(draw() % (q - 1))]
+        z1, z2 = ((1, 0), (0, 1), (0, 0))[draw() % 3]
     else:
-        L = _draw_distinct(prg, others, z1)
-        R = _draw_distinct(prg, others, z2)
-        M = _draw_distinct(prg, others, z3)
-    return WhiteheadMove("W", z, L, R, M | {z})
+        drawn = [pop(draw() % n) for n in range(q - 1, q - 1 - z1 - z2 - z3, -1)]
+    m = z1 + z2
+    L = frozenset(drawn[:z1]) if z1 else _EMPTY
+    R = frozenset(drawn[z1:m]) if z2 else _EMPTY
+    return WhiteheadMove._make("W", z, L, R, frozenset((z, *drawn[m:])))
 
 
 def _mutually_inverse(prev: WhiteheadMove, new: WhiteheadMove) -> bool:
@@ -269,10 +288,11 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
     q = alphabet.rank
     if q < 2:
         raise PreconditionError("sampling requires rank >= 2")
-    nbits = length if length is not None else 4 + prg.next() % 13
+    draw = prg.next
+    nbits = length if length is not None else 4 + draw() % 13
     if nbits < 1:
         raise PreconditionError("factor count must be >= 1")
-    bits = [prg.next() % 2 for _ in range(nbits)]
+    bits = [draw() % 2 for _ in range(nbits)]
     factors: list[WhiteheadMove] = []
     for bit in bits:
         for _ in range(_MAX_ATTEMPTS):
@@ -292,7 +312,7 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
         # redraw the final factor, kind bit included: with a fixed kind every
         # candidate may either cancel the previous factor or complete the
         # identity (all-inversion sequences at rank 2 deadlock)
-        bit = bits[-1] if attempts == 1 else prg.next() % 2
+        bit = bits[-1] if attempts == 1 else draw() % 2
         factor = _draw_factor(prg, q, bit)
         if len(factors) > 1 and _mutually_inverse(factors[-2], factor):
             continue

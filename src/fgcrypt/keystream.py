@@ -30,16 +30,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def splitmix64(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (next_state, output), all mod 2^64."""
-    state = (state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
 
 
 class Prg:
@@ -53,8 +43,20 @@ class Prg:
         self.state = seed
 
     def next(self) -> int:
-        self.state, out = splitmix64(self.state)
-        return out
+        """One splitmix64 step, the package's only one: the state advances
+        by the golden gamma and the output mixes it, all mod 2^64."""
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return z ^ (z >> 31)
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """One splitmix64 step from ``state`` in 0..2^64-1: returns
+    (next_state, output), all mod 2^64."""
+    prg = Prg(state)
+    out = prg.next()
+    return prg.state, out
 
 
 @dataclass(frozen=True)

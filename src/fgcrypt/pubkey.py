@@ -8,16 +8,18 @@ representation instead.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .automorphisms import FactoredAutomorphism, parse_automorphism
-from .errors import DecryptionError, PreconditionError
+from .automorphisms import (FactoredAutomorphism, _compose_signed,
+                            parse_automorphism)
+from .errors import CapExceededError, DecryptionError, PreconditionError
 from .matrices import (Mat2Q, RepSpec, format_matrix, mat_mul, matrix_to_word,
                        parse_matrix, word_to_matrix)
-from .words import (Alphabet, Word, concat, format_word, parse_kv_lines,
-                    parse_word)
+from .words import (_MAX_LETTERS, Alphabet, Word, concat, format_word,
+                    parse_kv_lines, parse_word)
 
 __all__ = [
     "PubkeyParams",
@@ -36,11 +38,233 @@ __all__ = [
 _MAX_EXPONENT = 32
 
 
+# ---------------------------------------------------------------------------
+# Finite order.  The kernel IA(F_q) of Aut(F_q) -> GL(q, Z) is torsion-free
+# (Baumslag-Taylor 1968), so f has finite order exactly when its
+# abelianization A has some finite order k and f^k = id.  A has finite order
+# exactly when its characteristic polynomial is a product of cyclotomic
+# polynomials Phi_d and A is a root of r, the product of the distinct Phi_d;
+# k is then the lcm of those d.  A is held as sparse rows {column: entry}.
+# ---------------------------------------------------------------------------
+
+# the entry operations the characteristic polynomials may cost; past it the
+# check searches the orders up to 12 instead
+_ORDER_WORK = 1 << 21
+
+
+def _abelianization(f: FactoredAutomorphism) -> list[dict[int, int]]:
+    """The integer matrix of f on F/[F, F]: column j counts the letters of
+    f(x_j) by sign."""
+    A: list[dict[int, int]] = [{} for _ in range(f.alphabet.rank)]
+    for j, image in enumerate(f.images):
+        for s in image.signed:
+            row = A[abs(s) - 1]
+            row[j] = row.get(j, 0) + (1 if s > 0 else -1)
+    return [{j: v for j, v in row.items() if v} for row in A]
+
+
+def _diagonal_blocks(A: list[dict[int, int]]) -> list[list[dict[int, int]]]:
+    """The principal submatrices of A on the strongly connected components
+    of the graph with an edge i -> j for each entry A[i][j] (Kosaraju).
+    Ordered by them A is block triangular, so det(xI - A) is the product of
+    their characteristic polynomials: generators that a map fixes or
+    permutes in short cycles cost almost nothing."""
+    n = len(A)
+    seen = [False] * n
+    finished = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(A[s]))]
+        while stack:
+            v, edges = stack[-1]
+            for w in edges:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(A[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    into: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(A):
+        for j in row:
+            into[j].append(i)
+    blocks = []
+    for s in reversed(finished):  # reversed edges; seen now means unplaced
+        if not seen[s]:
+            continue
+        seen[s] = False
+        block = [s]
+        for v in block:
+            for w in into[v]:
+                if seen[w]:
+                    seen[w] = False
+                    block.append(w)
+        at = {i: pos for pos, i in enumerate(block)}
+        blocks.append([{at[j]: a for j, a in A[i].items() if j in at}
+                       for i in block])
+    return blocks
+
+
+def _char_poly(A: list[dict[int, int]]) -> list[int]:
+    """det(xI - A), leading coefficient first (Faddeev-LeVerrier; each
+    division is exact over Z), in about nnz(A) * n^2 entry operations."""
+    n = len(A)
+    coeffs = [1]
+    AM = [[0] * n for _ in range(n)]  # A M_0, with M_0 = 0
+    for k in range(1, n + 1):
+        M = AM  # M_k = A M_(k-1) + c I, in place
+        for i in range(n):
+            M[i][i] += coeffs[-1]
+        AM = []
+        for row in A:
+            acc = [0] * n
+            for j, a in row.items():
+                acc = [x + a * y for x, y in zip(acc, M[j])]
+            AM.append(acc)
+        coeffs.append(-sum(AM[i][i] for i in range(n)) // k)
+    return coeffs
+
+
+def _divmod_monic(p: list[int], m: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of p by the monic m (len(p) >= len(m)),
+    leading coefficients first."""
+    p = list(p)
+    n = len(m) - 1
+    for i in range(len(p) - n):
+        c = p[i]
+        if c:
+            for j in range(1, n + 1):
+                p[i + j] -= c * m[j]
+    return p[:len(p) - n], p[len(p) - n:]
+
+
+def _cyclotomic_factors(chi: list[int]) -> Optional[dict[int, list[int]]]:
+    """{d: Phi_d} over the factors of the monic chi when it is a product of
+    cyclotomic polynomials, else None.  Only the d with phi(d) <= deg chi
+    can occur, and phi(d) >= sqrt(d / 2) bounds them."""
+    q = len(chi) - 1
+    bound = 2 * q * q
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
+    cyclotomic: dict[int, list[int]] = {}
+    found = {}
+    for d in range(1, bound + 1):
+        if len(chi) == 1:
+            return found
+        if phi[d] >= len(chi):  # Phi_d has degree phi(d) > deg chi
+            continue
+        c = [1] + [0] * (d - 1) + [-1]  # x^d - 1 over the Phi_e, e | d
+        for e, ce in cyclotomic.items():
+            if d % e == 0:
+                c = _divmod_monic(c, ce)[0]
+        cyclotomic[d] = c
+        while len(chi) >= len(c):
+            quot, rem = _divmod_monic(chi, c)
+            if any(rem):
+                break
+            chi = quot
+            found[d] = c
+    return found if len(chi) == 1 else None
+
+
+def _kills(A: list[dict[int, int]], p: list[int], v: list[int]) -> bool:
+    """Whether p(A) v = 0, by Horner's rule: deg p products of A with a
+    vector, where p(A) itself could fill in to n^2 entries."""
+    w = [0] * len(v)
+    for c in p:
+        w = [sum(a * w[j] for j, a in row.items()) + c * x
+             for row, x in zip(A, v)]
+    return not any(w)
+
+
+def _power(mul, x, n: int):
+    """x^n for n >= 1 by repeated squaring: O(log n) products, and no square
+    past the top bit of n."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
+def _compose_bounded(outer: list[tuple[int, ...]],
+                     inner: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``_compose_signed``, refused before it starts when the images would
+    total more than the 2^24-letter cap before free reduction.  Squaring
+    composes two long maps, and one image of their composite can pass the
+    cap many times over before the after-image check sees it."""
+    lengths = [len(image) for image in outer]
+    total = sum(lengths[abs(s) - 1] for image in inner for s in image)
+    if total > _MAX_LETTERS:
+        raise CapExceededError(f"composite images total up to {total} "
+                               f"letters, more than {_MAX_LETTERS}")
+    return _compose_signed(outer, inner)
+
+
+def _is_period(f: FactoredAutomorphism, k: int) -> bool:
+    """Whether f^k = id, tested as f^h = (f^-1)^(k-h) with h = ceil(k/2) so
+    each side is half the exponent: O(log k) compositions.  A composite that
+    could pass the 2^24-letter cap leaves it undecided, and counts as no."""
+    h = (k + 1) // 2
+    try:
+        lhs = _power(_compose_bounded, [im.signed for im in f.images], h)
+        rhs = (_power(_compose_bounded,
+                      [im.signed for im in f.inverse().images], k - h)
+               if k > h else [(i,) for i in range(1, f.alphabet.rank + 1)])
+    except CapExceededError:
+        return False
+    return lhs == rhs
+
+
+def _finite_order(f: FactoredAutomorphism) -> Optional[int]:
+    """The order of f, or None when it is infinite or left undecided.
+    With k the lcm above, f is composed to test f^k = id only when
+    r(A) v = 0 for the fixed vector v = (1, ..., q): r(A) = 0 implies that,
+    and the test on f decides either way.  When the characteristic
+    polynomials would cost more than _ORDER_WORK entry operations, the
+    orders k <= 12 with A^k v = v are tried instead, smallest first."""
+    A = _abelianization(f)
+    v = list(range(1, len(A) + 1))
+    blocks = _diagonal_blocks(A)
+    if sum(len(b) ** 2 * sum(map(len, b)) for b in blocks) > _ORDER_WORK:
+        return next((k for k in range(1, 13)
+                     if _kills(A, [1] + [0] * (k - 1) + [-1], v)
+                     and _is_period(f, k)), None)
+    factors: dict[int, list[int]] = {}
+    for block in blocks:
+        found = _cyclotomic_factors(_char_poly(block))
+        if found is None:
+            return None
+        factors.update(found)
+    r = [1]
+    for phi in factors.values():
+        product = [0] * (len(r) + len(phi) - 1)
+        for i, a in enumerate(r):
+            for j, b in enumerate(phi):
+                product[i + j] += a * b
+        r = product
+    k = math.lcm(*factors)
+    return k if _kills(A, r, v) and _is_period(f, k) else None
+
+
 @dataclass(frozen=True)
 class PubkeyParams:
     """Public data: the base word a != 1 and an automorphism f intended to
-    have infinite order.  Infinite order is not decidable from the factors;
-    construction warns when f^k is the identity for some k <= 12."""
+    have infinite order.  Construction warns when f has finite order.  It
+    composes f only when the abelianization of f may have finite order
+    (never for the bundled demo), and gives no warning when the order is
+    left undecided: a power of f the test needs could pass the 2^24-letter
+    cap, or the abelianization is too costly to factor and the order is
+    above 12."""
 
     alphabet: Alphabet
     a: Word
@@ -56,13 +280,10 @@ class PubkeyParams:
             raise PreconditionError("base word alphabet differs")
         if self.f.alphabet.names != self.alphabet.names:
             raise PreconditionError("automorphism alphabet differs")
-        g = self.f
-        for k in range(2, 13):
-            g = g.compose(self.f)
-            if g.is_identity():
-                warnings.warn(f"automorphism has finite order {k}; "
-                              "the scheme expects infinite order", stacklevel=2)
-                break
+        k = _finite_order(self.f)
+        if k is not None:
+            warnings.warn(f"automorphism has finite order {k}; "
+                          "the scheme expects infinite order", stacklevel=2)
 
     def _check_exponent(self, n: int) -> None:
         if n < 1:

@@ -74,3 +74,26 @@ def test_one_integer_reader():
                     and node.value.id == "int"):
                 found.append(f"{path.name}:{node.value.lineno}: type=int")
     assert found == []
+
+
+def test_one_splitmix64_and_trusted_factors_stay_inside():
+    """splitmix64 has one body: each of its multipliers appears once in the
+    package.  Only the sampler's draw and the factor inverse in
+    automorphisms.py build a ``WhiteheadMove`` through the unchecked
+    ``WhiteheadMove._make``."""
+    multipliers = {0xBF58476D1CE4E5B9: [], 0x94D049BB133111EB: []}
+    trusted = set()
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant) and type(node.value) is int
+                        and node.value in multipliers):
+                    multipliers[node.value].append(f"{path.name}:{node.lineno}")
+                if (isinstance(node, ast.Attribute) and node.attr == "_make"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "WhiteheadMove"):
+                    trusted.add((path.name, getattr(top, "name", None)))
+    assert all(len(found) == 1 for found in multipliers.values()), multipliers
+    assert trusted == {("automorphisms.py", "_draw_factor"),
+                       ("automorphisms.py", "_invert_factor")}

@@ -483,6 +483,45 @@ class TestSampler:
         assert len(f.factors) == 7
 
 
+class TestTrustedFactors:
+    """The sampler and the factor inverse build Whitehead factors through
+    ``WhiteheadMove._make``, skipping ``__post_init__``: every such factor
+    must be one the validating constructor accepts and equals."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_drawn_and_inverted_factors_validate(self, q):
+        alphabet = Alphabet(tuple("abcdef"[:q]))
+        fam = AutFamily(0x7E57 + q, alphabet, 64)
+        seen = 0
+        for index in range(300):
+            f = derive_automorphism(fam, index)
+            for factor in f.factors + f.inverse().factors:
+                assert all(type(getattr(factor, part)) is frozenset
+                           for part in "LRM")
+                rebuilt = WhiteheadMove(factor.kind, factor.a,
+                                        factor.L, factor.R, factor.M)
+                assert rebuilt == factor and hash(rebuilt) == hash(factor)
+                seen += 1
+        assert seen >= 300 * 8  # at least 4 factors each way per member
+
+    def test_no_validation_on_the_trusted_path(self, monkeypatch):
+        validated = []
+        post_init = WhiteheadMove.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(WhiteheadMove, "__post_init__", counting)
+        for q in (2, 4, 6):
+            fam = AutFamily(0x5EED, Alphabet(tuple("abcdef"[:q])), 64)
+            for index in range(40):
+                derive_automorphism(fam, index).inverse()
+        assert validated == []
+        WhiteheadMove("INV", 1)
+        assert len(validated) == 1
+
+
 class TestMoveEngine:
     """Tuple moves and the automorphism fold share one move engine: moving
     the generators gives the automorphism's images, and moving them by the

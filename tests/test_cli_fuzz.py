@@ -5,9 +5,9 @@ Each grammar starts from a valid text (a fixture or a library-written
 file) and applies up to four random edits: a span of up to six characters
 is cut at a random position and a grammar token or a short printable string
 is put in its place.  The pubkey automorphism ``f`` is left alone: the
-finite-order check in ``PubkeyParams`` is capped (a composite past 2^24
-letters raises ``CapExceededError``), but a mutated ``f`` that grows fast
-still costs seconds per example before it reaches the cap.  Exponents stay
+finite-order check in ``PubkeyParams`` is capped (a composite that could
+pass 2^24 letters leaves the order undecided), but a mutated ``f`` that
+grows fast still costs seconds per example before it reaches the cap.  Exponents stay
 below 100: ``a^n`` expands into n letters, Nielsen reduction of ``(a^n, a)``
 takes a number of steps that grows with n, and the word grammar's 2^24-letter
 cap is far above what that reduction finishes quickly.

@@ -104,6 +104,24 @@ class TestPrg:
         assert out == 0xE220A8397B1DCDAF
         assert state == 0x9E3779B97F4A7C15
 
+    def test_step_matches_reference(self):
+        mask = (1 << 64) - 1
+        gamma = 0x9E3779B97F4A7C15
+        rng = random.Random(64)
+        states = [0, 1, mask, mask - gamma, mask - gamma + 1]
+        for state in states + [rng.getrandbits(64) for _ in range(500)]:
+            s = (state + gamma) & mask
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            assert splitmix64(state) == (s, z ^ (z >> 31))
+            prg = Prg(state)
+            assert (prg.next(), prg.state) == (z ^ (z >> 31), s)
+
+    @pytest.mark.parametrize("state", [-1, 1 << 64])
+    def test_step_outside_64_bits_rejected(self, state):
+        with pytest.raises(PreconditionError):
+            splitmix64(state)
+
 
 class TestFamily:
     def test_deterministic(self):
@@ -134,8 +152,10 @@ class TestFamily:
         ]
 
     # sha256 over i = 0..199 of each member's factor list, images and
-    # inverse images (the m64 rows as computed by the earlier generator-image
-    # fold; the m128-high row covers indices >= 2^64, seeded through SHA-256)
+    # inverse images (the rank 2-4 m64 rows as computed by the earlier
+    # generator-image fold, the rank 5 and 7 rows by the sampler that still
+    # validated every drawn factor; the m128-high row covers indices >= 2^64,
+    # seeded through SHA-256)
     @pytest.mark.parametrize("names, seed, m, high, digest", [
         ("a b c d", 0x9E3779B97F4A7C15, 64, 0,
          "720ebbeef0f37b578d520a625d4306738e30e7bd0ea7dabc15cb4afc24293358"),
@@ -145,7 +165,12 @@ class TestFamily:
          "a68831d6d708db0982bb89090061206741b399b36be665a60ed549afe1877140"),
         ("a b c", 0x5EED, 64, 0,
          "ea9067d28c1c7c15f8e71c19b52c81756d360c2dbb22cf4ca1422d2e9b7ae9f7"),
-    ], ids=["rank4-m64", "rank4-m128-high", "rank2-m64", "rank3-m64"])
+        ("a b c d e", 0x5EED, 64, 0,
+         "979fe4cfad2a06d9b9f276d1b8e401461b70c419fb6a06933468f9ae925bdb7e"),
+        ("a b c d e f g", 0x5EED, 64, 0,
+         "f82d0b256c4e39b4dc3431d71d6c7999a10b1975f8a83d132349babf26d8f10a"),
+    ], ids=["rank4-m64", "rank4-m128-high", "rank2-m64", "rank3-m64",
+            "rank5-m64", "rank7-m64"])
     def test_golden_digests(self, names, seed, m, high, digest):
         fam = AutFamily(seed, Alphabet(tuple(names.split())), m)
         h = hashlib.sha256()

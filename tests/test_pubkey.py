@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import warnings
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 from fgcrypt import (
     Alphabet,
+    ElementaryMove,
+    FactoredAutomorphism,
     PubkeyParams,
     WhiteheadMove,
     alice_decrypt,
@@ -20,11 +23,15 @@ from fgcrypt import (
     make_representation,
     mat_inv,
     mat_mul,
+    parse_automorphism,
     parse_moves,
     word_to_matrix,
 )
-from fgcrypt.errors import DecryptionError, PreconditionError
-from fgcrypt.pubkey import (parse_pair_file, parse_params_file,
+from fgcrypt import pubkey
+from fgcrypt.errors import (CapExceededError, DecryptionError,
+                            PreconditionError)
+from fgcrypt.nielsen import _realization
+from fgcrypt.pubkey import (_finite_order, parse_pair_file, parse_params_file,
                             write_pair_file)
 
 from conftest import random_word
@@ -62,6 +69,240 @@ class TestParams:
             warnings.simplefilter("always")
             PubkeyParams(X123, X123.parse("x1"), inv)
         assert any("finite order" in str(w.message) for w in seen)
+
+    @staticmethod
+    def order_warnings(alphabet, f):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            PubkeyParams(alphabet, generators(alphabet)[0], f)
+        return [str(w.message) for w in seen if "finite order" in str(w.message)]
+
+    @staticmethod
+    def count_compositions(monkeypatch):
+        """Record each composition and inverse the order check makes of f."""
+        calls = []
+
+        def compose(outer, inner, _compose=pubkey._compose_signed):
+            calls.append("compose")
+            return _compose(outer, inner)
+
+        def inverse(self, _inverse=FactoredAutomorphism.inverse):
+            calls.append("inverse")
+            return _inverse(self)
+
+        monkeypatch.setattr(pubkey, "_compose_signed", compose)
+        monkeypatch.setattr(FactoredAutomorphism, "inverse", inverse)
+        return calls
+
+    @staticmethod
+    def signed_cycles(cycles, inverted=()):
+        """x_(p_i) -> x_(p_(i+1)) round each cycle p of 1-based indices; the
+        last generator of a cycle maps to the first, inverted when the cycle
+        is in ``inverted``."""
+        moves = []
+        for cycle in cycles:
+            for i, j in zip(cycle, cycle[1:]):  # (u_i, u_j) -> (u_j, u_i^-1)
+                moves += (_realization(i, j, "R", 1)
+                          + _realization(j, i, "R", -1)
+                          + _realization(i, j, "L", 1))
+            # x_(p_1) now carries the sign (-1)^(len - 1)
+            if (len(cycle) % 2 == 1) == (cycle in inverted):
+                moves.append(ElementaryMove("T1", cycle[-1]))
+        return moves
+
+    def test_order_two_is_exact(self, monkeypatch):
+        # f^1 against (f^-1)^1: one inverse and no composition
+        calls = self.count_compositions(monkeypatch)
+        inv = from_factors([WhiteheadMove("INV", 1)], X123)
+        assert self.order_warnings(X123, inv) == [
+            "automorphism has finite order 2; the scheme expects infinite order"]
+        assert calls == ["inverse"]
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 8])
+    def test_signed_cycle_orders(self, q, inverted):
+        # x_i -> x_(i+1), x_q -> x_1^(+-1) has order q, or 2q when inverted;
+        # at rank 7 the inverted cycle's order 14 escaped a k <= 12 search
+        alphabet = Alphabet(tuple(f"x{i}" for i in range(1, q + 1)))
+        cycle = tuple(range(1, q + 1))
+        f = from_factors(self.signed_cycles(
+            [cycle], [cycle] if inverted else []), alphabet)
+        last = "x1^-1" if inverted else "x1"
+        assert [str(w) for w in f.images] == list(alphabet.names[1:]) + [last]
+        order = 2 * q if inverted else q
+        assert f.power(order).is_identity()
+        assert not f.power(order // 2).is_identity()
+        assert self.order_warnings(alphabet, f) == [
+            f"automorphism has finite order {order}; "
+            "the scheme expects infinite order"]
+
+    @pytest.mark.parametrize("conj, warned", [
+        (None, [1_021_020]),
+        (WhiteheadMove("W", 4, M={1, 4}), []),
+        (WhiteheadMove("W", 2, M={1, 2}), []),
+    ], ids=["permutation", "linear-growth", "exponential-growth"])
+    def test_high_order_in_log_compositions(self, monkeypatch, conj, warned):
+        # rank 60, generators permuted in cycles of 3, 4, 5, 7, 11, 13 and 17:
+        # order 1 021 020, decided in O(log k) compositions.  A conjugation
+        # after it keeps A, so f is composed; x1 -> x4 x1 x4^-1 grows f^n
+        # linearly and f^k != id is decided, x1 -> x2 x1 x2^-1 grows it
+        # exponentially and the composite that would pass the cap is refused
+        # before it is built, leaving the order undecided
+        alphabet = Alphabet(tuple(f"x{i}" for i in range(1, 61)))
+        cycles, start = [], 1
+        for length in (3, 4, 5, 7, 11, 13, 17):
+            cycles.append(tuple(range(start, start + length)))
+            start += length
+        f = from_factors(self.signed_cycles(cycles) + ([conj] if conj else []),
+                         alphabet)
+        calls = self.count_compositions(monkeypatch)
+        began = time.perf_counter()
+        assert self.order_warnings(alphabet, f) == [
+            f"automorphism has finite order {k}; "
+            "the scheme expects infinite order" for k in warned]
+        assert time.perf_counter() - began < 10.0
+        # f^h and (f^-1)^(k-h) with h = ceil(k/2), by squaring
+        assert calls.count("compose") <= 4 * (1_021_020).bit_length()
+
+    @pytest.mark.parametrize("text", [F_SEQ, "T2 1 2", "T2 1 2\nT1 3"],
+                             ids=["demo", "unipotent", "jordan"])
+    def test_infinite_order_of_A_composes_nothing(self, monkeypatch, text):
+        # the demo's A has infinite order; x1 -> x1 x2 has A != I with every
+        # eigenvalue 1, so A^1 != I already decides it; with x3 -> x3^-1 as
+        # well, chi = (x - 1)^2 (x + 1) admits k = 2 but A^2 != I, which
+        # r(A) v = (A^2 - I) v != 0 shows before f is composed
+        calls = self.count_compositions(monkeypatch)
+        f = from_factors(parse_moves(text), X123)
+        assert self.order_warnings(X123, f) == []
+        assert calls == []
+
+    def test_torsion_free_kernel_cases(self, monkeypatch):
+        # A = I (f in IA): f != id decides it with nothing composed; A of
+        # order 2 with f^2 != id: f against f^-1, and infinite order
+        calls = self.count_compositions(monkeypatch)
+        conj = from_factors([WhiteheadMove("W", 2, M={1, 2})], X123)
+        mixed = from_factors([WhiteheadMove("INV", 1),
+                              WhiteheadMove("W", 2, M={1, 2})], X123)
+        assert str(mixed.images[0]) == "x2 x1^-1 x2^-1"
+        for f, made in ((conj, []), (mixed, ["inverse"])):
+            calls.clear()
+            assert self.order_warnings(X123, f) == []
+            assert calls == made
+
+    def test_costly_blocks_search_orders_up_to_12(self, monkeypatch):
+        # with no budget for characteristic polynomials, the orders 1..12
+        # with A^k v = v are tried: order 2 is found, order 14 is not
+        monkeypatch.setattr(pubkey, "_ORDER_WORK", 0)
+        inv = from_factors([WhiteheadMove("INV", 1)], X123)
+        assert self.order_warnings(X123, inv) == [
+            "automorphism has finite order 2; the scheme expects infinite order"]
+        x7 = Alphabet(tuple(f"x{i}" for i in range(1, 8)))
+        cycle = tuple(range(1, 8))
+        f = from_factors(self.signed_cycles([cycle], [cycle]), x7)
+        assert self.order_warnings(x7, f) == []
+        assert _finite_order(f.power(7)) == 2
+
+    @pytest.mark.parametrize("warned", [[], [13]],
+                             ids=["one-block", "small-blocks"])
+    def test_large_rank_stays_cheap(self, warned):
+        # a 1000-cycle with x1 -> x1 x2 after it is one strongly connected
+        # block, whose characteristic polynomial would cost about 10^9 entry
+        # operations, so the bounded search runs; a 13-cycle among 987
+        # fixed generators splits into small blocks and is decided exactly
+        q = 1000
+        alphabet = Alphabet(tuple(f"x{i}" for i in range(1, q + 1)))
+        if warned:
+            moves = self.signed_cycles([tuple(range(1, 14))])
+        else:
+            moves = (self.signed_cycles([tuple(range(1, q + 1))])
+                     + [ElementaryMove("T2", 1, 2)])
+        f = from_factors(moves, alphabet)
+        began = time.perf_counter()
+        assert self.order_warnings(alphabet, f) == [
+            f"automorphism has finite order {k}; "
+            "the scheme expects infinite order" for k in warned]
+        assert time.perf_counter() - began < 5.0
+
+    def test_blocks_multiply_to_the_characteristic_polynomial(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            A = [{j: rng.choice((-2, -1, 1, 2)) for j in range(n)
+                  if rng.random() < 0.25} for _ in range(n)]
+            # the blocks are the strongly connected components
+            reach = [[i == j or j in A[i] for j in range(n)] for i in range(n)]
+            for m in range(n):
+                for i in range(n):
+                    if reach[i][m]:
+                        reach[i] = [r or reach[m][j]
+                                    for j, r in enumerate(reach[i])]
+            components = {frozenset(j for j in range(n)
+                                    if reach[i][j] and reach[j][i])
+                          for i in range(n)}
+            blocks = pubkey._diagonal_blocks(A)
+            assert sorted(map(len, blocks)) == sorted(map(len, components))
+            product = [1]
+            for block in blocks:
+                chi = pubkey._char_poly(block)
+                product = [sum(product[i] * chi[j - i]
+                               for i in range(len(product))
+                               if 0 <= j - i < len(chi))
+                           for j in range(len(product) + len(chi) - 1)]
+            assert product == pubkey._char_poly(A), A
+
+    def test_half_powers_stay_under_the_cap(self, monkeypatch):
+        # A has order 12 (chi = Phi_4 Phi_6) and the images grow about 5.4x
+        # per power, so f^12 passes the 2^24-letter cap at f^9; f^6 against
+        # f^-6 decides the order within it
+        abcd = Alphabet(tuple("abcd"))
+        f = parse_automorphism(
+            "W d ; L = b ; R = ; M = a d\n"
+            "W a ; L = b d ; R = ; M = a c\n"
+            "W d ; L = b ; R = a ; M = c d\n"
+            "W b ; L = a ; R = c d ; M = b\n"
+            "W c ; L = a ; R = ; M = b c\n", abcd)
+        refused = []
+
+        def bounded(outer, inner, _bounded=pubkey._compose_bounded):
+            try:
+                return _bounded(outer, inner)
+            except CapExceededError:
+                refused.append(len(outer))
+                raise
+
+        monkeypatch.setattr(pubkey, "_compose_bounded", bounded)
+        assert _finite_order(f) is None
+        assert self.order_warnings(abcd, f) == []
+        assert refused == []
+
+    def test_cap_leaves_the_order_undecided(self, monkeypatch):
+        def capped(outer, inner):
+            raise CapExceededError("composite past the cap")
+
+        monkeypatch.setattr(pubkey, "_compose_signed", capped)
+        cycle = from_factors(self.signed_cycles([(1, 2, 3)]), X123)
+        assert self.order_warnings(X123, cycle) == []
+
+    def test_order_matches_repeated_composition(self):
+        # at ranks 2 and 3 every finite order of GL(q, Z) is at most 6
+        rng = random.Random(17)
+        for _ in range(300):
+            q = rng.choice((2, 3))
+            alphabet = Alphabet(tuple("abc"[:q]))
+            pool = ([ElementaryMove("T1", i) for i in range(1, q + 1)]
+                    + [ElementaryMove("T2", i, j) for i in range(1, q + 1)
+                       for j in range(1, q + 1) if i != j]
+                    + [WhiteheadMove("INV", i) for i in range(1, q + 1)])
+            f = from_factors(rng.choices(pool, k=rng.randint(1, 6)), alphabet)
+            if f.is_identity():
+                continue
+            g, brute = f, None
+            for k in range(1, 7):
+                if g.is_identity():
+                    brute = k
+                    break
+                g = g.compose(f)
+            assert _finite_order(f) == brute, f.factors
 
     def test_exponent_cap(self):
         params = demo_params()
