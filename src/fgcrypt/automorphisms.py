@@ -159,10 +159,16 @@ class FactoredAutomorphism:
     images: tuple[Word, ...] = field(compare=False)
 
     def apply(self, w: Word) -> Word:
+        """f(w).  An image of more than 2^24 letters raises
+        ``CapExceededError`` once it has passed the cap, by at most one
+        letter's image.  The running check is skipped when len(w) times the
+        longest image, a bound on the unreduced image, is within the cap."""
         if w.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("word is over a different alphabet")
         images = [im.signed for im in self.images]
-        return Word._make(self.alphabet, _substitute(images, w.signed))
+        cap = (_MAX_LETTERS if len(w) * max(map(len, images)) > _MAX_LETTERS
+               else None)
+        return Word._make(self.alphabet, _substitute(images, w.signed, cap))
 
     def compose(self, other: "FactoredAutomorphism") -> "FactoredAutomorphism":
         """(self o other)(w) = self(other(w)).  Images totalling more than

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -121,8 +121,8 @@ class Word:
     def _make(cls, alphabet: Alphabet, signed: tuple[int, ...]) -> "Word":
         """Internal: wrap an already-reduced, already-validated tuple."""
         w = object.__new__(cls)
-        object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "signed", signed)
+        _set_alphabet(w, alphabet)
+        _set_signed(w, signed)
         return w
 
     def __len__(self) -> int:
@@ -171,6 +171,11 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
+# the slots' own setters, which skip Word.__setattr__ (it refuses every write)
+_set_alphabet = Word.alphabet.__set__
+_set_signed = Word.signed.__set__
+
+
 def _reduce_signed(seq: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for s in seq:
@@ -216,13 +221,17 @@ def _invert_signed(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(a)))
 
 
-def _substitute(images: Sequence[tuple[int, ...]],
-                letters: Iterable[int]) -> tuple[int, ...]:
+def _substitute(images: Sequence[tuple[int, ...]], letters: Iterable[int],
+                cap: int | None = None) -> tuple[int, ...]:
     """Freely reduced image of the signed letters under x_i -> images[i-1];
     the images are freely reduced, so letters cancel only at the seams, and
-    a seam is measured only when its first letters cancel (most do not)."""
+    a seam is measured only when its first letters cancel (most do not).
+    With ``cap``, an image longer than cap letters raises CapExceededError
+    once it has passed the cap, by at most one letter's image."""
     inverses: dict[int, tuple[int, ...]] = {}
     out: list[int] = []
+    if cap is not None:
+        letters = _capped(letters, out, cap)
     for s in letters:
         if s > 0:
             seq = images[s - 1]
@@ -237,6 +246,18 @@ def _substitute(images: Sequence[tuple[int, ...]],
         else:
             out.extend(seq)
     return tuple(out)
+
+
+def _capped(letters: Iterable[int], out: list[int],
+            cap: int) -> Iterable[int]:
+    """The letters, with a check before each and after the last that the
+    image being built in ``out`` holds at most ``cap`` letters."""
+    for s in letters:
+        if len(out) > cap:
+            break
+        yield s
+    if len(out) > cap:
+        raise CapExceededError(f"image has {len(out)} letters, more than {cap}")
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -270,10 +291,14 @@ def ball_size(q: int, radius: int) -> int:
 # Textual form.  Grammar:  word := "1" | unit (" " unit)* ;
 #                          unit := name ("^" nonzero-integer)?
 # with integer := [+-]?[0-9]+ (ASCII digits only).
-# Any whitespace separates units.  A text is read in one pass: each unit is
-# cancelled against the reduced word so far, and the letter cap counts units
-# as spelled, before free reduction.  Canonical output merges runs of a
-# letter into one unit, single spaces.
+# Any whitespace separates units.  A text is split once and each distinct
+# unit is read once, into a run of one letter.  The letter cap counts the
+# units as spelled, before free reduction; a run is built only while the
+# runs so far stay within the cap, and the spelled total is checked before
+# ``_substitute`` joins the runs in text order, cancelling at the seams.  An
+# error names the first unit at which the text goes wrong, as a
+# left-to-right reading would.  Canonical output merges runs of a letter into
+# one unit, single spaces.
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
@@ -296,60 +321,93 @@ def _parse_int(text: str, base: int = 10) -> int:
         raise WordSyntaxError(f"integer has {len(text)} digits") from None
 
 
-# letters a word text may spell before free reduction; alice_keygen(n=32) on
+# letters a word text may spell before free reduction, and letters an
+# automorphism's images or an applied image may hold; alice_keygen(n=32) on
 # the bundled pubkey demo yields 9.7M letters
 _MAX_LETTERS = 1 << 24
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Read a word text in one pass over its units, cancelling each unit
-    against the reduced word so far, so no unreduced letter list is built."""
+    """Read a word text.  Each distinct unit is read once into a run of one
+    letter, the runs built never hold more letters than the cap, the
+    spelled total is checked against the cap, and then ``_substitute``
+    joins the runs in text order, cancelling at the seams."""
     units = text.split()  # splits exactly where _TOKEN does
     if not units:
         raise WordSyntaxError("empty word text; identity is spelled '1'")
     if units == ["1"]:
         return Word._make(alphabet, ())
     index = alphabet._index
-    cap = _MAX_LETTERS
-    spelled = 0
-    out: list[int] = []
-    exps: dict[str, int] = {}  # each distinct exponent text is read once
-    for k, unit in enumerate(units):
+    ids = dict.fromkeys(units)  # distinct unit -> run number, first seen first
+    runs: list[tuple[int, ...]] = []
+    expanded = 0  # letters in the runs of exponent units
+    top = 1  # the longest run
+    for i, unit in enumerate(ids, 1):
         idx = index.get(unit)
         if idx is not None:  # a bare name
-            letter, count = idx, 1
+            runs.append((idx,))
         else:
             name, _, exp_text = unit.partition("^")
             idx = index.get(name)
             if idx is None:
-                if unit == "1":
-                    raise WordSyntaxError(
-                        "'1' cannot be mixed with other units", _position(text, k))
-                raise WordSyntaxError(f"unknown generator {name!r}",
-                                      _position(text, k))
-            exp = exps.get(exp_text)
-            if exp is None:
-                try:
-                    exp = exps[exp_text] = _parse_int(exp_text)
-                except ValueError:
-                    raise WordSyntaxError(f"bad exponent {exp_text!r}",
-                                          _position(text, k)) from None
-            if exp == 0:
-                raise WordSyntaxError("exponent must be nonzero",
-                                      _position(text, k))
-            letter, count = (idx, exp) if exp > 0 else (-idx, -exp)
-        # the cap is checked before a unit expands, so no text costs more
-        # than _MAX_LETTERS letters of memory
-        spelled += count
-        if spelled > cap:
-            raise CapExceededError(
-                f"word text spells more than {cap} letters "
+                raise _unit_error(text, units, _counts(ids, runs), unit,
+                                  "'1' cannot be mixed with other units"
+                                  if unit == "1" else
+                                  f"unknown generator {name!r}")
+            try:
+                exp = _parse_int(exp_text)
+            except ValueError:
+                exp = None
+            if not exp:
+                raise _unit_error(text, units, _counts(ids, runs), unit,
+                                  f"bad exponent {exp_text!r}" if exp is None
+                                  else "exponent must be nonzero")
+            count = abs(exp)
+            expanded += count
+            if expanded > _MAX_LETTERS:
+                # every distinct unit so far is spelled before this one's
+                # first position, so the text passes the cap there or earlier
+                counts = _counts(ids, runs)
+                counts[unit] = count
+                raise _cap_error(text, units[:units.index(unit) + 1], counts)
+            runs.append(((idx,) if exp > 0 else (-idx,)) * count)
+            if count > top:
+                top = count
+        ids[unit] = i
+    # len(units) * top bounds the spelled total: the running total is taken
+    # only when that bound passes the cap
+    if len(units) * top > _MAX_LETTERS:
+        error = _cap_error(text, units, _counts(ids, runs))
+        if error:
+            raise error
+    return Word._make(alphabet, _substitute(runs, map(ids.__getitem__, units)))
+
+
+def _counts(ids: dict[str, int | None],
+            runs: list[tuple[int, ...]]) -> dict[str, int]:
+    """Letters spelled by each distinct unit read so far."""
+    return dict(zip(ids, map(len, runs)))
+
+
+def _cap_error(text: str, units: list[str],
+               counts: dict[str, int]) -> CapExceededError | None:
+    """The error for the first of ``units`` at which the spelled total
+    passes the cap, or None."""
+    for k, spelled in enumerate(accumulate(map(counts.__getitem__, units))):
+        if spelled > _MAX_LETTERS:
+            return CapExceededError(
+                f"word text spells more than {_MAX_LETTERS} letters "
                 f"(at position {_position(text, k)})")
-        while count and out and out[-1] == -letter:
-            out.pop()
-            count -= 1
-        out += [letter] * count
-    return Word._make(alphabet, tuple(out))
+    return None
+
+
+def _unit_error(text: str, units: list[str], counts: dict[str, int],
+                unit: str, message: str) -> Exception:
+    """The error for a bad unit: the cap's if the units before its first
+    position already pass the cap, else a WordSyntaxError there."""
+    k = units.index(unit)
+    return (_cap_error(text, units[:k], counts)
+            or WordSyntaxError(message, _position(text, k)))
 
 
 def _position(text: str, k: int) -> int:

@@ -97,3 +97,21 @@ def test_one_splitmix64_and_trusted_factors_stay_inside():
     assert all(len(found) == 1 for found in multipliers.values()), multipliers
     assert trusted == {("automorphisms.py", "_draw_factor"),
                        ("automorphisms.py", "_invert_factor")}
+
+
+def test_one_free_reduction():
+    """Free reduction has one implementation: in words.py a cancellation
+    test ``x == -y`` appears only in the kernel functions."""
+    tree = ast.parse((Path(fgcrypt.__file__).parent / "words.py").read_text())
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, ast.Eq) for op in node.ops)
+                    and any(isinstance(side, ast.UnaryOp)
+                            and isinstance(side.op, ast.USub)
+                            for side in (node.left, *node.comparators))):
+                found.add(getattr(top, "name", None))
+    assert found
+    assert found <= {"_reduce_signed", "_seam", "_concat_signed",
+                     "_substitute"}, found

@@ -27,7 +27,7 @@ from fgcrypt import (
     parse_moves,
     random_whitehead_automorphism,
 )
-from fgcrypt import automorphisms
+from fgcrypt import automorphisms, words
 from fgcrypt.automorphisms import _invert_factor, _mutually_inverse, _step
 from fgcrypt.errors import (
     CapExceededError,
@@ -285,6 +285,42 @@ class TestSizeCap:
             f.power(7) if how == "power" else f.compose(f6)
         total = int(re.search(r"total (\d+) letters", str(err.value)).group(1))
         assert cap < total <= cap + longest
+
+    def test_apply_overshoot_is_at_most_one_image(self, monkeypatch):
+        f = from_factors(parse_moves("T2 1 2\nT2 2 3\nT2 3 4\nT2 4 1"),
+                         ABCD).power(3)
+        w = ABCD.parse("a b^-1 c d") ** 20
+        size = len(f.apply(w))
+        longest = max(map(len, f.images))
+        monkeypatch.setattr(automorphisms, "_MAX_LETTERS", size)
+        assert len(f.apply(w)) == size
+        monkeypatch.setattr(automorphisms, "_MAX_LETTERS", size - 1)
+        with pytest.raises(CapExceededError) as err:
+            f.apply(w)
+        assert str(err.value).startswith("image has ")
+        monkeypatch.setattr(automorphisms, "_MAX_LETTERS", size // 3)
+        with pytest.raises(CapExceededError) as err:
+            f.apply(w)
+        got = int(re.search(r"image has (\d+) letters", str(err.value)).group(1))
+        assert size // 3 < got <= size // 3 + longest
+
+    def test_apply_cap_counts_reduced_letters(self, monkeypatch):
+        # f: a -> a b^5 sends (a b^-5)^30, 330 letters before free
+        # reduction, to a^30
+        f = from_factors(parse_moves("T2 1 2\n" * 5), AB)
+        w = AB.parse("a b^-5") ** 30
+        monkeypatch.setattr(automorphisms, "_MAX_LETTERS", 40)
+        assert f.apply(w) == AB.parse("a^30")
+
+    def test_apply_skips_the_running_check_under_the_cap(self, monkeypatch):
+        f = from_factors(parse_moves(DEMO_SEQ), ABCD).power(4)
+        w = ABCD.parse("d c^-1 d^-1 a^-1 d^-2 a^-1 c^-1") ** 5
+
+        def refuse(*args):
+            raise AssertionError("running check on a small image")
+        expected = f.apply(w)
+        monkeypatch.setattr(words, "_capped", refuse)
+        assert f.apply(w) == expected
 
 
 class TestInverse:

@@ -157,6 +157,21 @@ class TestPubkeyCommands:
         assert captured.err.startswith("error: composite images total")
         assert "Traceback" not in captured.err
 
+    def test_decrypt_image_past_the_cap(self, tmp_path, capsys):
+        # c2 = x1^3000 is far inside the text cap, but f^24(c2) would hold
+        # 3000 copies of f^24(x1); apply refuses it once it passes 2^24
+        fx = copy_fixture(tmp_path, "pubkey_demo")
+        pair = tmp_path / "pair.txt"
+        pair.write_text("c1 = x1\nc2 = x1^3000\n")
+        started = time.perf_counter()
+        assert run(["pubkey-decrypt", "--params", str(fx / "params.txt"),
+                    "--n", "24", "--pair", str(pair)]) == 2
+        assert time.perf_counter() - started < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: image has ")
+        assert "Traceback" not in captured.err
+
     def test_word_variant_end_to_end(self, tmp_path, capsys):
         fx = copy_fixture(tmp_path, "pubkey_demo")
         pub = tmp_path / "c.txt"

@@ -363,6 +363,15 @@ class TestWordVariant:
                 assert f.power(t).apply(f.power(n).apply(a)) == \
                     f.power(n + t).apply(a)
 
+    def test_largest_equal_exponents(self):
+        # n = t = 16: c1 holds 9.7M letters, under the 2^24-letter cap that
+        # apply enforces
+        params = demo_params()
+        m = demo_message()
+        pair = bob_encrypt(params, alice_keygen(params, 16), m, 16)
+        assert len(pair.c1) > 9_700_000
+        assert alice_decrypt(params, 16, pair) == m
+
     def test_random_round_trips(self):
         rng = random.Random(55)
         params = demo_params()

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,8 +22,10 @@ from fgcrypt.errors import (
     PreconditionError,
     WordSyntaxError,
 )
+from fgcrypt.pubkey import parse_params_file
 
 AB = Alphabet(("a", "b"))
+DEMO = Path(__file__).parent / "fixtures" / "pubkey_demo"
 ABCD = Alphabet(("a", "b", "c", "d"))
 
 
@@ -356,6 +359,12 @@ class TestParserOracle:
         "a^x", "b\u2003a^", "a a^2^3",      # bad exponent
         "a b^0", "b\x1ca^-0",               # zero exponent
         "a^6 b a^-5", "b\u2003" * 11,       # past a cap of 10 letters
+        "a^3 " * 4, "b a^99999999999999999999",  # a repeat, a huge unit
+        "a^11 q", "a^6 b^5 q",              # cap crossed before a bad unit
+        "q a^11", "a^6 q b^5",              # bad unit before a crossing
+        "a^3 b a^3 a^3 q",                  # exactly at the cap, then q
+        "a^6 a^-6 q",                       # distinct units alone pass it
+        "b a^x a a^x", "a^2 q b q",         # a bad unit repeats
     ])
     def test_same_error(self, text, monkeypatch):
         monkeypatch.setattr(words, "_MAX_LETTERS", 10)
@@ -367,3 +376,20 @@ class TestParserOracle:
         assert str(got.value) == str(ref.value)
         assert getattr(got.value, "position", None) == \
             getattr(ref.value, "position", None)
+
+    def test_demo_orbit_texts(self):
+        # f^k(a) on the bundled demo, the longest texts its pair files hold,
+        # alone and followed by the first units of their inverses
+        params = parse_params_file((DEMO / "params.txt").read_text(),
+                                   (DEMO / "f.aut").read_text())
+        alphabet = params.alphabet
+        w = params.a
+        for k in range(1, 15):
+            w = params.f.apply(w)
+            text = format_word(w)
+            tail = format_word(w.inverse()).split()
+            for n in (0, 1, 2, len(tail) // 2, len(tail) - 1, len(tail)):
+                full = " ".join([text, *tail[:n]])
+                assert parse_word(full, alphabet) == \
+                    reference_parse(full, alphabet)
+        assert len(text.split()) > 1000
