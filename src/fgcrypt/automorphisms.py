@@ -9,7 +9,7 @@ tuples through the kernel in :mod:`fgcrypt.words`, one step per factor, and
 wrap each final image in a ``Word`` once.  An inverse is never solved from
 the images: they are the fold of the factor-wise inverse list
 (W^-1 = INV W INV).  Applying, composing and powers are kernel substitutions
-of images; a power substitutes signed tuples once per exponent step and also
+of images; a power composes signed tuples by repeated squaring and also
 wraps only its final images.  This module does no free reduction of its own.
 
 Automorphisms are immutable after construction and apply/compose/power/
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .nielsen import ElementaryMove, _move, _realization, parse_moves
 from .words import (_MAX_LETTERS, Alphabet, Word, _concat_signed,
-                    _invert_signed, _substitute)
+                    _invert_signed, _running_cap, _substitute)
 
 __all__ = [
     "WhiteheadMove",
@@ -131,19 +131,41 @@ def _fold(factors: Iterable[Factor], q: int) -> list[tuple[int, ...]]:
 
 def _compose_signed(outer: list[tuple[int, ...]],
                     inner: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Signed images of ``outer o inner``.  The running total is checked
-    against the cap after each image, so at most one image overshoots it."""
+    """Signed images of ``outer o inner``.  Each image is built within the
+    room the images before it leave under the cap, by the rule of ``apply``,
+    so the running total passes the cap by at most one outer image."""
+    longest = max(map(len, outer))
     images = []
     total = 0
     for im in inner:
-        image = _substitute(outer, im)
-        total += len(image)
+        room = _MAX_LETTERS - total
+        try:
+            image = _substitute(outer, im, _running_cap(len(im), longest, room))
+            total += len(image)
+        except CapExceededError as err:  # past the room, so past the cap
+            total += err.letters
         if total > _MAX_LETTERS:
             raise CapExceededError(
                 f"composite images total {total} letters, more than "
                 f"{_MAX_LETTERS}")
         images.append(image)
     return images
+
+
+def _power(images: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Signed images of f^n, n >= 1, by repeated squaring: O(log n)
+    compositions.  Powers of f commute, so each product takes the longer
+    power as the outer map and walks the letters of the shorter one."""
+    result = None
+    while True:
+        if n & 1:
+            result = (images if result is None else _compose_signed(
+                *sorted((images, result), key=lambda ims: sum(map(len, ims)),
+                        reverse=True)))
+        n >>= 1
+        if not n:
+            return result
+        images = _compose_signed(images, images)
 
 
 def _words(alphabet: Alphabet, images: list[tuple[int, ...]]) -> tuple[Word, ...]:
@@ -166,8 +188,7 @@ class FactoredAutomorphism:
         if w.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("word is over a different alphabet")
         images = [im.signed for im in self.images]
-        cap = (_MAX_LETTERS if len(w) * max(map(len, images)) > _MAX_LETTERS
-               else None)
+        cap = _running_cap(len(w), max(map(len, images)), _MAX_LETTERS)
         return Word._make(self.alphabet, _substitute(images, w.signed, cap))
 
     def compose(self, other: "FactoredAutomorphism") -> "FactoredAutomorphism":
@@ -182,18 +203,14 @@ class FactoredAutomorphism:
                                     _words(self.alphabet, images))
 
     def power(self, n: int) -> "FactoredAutomorphism":
-        """f^n with factors ``self.factors * n``; the images are folded as
-        signed tuples, f^(k+1) = f^k o f, under the same cap as compose."""
+        """f^n with factors ``self.factors * n``; the images are composed as
+        signed tuples by repeated squaring, under the same cap as compose."""
         if n < 0:
             raise PreconditionError("power requires n >= 0")
         if n == 0:
             return identity_automorphism(self.alphabet)
-        mine = [im.signed for im in self.images]
-        images = mine
-        for _ in range(n - 1):
-            images = _compose_signed(images, mine)
-        return FactoredAutomorphism(self.alphabet, self.factors * n,
-                                    _words(self.alphabet, images))
+        images = _words(self.alphabet, _power([im.signed for im in self.images], n))
+        return FactoredAutomorphism(self.alphabet, self.factors * n, images)
 
     def inverse(self) -> "FactoredAutomorphism":
         return from_factors([g for f in reversed(self.factors)

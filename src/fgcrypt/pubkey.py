@@ -13,13 +13,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .automorphisms import (FactoredAutomorphism, _compose_signed,
-                            parse_automorphism)
+from .automorphisms import FactoredAutomorphism, parse_automorphism
 from .errors import CapExceededError, DecryptionError, PreconditionError
 from .matrices import (Mat2Q, RepSpec, format_matrix, mat_mul, matrix_to_word,
                        parse_matrix, word_to_matrix)
-from .words import (_MAX_LETTERS, Alphabet, Word, concat, format_word,
-                    parse_kv_lines, parse_word)
+from .words import (Alphabet, Word, concat, format_word, parse_kv_lines,
+                    parse_word)
 
 __all__ = [
     "PubkeyParams",
@@ -183,46 +182,19 @@ def _kills(A: list[dict[int, int]], p: list[int], v: list[int]) -> bool:
     return not any(w)
 
 
-def _power(mul, x, n: int):
-    """x^n for n >= 1 by repeated squaring: O(log n) products, and no square
-    past the top bit of n."""
-    result = None
-    while True:
-        if n & 1:
-            result = x if result is None else mul(result, x)
-        n >>= 1
-        if not n:
-            return result
-        x = mul(x, x)
-
-
-def _compose_bounded(outer: list[tuple[int, ...]],
-                     inner: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """``_compose_signed``, refused before it starts when the images would
-    total more than the 2^24-letter cap before free reduction.  Squaring
-    composes two long maps, and one image of their composite can pass the
-    cap many times over before the after-image check sees it."""
-    lengths = [len(image) for image in outer]
-    total = sum(lengths[abs(s) - 1] for image in inner for s in image)
-    if total > _MAX_LETTERS:
-        raise CapExceededError(f"composite images total up to {total} "
-                               f"letters, more than {_MAX_LETTERS}")
-    return _compose_signed(outer, inner)
-
-
 def _is_period(f: FactoredAutomorphism, k: int) -> bool:
-    """Whether f^k = id, tested as f^h = (f^-1)^(k-h) with h = ceil(k/2) so
-    each side is half the exponent: O(log k) compositions.  A composite that
-    could pass the 2^24-letter cap leaves it undecided, and counts as no."""
+    """Whether f^k = id, tested as f^h = (f^-1)^(k-h) with h = ceil(k/2) by
+    ``power``, O(log k) compositions, of maps with the images of f and f^-1
+    and no factors (h copies of f's factors could fill memory).  A power
+    past the 2^24-letter cap leaves it undecided, and counts as no."""
     h = (k + 1) // 2
     try:
-        lhs = _power(_compose_bounded, [im.signed for im in f.images], h)
-        rhs = (_power(_compose_bounded,
-                      [im.signed for im in f.inverse().images], k - h)
-               if k > h else [(i,) for i in range(1, f.alphabet.rank + 1)])
+        lhs = FactoredAutomorphism(f.alphabet, (), f.images).power(h)
+        rhs = (FactoredAutomorphism(f.alphabet, (), f.inverse().images)
+               .power(k - h) if k > h else f.power(0))
     except CapExceededError:
         return False
-    return lhs == rhs
+    return lhs.images == rhs.images
 
 
 def _finite_order(f: FactoredAutomorphism) -> Optional[int]:
@@ -262,9 +234,9 @@ class PubkeyParams:
     have infinite order.  Construction warns when f has finite order.  It
     composes f only when the abelianization of f may have finite order
     (never for the bundled demo), and gives no warning when the order is
-    left undecided: a power of f the test needs could pass the 2^24-letter
-    cap, or the abelianization is too costly to factor and the order is
-    above 12."""
+    left undecided: a power of f the test needs passes the 2^24-letter cap
+    once freely reduced, or the abelianization is too costly to factor and
+    the order is above 12."""
 
     alphabet: Alphabet
     a: Word

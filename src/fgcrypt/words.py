@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -138,8 +138,10 @@ class Word:
         return concat(self, other)
 
     def __pow__(self, n: int) -> "Word":
-        letters = (1,) * n if n > 0 else (-1,) * -n
-        return Word._make(self.alphabet, _substitute((self.signed,), letters))
+        """w^n; more than 2^24 letters raise CapExceededError."""
+        cap = _running_cap(abs(n), len(self.signed), _MAX_LETTERS)
+        return Word._make(self.alphabet, _substitute(
+            (self.signed,), repeat(1 if n > 0 else -1, abs(n)), cap))
 
     def sort_key(self) -> tuple:
         return (len(self.signed), _rank_tuple(self.signed))
@@ -250,14 +252,22 @@ def _substitute(images: Sequence[tuple[int, ...]], letters: Iterable[int],
 
 def _capped(letters: Iterable[int], out: list[int],
             cap: int) -> Iterable[int]:
-    """The letters, with a check before each and after the last that the
-    image being built in ``out`` holds at most ``cap`` letters."""
+    """The letters, with a check before each and after the last that ``out``
+    holds at most ``cap`` letters; the error carries len(out) as ``letters``."""
     for s in letters:
         if len(out) > cap:
             break
         yield s
     if len(out) > cap:
-        raise CapExceededError(f"image has {len(out)} letters, more than {cap}")
+        err = CapExceededError(f"image has {len(out)} letters, more than {cap}")
+        err.letters = len(out)
+        raise err
+
+
+def _running_cap(count: int, longest: int, cap: int) -> int | None:
+    """``cap`` for ``_substitute`` of ``count`` letters with images of at most
+    ``longest`` letters; None (no running check) if count * longest <= cap."""
+    return cap if count * longest > cap else None
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -322,8 +332,8 @@ def _parse_int(text: str, base: int = 10) -> int:
 
 
 # letters a word text may spell before free reduction, and letters an
-# automorphism's images or an applied image may hold; alice_keygen(n=32) on
-# the bundled pubkey demo yields 9.7M letters
+# automorphism's images, an applied image or a word power may hold;
+# alice_keygen(n=32) on the bundled pubkey demo yields 9.7M letters
 _MAX_LETTERS = 1 << 24
 
 

@@ -115,3 +115,19 @@ def test_one_free_reduction():
     assert found
     assert found <= {"_reduce_signed", "_seam", "_concat_signed",
                      "_substitute"}, found
+
+
+def test_one_composition():
+    """Automorphisms have one composition and one power: only
+    automorphisms.py refers to ``_compose_signed``, so no other module
+    composes or powers images on its own."""
+    found = set()
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "_compose_signed"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "_compose_signed"
+                    or isinstance(node, ast.alias)
+                    and node.name == "_compose_signed"):
+                found.add(path.name)
+    assert found == {"automorphisms.py"}

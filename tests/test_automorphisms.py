@@ -230,6 +230,24 @@ class TestComposePower:
         for m, n in itertools.product(range(5), repeat=2):
             assert f.power(m + n).images == f.power(m).compose(f.power(n)).images
 
+    def test_power_matches_compose_fold(self):
+        # repeated squaring against the left fold ((f o f) o f) o ... of
+        # compose: the pubkey demo up to n = 20, and seeded random maps at
+        # ranks 2-4 up to n = 12, stopping once a power passes 50 000 letters
+        rng = random.Random(19)
+        cases = [(from_factors(parse_moves(PUBKEY_SEQ), X123), 20)]
+        for _ in range(60):
+            q = rng.randint(2, 4)
+            factors = rng.choices(factor_pool(q), k=rng.randint(1, 4))
+            cases.append((from_factors(factors, Alphabet(tuple("abcd"[:q]))), 12))
+        for f, top in cases:
+            fold = identity_automorphism(f.alphabet)
+            for n in range(top + 1):
+                assert f.power(n).images == fold.images, (f.factors, n)
+                if sum(map(len, fold.images)) > 50_000:
+                    break
+                fold = fold.compose(f)
+
     def test_power_builds_q_words(self, monkeypatch):
         # the power loop folds signed images and wraps each final image once
         f = from_factors(parse_moves(PUBKEY_SEQ), X123)
@@ -272,17 +290,20 @@ class TestSizeCap:
         with pytest.raises(CapExceededError, match="more than 16777216"):
             f.power(60)
 
-    @pytest.mark.parametrize("how", ["power", "compose"])
+    @pytest.mark.parametrize("how", ["power", "compose", "square"])
     def test_overshoot_is_at_most_one_image(self, how, monkeypatch):
         # x_i -> x_i x_(i+1) roughly doubles every image per power; with the
-        # cap at the size of f^6, all of f^7 would overshoot it by 585 letters
+        # cap at the size of f^6, all of f^7 would overshoot it by 585 letters.
+        # power(7) ends on f^4 o f^3, power(8) on the square f^4 o f^4
         f = from_factors(parse_moves("T2 1 2\nT2 2 3\nT2 3 4\nT2 4 1"), ABCD)
         f6 = f.power(6)
         cap = sum(map(len, f6.images))
         longest = max(map(len, f.power(7).images))
         monkeypatch.setattr(automorphisms, "_MAX_LETTERS", cap)
+        build = {"power": lambda: f.power(7), "compose": lambda: f.compose(f6),
+                 "square": lambda: f.power(8)}[how]
         with pytest.raises(CapExceededError) as err:
-            f.power(7) if how == "power" else f.compose(f6)
+            build()
         total = int(re.search(r"total (\d+) letters", str(err.value)).group(1))
         assert cap < total <= cap + longest
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from fgcrypt import (
     parse_moves,
     word_to_matrix,
 )
-from fgcrypt import pubkey
+from fgcrypt import automorphisms, pubkey, words
 from fgcrypt.errors import (CapExceededError, DecryptionError,
                             PreconditionError)
 from fgcrypt.nielsen import _realization
@@ -82,7 +83,7 @@ class TestParams:
         """Record each composition and inverse the order check makes of f."""
         calls = []
 
-        def compose(outer, inner, _compose=pubkey._compose_signed):
+        def compose(outer, inner, _compose=automorphisms._compose_signed):
             calls.append("compose")
             return _compose(outer, inner)
 
@@ -90,7 +91,7 @@ class TestParams:
             calls.append("inverse")
             return _inverse(self)
 
-        monkeypatch.setattr(pubkey, "_compose_signed", compose)
+        monkeypatch.setattr(automorphisms, "_compose_signed", compose)
         monkeypatch.setattr(FactoredAutomorphism, "inverse", inverse)
         return calls
 
@@ -146,8 +147,8 @@ class TestParams:
         # order 1 021 020, decided in O(log k) compositions.  A conjugation
         # after it keeps A, so f is composed; x1 -> x4 x1 x4^-1 grows f^n
         # linearly and f^k != id is decided, x1 -> x2 x1 x2^-1 grows it
-        # exponentially and the composite that would pass the cap is refused
-        # before it is built, leaving the order undecided
+        # exponentially and the composite that passes the cap is refused
+        # once it does, leaving the order undecided
         alphabet = Alphabet(tuple(f"x{i}" for i in range(1, 61)))
         cycles, start = [], 1
         for length in (3, 4, 5, 7, 11, 13, 17):
@@ -157,12 +158,21 @@ class TestParams:
                          alphabet)
         calls = self.count_compositions(monkeypatch)
         began = time.perf_counter()
-        assert self.order_warnings(alphabet, f) == [
-            f"automorphism has finite order {k}; "
-            "the scheme expects infinite order" for k in warned]
+        tracemalloc.start()
+        try:
+            assert self.order_warnings(alphabet, f) == [
+                f"automorphism has finite order {k}; "
+                "the scheme expects infinite order" for k in warned]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - began < 10.0
         # f^h and (f^-1)^(k-h) with h = ceil(k/2), by squaring
         assert calls.count("compose") <= 4 * (1_021_020).bit_length()
+        # f has 483 factors, so the factor list of f^h, h = 510 510, would
+        # alone take about 2 GB
+        if warned:
+            assert peak < 1 << 24, peak
 
     @pytest.mark.parametrize("text", [F_SEQ, "T2 1 2", "T2 1 2\nT1 3"],
                              ids=["demo", "unipotent", "jordan"])
@@ -263,14 +273,14 @@ class TestParams:
             "W c ; L = a ; R = ; M = b c\n", abcd)
         refused = []
 
-        def bounded(outer, inner, _bounded=pubkey._compose_bounded):
+        def bounded(outer, inner, _bounded=automorphisms._compose_signed):
             try:
                 return _bounded(outer, inner)
             except CapExceededError:
                 refused.append(len(outer))
                 raise
 
-        monkeypatch.setattr(pubkey, "_compose_bounded", bounded)
+        monkeypatch.setattr(automorphisms, "_compose_signed", bounded)
         assert _finite_order(f) is None
         assert self.order_warnings(abcd, f) == []
         assert refused == []
@@ -279,9 +289,28 @@ class TestParams:
         def capped(outer, inner):
             raise CapExceededError("composite past the cap")
 
-        monkeypatch.setattr(pubkey, "_compose_signed", capped)
+        monkeypatch.setattr(automorphisms, "_compose_signed", capped)
         cycle = from_factors(self.signed_cycles([(1, 2, 3)]), X123)
         assert self.order_warnings(X123, cycle) == []
+
+    def test_cap_counts_reduced_letters(self, monkeypatch):
+        # f = g^-1 s g, with s the inverted 3-cycle, has order 6; f holds 547
+        # image letters and f^2 566, but f o f substitutes 90 178 letters
+        # before free reduction, so a cap of 45 000 still decides the order
+        for module in (words, automorphisms, pubkey):
+            if hasattr(module, "_MAX_LETTERS"):
+                monkeypatch.setattr(module, "_MAX_LETTERS", 45_000)
+        cycle = (1, 2, 3)
+        s = from_factors(self.signed_cycles([cycle], [cycle]), X123)
+        g = parse_automorphism("W x1 ; L = x2 ; R = ; M = x1\n"
+                               "W x2 ; L = ; R = x3 ; M = x2\n"
+                               "W x3 ; L = x1 ; R = ; M = x3\n"
+                               "W x1 ; L = ; R = ; M = x1 x3\n"
+                               "W x2 ; L = x1 x3 ; R = ; M = x2\n" * 2, X123)
+        f = from_factors(g.inverse().factors + s.factors + g.factors, X123)
+        assert [sum(map(len, h.images)) for h in (f, f.power(2))] == [547, 566]
+        assert self.order_warnings(X123, f) == [
+            "automorphism has finite order 6; the scheme expects infinite order"]
 
     def test_order_matches_repeated_composition(self):
         # at ranks 2 and 3 every finite order of GL(q, Z) is at most 6

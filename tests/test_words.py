@@ -157,6 +157,22 @@ class TestArithmetic:
         assert (a * b) ** 0 == AB.identity()
         assert (a * b) ** -1 == (a * b).inverse()
 
+    def test_pow_cap_counts_reduced_letters(self, monkeypatch):
+        monkeypatch.setattr(words, "_MAX_LETTERS", 100)
+        with pytest.raises(CapExceededError, match="image has 102 letters"):
+            AB.parse("a b") ** 51
+        # a b^98 a^-1: 294 letters before free reduction, 100 after
+        assert AB.parse("a b a^-1") ** 98 == AB.parse("a b^98 a^-1")
+        # the letters are fed lazily: a refused power allocates no n entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                AB.parse("a b") ** 10 ** 6
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @given(words_strategy(), words_strategy())
     def test_concat_parity(self, u, v):
         assert (len(concat(u, v)) - len(u) - len(v)) % 2 == 0
