@@ -204,11 +204,17 @@ class FactoredAutomorphism:
 
     def power(self, n: int) -> "FactoredAutomorphism":
         """f^n with factors ``self.factors * n``; the images are composed as
-        signed tuples by repeated squaring, under the same cap as compose."""
+        signed tuples by repeated squaring, under the same cap as compose.
+        A factor list longer than that cap raises ``CapExceededError``
+        before anything is composed."""
         if n < 0:
             raise PreconditionError("power requires n >= 0")
         if n == 0:
             return identity_automorphism(self.alphabet)
+        if len(self.factors) * n > _MAX_LETTERS:
+            raise CapExceededError(
+                f"power has {len(self.factors) * n} factors, more than "
+                f"{_MAX_LETTERS}")
         images = _words(self.alphabet, _power([im.signed for im in self.images], n))
         return FactoredAutomorphism(self.alphabet, self.factors * n, images)
 

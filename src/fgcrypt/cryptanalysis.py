@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, PreconditionError
 from .nielsen import (GeneratingTuple, _as_tuple, _core_graph,
                       canonical_minimal_basis)
-from .words import Alphabet, Word, ball_size
+from .words import Alphabet, Word, _invert_signed, ball_size
 
 __all__ = [
     "AttackConfig",
@@ -130,10 +130,19 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
     is equal exactly for equal subgroups, and an N-word free basis.  The
     canonical basis is a subgroup invariant, so it is computed once per
     distinct key, from that basis, and looked up for every later subset;
-    candidates are the distinct subgroups in order of first appearance."""
+    candidates are the distinct subgroups in order of first appearance.
+
+    The ball is closed under inversion, and u -> u^-1 keeps the subgroup.
+    A subset holding some u whose inverse sits earlier in the ball and not
+    in the subset is counted but not folded: swapping the two gives a subset
+    that comes first in colex order, so it was examined before, within any
+    limit, and already gave the same rank, key and hit."""
     started = time.perf_counter()
     ball = enumerate_ball(alphabet, cfg.ball_radius)
     signed = [w.signed for w in ball]
+    index = {s: i for i, s in enumerate(signed)}
+    # the earlier index of each pair u, u^-1
+    first = [min(i, index[_invert_signed(s)]) for i, s in enumerate(signed)]
     limit = min(cfg.max_subsets or SUBSET_CAP, SUBSET_CAP)
     target = None
     if oracle_known_basis is not None:
@@ -147,6 +156,8 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
             complete = False
             break
         examined += 1
+        if not set(subset).issuperset(map(first.__getitem__, subset)):
+            continue
         rank, key, tree = _core_graph([signed[i] for i in subset])
         if rank != cfg.target_rank:
             continue

@@ -307,6 +307,24 @@ class TestSizeCap:
         total = int(re.search(r"total (\d+) letters", str(err.value)).group(1))
         assert cap < total <= cap + longest
 
+    def test_power_caps_its_factor_list(self, monkeypatch):
+        # f^n carries len(f.factors) * n factors; past the cap it is refused
+        # before any composition, while a factor-free map of the same images
+        # has no list to grow
+        f = parse_automorphism("T1 1", AB)
+        bare = FactoredAutomorphism(AB, (), f.images)
+        monkeypatch.setattr(automorphisms, "_MAX_LETTERS", 10)
+        assert len(f.power(10).factors) == 10
+        assert bare.power(10 ** 6).is_identity()
+        assert bare.power(10 ** 6 + 1).images == f.images
+
+        def refuse(*args):
+            raise AssertionError("composed a refused power")
+        monkeypatch.setattr(automorphisms, "_compose_signed", refuse)
+        with pytest.raises(CapExceededError,
+                           match="power has 11 factors, more than 10"):
+            f.power(11)
+
     def test_apply_overshoot_is_at_most_one_image(self, monkeypatch):
         f = from_factors(parse_moves("T2 1 2\nT2 2 3\nT2 3 4\nT2 4 1"),
                          ABCD).power(3)

@@ -349,6 +349,23 @@ class TestToolCommands:
         assert "subsets_examined = 120" in out
         assert "hit_index = 2" in out
 
+    def test_attack_cut_after_a_skipped_subset(self, tmp_path, capsys):
+        # subset 4000 of this run holds an element whose inverse comes
+        # earlier in the ball, so it is counted but not folded; the digest
+        # was taken from the attack that folded every subset
+        planted = tmp_path / "planted.txt"
+        planted.write_text("begin tuple\na b^-1\nb a^2\nend tuple\n")
+        rc = run(["attack", "--alphabet", "a b", "--ball-radius", "3",
+                  "--rank", "2", "--subset-size", "3", "--max-subsets", "4000",
+                  "--planted", str(planted)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:4] == [
+            "subsets_examined = 4000", "candidates = 64", "hit_index = 622",
+            "complete = false"]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c36ed7e653f1b01162a0366c2d39ee2722d8f11cda35f581458d0caa70624074")
+
     def test_attack_large_subset_is_bounded_by_max_subsets(self, capsys):
         # one 1100-word subset is one fold, not a Nielsen reduction that is
         # quadratic in the subset size

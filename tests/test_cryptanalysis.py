@@ -23,8 +23,10 @@ from fgcrypt import (
     primitive_lower_bound_rank2,
     subset_attack,
 )
-from fgcrypt.cryptanalysis import BALL_CAP, _colex_subsets, format_report
+from fgcrypt.cryptanalysis import (BALL_CAP, AttackReport, _colex_subsets,
+                                   format_report)
 from fgcrypt.errors import CapExceededError, PreconditionError
+from fgcrypt.nielsen import _as_tuple, _core_graph
 
 AB = Alphabet(("a", "b"))
 XYZ = Alphabet(("x", "y", "z"))
@@ -208,6 +210,79 @@ class TestAttackGolden:
         assert [c.elements for c in report.candidates] == list(expected)
 
 
+def _reference_attack(alphabet, cfg, planted=None):
+    """The attack loop that folds every subset, with no inverse-swap skip."""
+    ball = enumerate_ball(alphabet, cfg.ball_radius)
+    target = None if planted is None else canonical_minimal_basis(planted).elements
+    bases = {}
+    examined, hit_index = 0, None
+    subsets = _colex(len(ball), cfg.subset_size)
+    for subset in subsets[:cfg.max_subsets]:
+        examined += 1
+        rank, key, tree = _core_graph([ball[i].signed for i in subset])
+        if rank != cfg.target_rank:
+            continue
+        if key not in bases:
+            bases[key] = canonical_minimal_basis(_as_tuple(alphabet, tree))
+        if hit_index is None and bases[key].elements == target:
+            hit_index = examined
+    return AttackReport(tuple(bases.values()), examined, 0.0,
+                        examined == len(subsets), hit_index)
+
+
+def _swap_skipped(ball, subset):
+    """Whether some element's inverse sits earlier in the ball and outside
+    the subset, so an inverse swap gives an earlier colex subset."""
+    where = {w: i for i, w in enumerate(ball)}
+    return any(where[ball[i].inverse()] < i
+               and where[ball[i].inverse()] not in subset for i in subset)
+
+
+class TestInverseSwapSkip:
+    # the benchmark configurations, the rank-3 one, and x y z at radius 2
+    # with N = K = 3
+    CONFIGS = ATTACK_CONFIGS + ((XYZ, 2, 3, 3),)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_the_loop_that_folds_every_subset(self, config):
+        alphabet, radius, n, k = config
+        ball = enumerate_ball(alphabet, radius)
+        full = AttackConfig(ball_radius=radius, target_rank=n, subset_size=k)
+        planted = _planted(random.Random(f"skip {config[1:]}"), ball, full)
+        subsets = _colex(len(ball), k)
+        first_skip = next(i for i, s in enumerate(subsets, 1)
+                          if _swap_skipped(ball, s))
+        hit = _reference_attack(alphabet, full, planted).hit_index
+        assert hit is not None
+        # cuts at and just after the first skipped subset, and just before
+        # and exactly at the hit
+        cuts = {None, first_skip, first_skip + 1, hit, max(hit - 1, 1)}
+        for cut in cuts:
+            cfg = AttackConfig(ball_radius=radius, target_rank=n,
+                               subset_size=k, max_subsets=cut)
+            for key in (None, planted):
+                got = subset_attack(alphabet, cfg, key)
+                want = _reference_attack(alphabet, cfg, key)
+                assert (got.hit_index, got.complete, got.subsets_examined) == \
+                    (want.hit_index, want.complete, want.subsets_examined), cut
+                assert format_report(got) == format_report(want), cut
+
+    def test_first_skipped_subset(self, monkeypatch):
+        # the ball starts a, a^-1, b: {a, a^-1} and {a, b} are folded, and
+        # {a^-1, b} is counted only, as {a, b} came first
+        ball = enumerate_ball(AB, 3)
+        assert [_swap_skipped(ball, s) for s in _colex(len(ball), 2)[:3]] == \
+            [False, False, True]
+        graphs = []
+        monkeypatch.setattr(cryptanalysis, "_core_graph",
+                            lambda elements: graphs.append(elements)
+                            or _core_graph(elements))
+        cfg = AttackConfig(ball_radius=3, target_rank=2, subset_size=2,
+                           max_subsets=3)
+        assert subset_attack(AB, cfg).subsets_examined == 3
+        assert graphs == [[(1,), (-1,)], [(1,), (2,)]]
+
+
 class TestAttackWork:
     # distinct rank-N subgroups among the subsets of each benchmark
     # configuration; the attack walks once per subgroup, not per subset
@@ -227,6 +302,26 @@ class TestAttackWork:
         planted = GeneratingTuple(alphabet, generators(alphabet)[:n])
         assert subset_attack(alphabet, cfg, planted).hit_index is not None
         assert len(walks) == subgroups + 1  # and one for the planted key
+
+    # subsets folded of the 1326, 560 and 630 examined: those with no element
+    # whose inverse sits earlier in the ball and outside the subset
+    @pytest.mark.parametrize("config,folds",
+                             zip(ATTACK_CONFIGS[:3], (351, 112, 171)))
+    def test_inverse_swapped_subsets_are_not_folded(self, monkeypatch, config,
+                                                    folds):
+        graphs = []
+        monkeypatch.setattr(cryptanalysis, "_core_graph",
+                            lambda elements: graphs.append(1)
+                            or _core_graph(elements))
+        alphabet, radius, n, k = config
+        cfg = AttackConfig(ball_radius=radius, target_rank=n, subset_size=k)
+        subsets = math.comb(len(enumerate_ball(alphabet, radius)), k)
+        assert subset_attack(alphabet, cfg).subsets_examined == subsets
+        assert len(graphs) == folds
+        graphs.clear()
+        planted = GeneratingTuple(alphabet, generators(alphabet)[:n])
+        assert subset_attack(alphabet, cfg, planted).hit_index is not None
+        assert len(graphs) == folds
 
 
 class TestBounds:

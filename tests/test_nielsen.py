@@ -437,6 +437,11 @@ class TestCoreGraph:
         equal = _graph(s2)[1] == key
         assert same_subgroup(s1, s2) == equal
         assert same_subgroup_by_membership(s1, s2) == equal
+        # one element swapped for its inverse keeps the rank and the key:
+        # the subset attack skips the swapped subsets on this
+        for i, u in enumerate(s1.elements):
+            swapped = s1.elements[:i] + (u.inverse(),) + s1.elements[i + 1:]
+            assert _graph(GeneratingTuple(alphabet, swapped))[:2] == (rank, key)
         # Nielsen moves keep the subgroup, and so the key
         n = len(s1)
         pairs = data.draw(st.lists(st.tuples(st.integers(1, n),
