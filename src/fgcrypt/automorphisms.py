@@ -32,7 +32,7 @@ from .errors import (
 )
 from .nielsen import ElementaryMove, _move, _realization, parse_moves
 from .words import (_MAX_LETTERS, Alphabet, Word, _concat_signed,
-                    _invert_signed, _running_cap, _substitute)
+                    _invert_signed, _substitute)
 
 __all__ = [
     "WhiteheadMove",
@@ -132,15 +132,14 @@ def _fold(factors: Iterable[Factor], q: int) -> list[tuple[int, ...]]:
 def _compose_signed(outer: list[tuple[int, ...]],
                     inner: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Signed images of ``outer o inner``.  Each image is built within the
-    room the images before it leave under the cap, by the rule of ``apply``,
-    so the running total passes the cap by at most one outer image."""
-    longest = max(map(len, outer))
+    room the images before it leave under the cap, by the rule of
+    ``_substitute``, so the running total passes the cap by at most one
+    outer image."""
     images = []
     total = 0
     for im in inner:
-        room = _MAX_LETTERS - total
         try:
-            image = _substitute(outer, im, _running_cap(len(im), longest, room))
+            image = _substitute(outer, im, _MAX_LETTERS - total)
             total += len(image)
         except CapExceededError as err:  # past the room, so past the cap
             total += err.letters
@@ -188,8 +187,8 @@ class FactoredAutomorphism:
         if w.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("word is over a different alphabet")
         images = [im.signed for im in self.images]
-        cap = _running_cap(len(w), max(map(len, images)), _MAX_LETTERS)
-        return Word._make(self.alphabet, _substitute(images, w.signed, cap))
+        return Word._make(self.alphabet, _substitute(images, w.signed,
+                                                     _MAX_LETTERS))
 
     def compose(self, other: "FactoredAutomorphism") -> "FactoredAutomorphism":
         """(self o other)(w) = self(other(w)).  Images totalling more than

@@ -8,7 +8,6 @@ either through inverse automorphisms or by table lookup.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -51,8 +50,6 @@ __all__ = [
     "write_key_file",
     "parse_key_file",
 ]
-
-log = logging.getLogger(__name__)
 
 UNIT_SEPARATOR = " | "
 
@@ -278,20 +275,6 @@ def decrypt_with_table(params: CipherPublicParams, key: CipherPrivateKey,
             raise DecryptionError(
                 f"unit {i} not found in the cipher table", unit_index=i)
     return out
-
-
-def check_polyalphabetic(c: Ciphertext, indices: Sequence[int],
-                         positions: tuple[int, int]) -> bool:
-    """For two positions carrying the same symbol: their schedule indices
-    must differ (guaranteed within a maximal period); image collisions are
-    logged, not fatal.  Returns True when the units differ."""
-    i, j = positions
-    if indices[i] == indices[j]:
-        raise PreconditionError("schedule indices coincide; period exhausted?")
-    if c.units[i] == c.units[j]:
-        log.warning("image collision: units %d and %d coincide", i, j)
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

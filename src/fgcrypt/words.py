@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
-from operator import neg
+from itertools import count, islice, repeat
+from operator import length_hint, neg
 from typing import Iterable, Sequence
 
 from .errors import (AlphabetMismatchError, CapExceededError,
@@ -138,10 +138,13 @@ class Word:
         return concat(self, other)
 
     def __pow__(self, n: int) -> "Word":
-        """w^n; more than 2^24 letters raise CapExceededError."""
-        cap = _running_cap(abs(n), len(self.signed), _MAX_LETTERS)
+        """w^n; more than 2^24 letters raise CapExceededError.  The identity
+        is its own power; any other w has |w^n| >= |n|, so the cap bounds
+        the letters fed as well as the letters built."""
+        if not self.signed:
+            return self
         return Word._make(self.alphabet, _substitute(
-            (self.signed,), repeat(1 if n > 0 else -1, abs(n)), cap))
+            (self.signed,), repeat(1 if n > 0 else -1, abs(n)), _MAX_LETTERS))
 
     def sort_key(self) -> tuple:
         return (len(self.signed), _rank_tuple(self.signed))
@@ -229,10 +232,14 @@ def _substitute(images: Sequence[tuple[int, ...]], letters: Iterable[int],
     the images are freely reduced, so letters cancel only at the seams, and
     a seam is measured only when its first letters cancel (most do not).
     With ``cap``, an image longer than cap letters raises CapExceededError
-    once it has passed the cap, by at most one letter's image."""
+    once it has passed the cap, by at most one letter's image.  The running
+    check is skipped when the letters' length hint times the longest image,
+    a bound on the unreduced image, is within the cap; letters without a
+    hint are always checked."""
     inverses: dict[int, tuple[int, ...]] = {}
     out: list[int] = []
-    if cap is not None:
+    if (cap is not None
+            and length_hint(letters, cap + 1) * max(map(len, images)) > cap):
         letters = _capped(letters, out, cap)
     for s in letters:
         if s > 0:
@@ -262,12 +269,6 @@ def _capped(letters: Iterable[int], out: list[int],
         err = CapExceededError(f"image has {len(out)} letters, more than {cap}")
         err.letters = len(out)
         raise err
-
-
-def _running_cap(count: int, longest: int, cap: int) -> int | None:
-    """``cap`` for ``_substitute`` of ``count`` letters with images of at most
-    ``longest`` letters; None (no running check) if count * longest <= cap."""
-    return cap if count * longest > cap else None
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -302,13 +303,13 @@ def ball_size(q: int, radius: int) -> int:
 #                          unit := name ("^" nonzero-integer)?
 # with integer := [+-]?[0-9]+ (ASCII digits only).
 # Any whitespace separates units.  A text is split once and each distinct
-# unit is read once, into a run of one letter.  The letter cap counts the
-# units as spelled, before free reduction; a run is built only while the
-# runs so far stay within the cap, and the spelled total is checked before
-# ``_substitute`` joins the runs in text order, cancelling at the seams.  An
-# error names the first unit at which the text goes wrong, as a
-# left-to-right reading would.  Canonical output merges runs of a letter into
-# one unit, single spaces.
+# unit is read once, into its signed letter and count.  The letter cap counts
+# the units as spelled, before free reduction.  A text with a bad unit, or
+# one that may pass the cap, is walked left to right, and the error names the
+# first unit at which it goes wrong.  Runs are built only once the whole text
+# is known to fit, and ``_substitute`` joins them in text order, cancelling
+# at the seams.  Canonical output merges runs of a letter into one unit,
+# single spaces.
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
@@ -338,86 +339,64 @@ _MAX_LETTERS = 1 << 24
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Read a word text.  Each distinct unit is read once into a run of one
-    letter, the runs built never hold more letters than the cap, the
-    spelled total is checked against the cap, and then ``_substitute``
-    joins the runs in text order, cancelling at the seams."""
+    """Read a word text.  Each distinct unit is read once; the text is
+    walked for its first error only if a unit is bad or the spelled total
+    may pass the cap; then ``_substitute`` joins one run per distinct unit
+    in text order, cancelling at the seams."""
     units = text.split()  # splits exactly where _TOKEN does
     if not units:
         raise WordSyntaxError("empty word text; identity is spelled '1'")
     if units == ["1"]:
         return Word._make(alphabet, ())
-    index = alphabet._index
-    ids = dict.fromkeys(units)  # distinct unit -> run number, first seen first
-    runs: list[tuple[int, ...]] = []
-    expanded = 0  # letters in the runs of exponent units
-    top = 1  # the longest run
-    for i, unit in enumerate(ids, 1):
-        idx = index.get(unit)
-        if idx is not None:  # a bare name
-            runs.append((idx,))
-        else:
-            name, _, exp_text = unit.partition("^")
-            idx = index.get(name)
-            if idx is None:
-                raise _unit_error(text, units, _counts(ids, runs), unit,
-                                  "'1' cannot be mixed with other units"
-                                  if unit == "1" else
-                                  f"unknown generator {name!r}")
-            try:
-                exp = _parse_int(exp_text)
-            except ValueError:
-                exp = None
-            if not exp:
-                raise _unit_error(text, units, _counts(ids, runs), unit,
-                                  f"bad exponent {exp_text!r}" if exp is None
-                                  else "exponent must be nonzero")
-            count = abs(exp)
-            expanded += count
-            if expanded > _MAX_LETTERS:
-                # every distinct unit so far is spelled before this one's
-                # first position, so the text passes the cap there or earlier
-                counts = _counts(ids, runs)
-                counts[unit] = count
-                raise _cap_error(text, units[:units.index(unit) + 1], counts)
-            runs.append(((idx,) if exp > 0 else (-idx,)) * count)
-            if count > top:
-                top = count
-        ids[unit] = i
-    # len(units) * top bounds the spelled total: the running total is taken
-    # only when that bound passes the cap
-    if len(units) * top > _MAX_LETTERS:
-        error = _cap_error(text, units, _counts(ids, runs))
-        if error:
-            raise error
+    distinct = dict.fromkeys(units)  # first seen first
+    reads = list(map(_read_unit, distinct, repeat(alphabet._index)))
+    counts = [n for _, n in reads]
+    # len(units) times the largest count bounds the spelled total, which is
+    # summed only when that bound passes the cap
+    if (0 in counts
+            or len(units) * max(counts) > _MAX_LETTERS
+            and sum(map(dict(zip(distinct, counts)).__getitem__, units))
+            > _MAX_LETTERS):
+        _raise_first_error(text, units, dict(zip(distinct, reads)))
+    runs = [(s,) * n for s, n in reads]
+    ids = dict(zip(distinct, count(1)))
     return Word._make(alphabet, _substitute(runs, map(ids.__getitem__, units)))
 
 
-def _counts(ids: dict[str, int | None],
-            runs: list[tuple[int, ...]]) -> dict[str, int]:
-    """Letters spelled by each distinct unit read so far."""
-    return dict(zip(ids, map(len, runs)))
+def _read_unit(unit: str, index: dict[str, int]) -> tuple[int | str, int]:
+    """A unit's signed letter and count; a bad unit reads as its error
+    message and count 0."""
+    idx = index.get(unit)
+    if idx is not None:  # a bare name
+        return idx, 1
+    name, _, exp_text = unit.partition("^")
+    idx = index.get(name)
+    if idx is None:
+        return ("'1' cannot be mixed with other units" if unit == "1"
+                else f"unknown generator {name!r}"), 0
+    try:
+        exp = _parse_int(exp_text)
+    except ValueError:
+        return f"bad exponent {exp_text!r}", 0
+    if not exp:
+        return "exponent must be nonzero", 0
+    return (idx if exp > 0 else -idx), abs(exp)
 
 
-def _cap_error(text: str, units: list[str],
-               counts: dict[str, int]) -> CapExceededError | None:
-    """The error for the first of ``units`` at which the spelled total
-    passes the cap, or None."""
-    for k, spelled in enumerate(accumulate(map(counts.__getitem__, units))):
+def _raise_first_error(text: str, units: list[str],
+                       reads: dict[str, tuple[int | str, int]]) -> None:
+    """Walk the units left to right and raise at the first bad unit or the
+    first unit at which the spelled total passes the cap."""
+    spelled = 0
+    for k, unit in enumerate(units):
+        letter, n = reads[unit]
+        if not n:  # a bad unit: its message stands in for the letter
+            raise WordSyntaxError(letter, _position(text, k))
+        spelled += n
         if spelled > _MAX_LETTERS:
-            return CapExceededError(
+            raise CapExceededError(
                 f"word text spells more than {_MAX_LETTERS} letters "
                 f"(at position {_position(text, k)})")
-    return None
-
-
-def _unit_error(text: str, units: list[str], counts: dict[str, int],
-                unit: str, message: str) -> Exception:
-    """The error for a bad unit: the cap's if the units before its first
-    position already pass the cap, else a WordSyntaxError there."""
-    k = units.index(unit)
-    return (_cap_error(text, units[:k], counts)
-            or WordSyntaxError(message, _position(text, k)))
 
 
 def _position(text: str, k: int) -> int:

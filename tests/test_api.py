@@ -131,3 +131,21 @@ def test_one_composition():
                     and node.name == "_compose_signed"):
                 found.add(path.name)
     assert found == {"automorphisms.py"}
+
+
+def test_one_running_check():
+    """The letter cap's running check is decided in one place: only
+    ``words._substitute`` refers to ``_capped`` or ``length_hint``, and no
+    ``_running_cap`` works out a cap for its callers."""
+    found = set()
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else None)
+                if name in ("_capped", "length_hint"):
+                    found.add((path.name, getattr(top, "name", None)))
+                if "_running_cap" in (name, getattr(node, "name", None)):
+                    found.add((path.name, "_running_cap"))
+    assert found == {("words.py", "_substitute")}, found

@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -173,6 +174,13 @@ class TestArithmetic:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_identity_power_returns_at_once(self):
+        # n empty substitutions would take hours; the identity is its own power
+        start = time.perf_counter()
+        assert AB.identity() ** 10 ** 18 == AB.identity()
+        assert AB.identity() ** -10 ** 18 == AB.identity()
+        assert time.perf_counter() - start < 0.5
+
     @given(words_strategy(), words_strategy())
     def test_concat_parity(self, u, v):
         assert (len(concat(u, v)) - len(u) - len(v)) % 2 == 0
@@ -210,6 +218,21 @@ class TestKernel:
                    for p, neg in picks]
         got = words._substitute(images, letters)
         assert got == Word(AB, self.written_out(images, letters)).signed
+
+    def test_running_check_needs_a_length_hint_to_skip(self, monkeypatch):
+        # letters that give no length hint may be any number: always checked
+        calls = []
+        capped = words._capped
+
+        def record(*args):
+            calls.append(args)
+            return capped(*args)
+        monkeypatch.setattr(words, "_capped", record)
+        assert words._substitute([(1, 2)], [1, 1], 10) == (1, 2, 1, 2)
+        assert not calls
+        letters = (s for s in [1, 1])  # a generator gives no hint
+        assert words._substitute([(1, 2)], letters, 10) == (1, 2, 1, 2)
+        assert len(calls) == 1
 
     def test_cancellation_across_images(self):
         images = [AB.parse(w).signed for w in ("a b", "b^-1", "a^-1 b a")]
@@ -344,6 +367,14 @@ UNITS = st.tuples(st.sampled_from(ABCD.names),
                   st.one_of(st.none(), st.integers(-6, 6).filter(bool)))
 
 
+# exponent texts: small and large counts of both signs, zero, and texts
+# that are not integers (each read alike by int() and the parser)
+EXPONENTS = st.one_of(
+    st.none(), st.integers(-40, 40).map(str),
+    st.sampled_from(["+3", "00", "-0", "x", "", "-", "+-2", "2^3"]))
+MIXED_UNITS = st.tuples(st.sampled_from(ABCD.names + ("q", "1")), EXPONENTS)
+
+
 class TestParserOracle:
     """The one-pass parser against the letter-list reference."""
 
@@ -392,6 +423,29 @@ class TestParserOracle:
         assert str(got.value) == str(ref.value)
         assert getattr(got.value, "position", None) == \
             getattr(ref.value, "position", None)
+
+    @given(st.lists(st.tuples(MIXED_UNITS, SPACES), min_size=1, max_size=12),
+           st.integers(10, 30))
+    @example([(("a", "6"), " "), (("b", "5"), " "), (("q", None), " ")], 10)
+    @example([(("q", None), " "), (("a", "11"), " ")], 10)
+    def test_error_precedence(self, units, cap):
+        # good units, bad units and large exponents in any order: the first
+        # unit at which a left-to-right reading goes wrong names the error
+        text = "".join((name if exp is None else f"{name}^{exp}") + sep
+                       for (name, exp), sep in units)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "_MAX_LETTERS", cap)
+            try:
+                expected = reference_parse(text, ABCD)
+            except (WordSyntaxError, CapExceededError) as ref:
+                with pytest.raises(type(ref)) as got:
+                    parse_word(text, ABCD)
+                assert type(got.value) is type(ref)
+                assert str(got.value) == str(ref)
+                assert getattr(got.value, "position", None) == \
+                    getattr(ref, "position", None)
+            else:
+                assert parse_word(text, ABCD) == expected
 
     def test_demo_orbit_texts(self):
         # f^k(a) on the bundled demo, the longest texts its pair files hold,
