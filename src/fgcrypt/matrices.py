@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (CapExceededError, PreconditionError, SingularMatrixError,
                      WordSyntaxError)
@@ -188,7 +188,7 @@ class RepSpec:
             own = GeneratingTuple(self.alphabet, generators(self.alphabet))
             basis_words = apply_moves(own, moves)
             strips = _strip_candidates(basis)
-        letters = _letter_kernels(mats)
+        letters = _letter_kernels(enumerate((M.k for M in mats), start=1))
         ping_pong = (_peel_table(params, letters) if gen_words is None
                      else family._ping_pong)  # the family's own table
         for name, value in (("tl_params", params), ("gen_words", gen_words),
@@ -251,34 +251,38 @@ def _kmul(A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
     return (n11, n12, n21, n22, den)
 
 
-def _letter_kernels(mats: Sequence[Mat2Q]) -> dict[int, tuple[int, ...]]:
-    """Kernel tuples of letter i (mats[i-1]) and of its inverse -i."""
+def _letter_kernels(kernels: Iterable[tuple[int, tuple[int, ...]]]) -> dict:
+    """Kernel tuples of letter i and of its inverse -i, per (i, kernel)."""
     out = {}
-    for i, M in enumerate(mats, start=1):
-        n11, n12, n21, n22, den = out[i] = M.k
+    for i, k in kernels:
+        n11, n12, n21, n22, den = out[i] = k
         out[-i] = (n22, -n12, -n21, n11, den)  # det 1: the adjugate
     return out
 
 
 def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
+    return _evaluate(spec, w)
+
+
+def _evaluate(spec: RepSpec, w: Word, start: Mat2Q = Mat2Q.identity(),
+              images: Optional[Sequence[Word]] = None) -> Mat2Q:
+    """start times the value of w, or with ``images`` of its image under
+    x_i -> images[i-1], from the value of each image w uses: the image word
+    is never built.  The first product with an entry past the cap raises,
+    so the work stays bounded by the cap and the letters read."""
     if w.alphabet.names != spec.alphabet.names:
         raise PreconditionError("word is over a different alphabet")
-    mats = spec._letters
-    # n letters multiply entries of at most b bits each into entries of
-    # about n * b bits: refuse before the loop when that passes the cap,
-    # and check the exact result after it
-    letter_bits = max(abs(x) for k in mats.values() for x in k).bit_length()
-    if len(w) * letter_bits > _MAX_ENTRY_BITS:
-        raise CapExceededError(
-            f"a {len(w)}-letter word would evaluate to entries of about "
-            f"{len(w) * letter_bits} bits; the cap is {_MAX_ENTRY_BITS}")
-    out = _IDENTITY
+    kernels = spec._letters
+    if images is not None:
+        kernels = _letter_kernels((i, _evaluate(spec, images[i - 1]).k)
+                                  for i in set(map(abs, w.signed)))
+    out = start.k
     for s in w.signed:
-        out = _kmul(out, mats[s])
-    bits = max(abs(x) for x in out).bit_length()
-    if bits > _MAX_ENTRY_BITS:
-        raise CapExceededError(
-            f"the matrix has a {bits}-bit entry; the cap is {_MAX_ENTRY_BITS}")
+        out = _kmul(out, kernels[s])
+        bits = max(max(out), -min(out)).bit_length()
+        if bits > _MAX_ENTRY_BITS:
+            raise CapExceededError(f"a product has a {bits}-bit entry; "
+                                   f"the cap is {_MAX_ENTRY_BITS}")
     return Mat2Q._make(out)
 
 

@@ -15,8 +15,8 @@ from typing import Optional, Union
 
 from .automorphisms import FactoredAutomorphism, parse_automorphism
 from .errors import CapExceededError, DecryptionError, PreconditionError
-from .matrices import (Mat2Q, RepSpec, format_matrix, mat_mul, matrix_to_word,
-                       parse_matrix, word_to_matrix)
+from .matrices import (Mat2Q, RepSpec, _evaluate, format_matrix,
+                       matrix_to_word, parse_matrix, word_to_matrix)
 from .words import (Alphabet, Word, concat, format_word, parse_kv_lines,
                     parse_word)
 
@@ -293,16 +293,20 @@ def alice_decrypt(params: PubkeyParams, n: int, pair: CipherPair) -> Word:
 
 
 def bob_encrypt_matrix(params: PubkeyParams, c: Word, m: Word, t: int) -> CipherPair:
-    """Matrix variant: c1 = g(m * f^t(c)) = g(m) * g(f^t(c)), c2 as before."""
+    """Matrix variant: c1 = g(m * f^t(c)) = g(m) * g(f^t(c)), c2 as before.
+    c1 comes first, from the values of f^t's images along c, not a word."""
     if params.rep is None:
         raise PreconditionError("matrix variant needs a representation")
-    pair = bob_encrypt(params, c, m, t)
-    return CipherPair(word_to_matrix(params.rep, pair.c1), pair.c2)
+    params._check_exponent(t)
+    ft = params.f.power(t)
+    c1 = _evaluate(params.rep, c, word_to_matrix(params.rep, m), ft.images)
+    return CipherPair(c1, ft.apply(params.a))
 
 
 def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
                          decode_bound: int = 32) -> Word:
     """Recover g(m) = c1 * g(f^n(c2))^-1 exactly, then decode the word.
+    The product runs along c2^-1 over the values of f^n's images.
 
     Raises :class:`DecryptionError` when no word of length <= decode_bound
     evaluates to g(m), as with a wrong n; a miss is never anything else."""
@@ -311,8 +315,8 @@ def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
     params._check_exponent(n)
     if not isinstance(pair.c1, Mat2Q):
         raise PreconditionError("matrix-variant decrypt needs a matrix c1")
-    pad = params.f.power(n).apply(pair.c2).inverse()
-    G = mat_mul(pair.c1, word_to_matrix(params.rep, pad))
+    G = _evaluate(params.rep, pair.c2.inverse(), pair.c1,
+                  params.f.power(n).images)
     m = matrix_to_word(params.rep, G, decode_bound)
     if m is None:
         raise DecryptionError(

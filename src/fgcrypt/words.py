@@ -139,10 +139,12 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         """w^n; more than 2^24 letters raise CapExceededError.  The identity
-        is its own power; any other w has |w^n| >= |n|, so the cap bounds
-        the letters fed as well as the letters built."""
+        is its own power; any other w has |w^n| >= |n|, so an |n| past the
+        cap is refused at once, and the cap bounds the letters fed."""
         if not self.signed:
             return self
+        if abs(n) > _MAX_LETTERS:
+            raise CapExceededError(f"|w^n| >= |n| > {_MAX_LETTERS} letters")
         return Word._make(self.alphabet, _substitute(
             (self.signed,), repeat(1 if n > 0 else -1, abs(n)), _MAX_LETTERS))
 

@@ -149,3 +149,26 @@ def test_one_running_check():
                 if "_running_cap" in (name, getattr(node, "name", None)):
                     found.add((path.name, "_running_cap"))
     assert found == {("words.py", "_substitute")}, found
+
+
+def test_one_evaluation_loop():
+    """SL(2,Q) values have one cap rule and one product loop: only
+    ``matrices._evaluate`` compares anything with ``_MAX_ENTRY_BITS``, and
+    no module but matrices.py refers to ``_kmul``, so pubkey evaluates
+    through that loop."""
+    found = set()
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Compare)
+                        and any(isinstance(side, ast.Name)
+                                and side.id == "_MAX_ENTRY_BITS"
+                                for side in (node.left, *node.comparators))):
+                    found.add((path.name, getattr(top, "name", None)))
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name == "_kmul" and path.name != "matrices.py":
+                    found.add((path.name, "_kmul"))
+    assert found == {("matrices.py", "_evaluate")}, found

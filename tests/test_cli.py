@@ -245,6 +245,33 @@ class TestPubkeyCommands:
                         "--n", n, "--pair", str(pair), "--matrix"]) == 0
             assert capsys.readouterr().out.strip() == "x1 x2^-1"
 
+    # n + t = 16 is the first sum past the entry cap on the demo.  The key
+    # is f^16(a) for n = 32 too (f^32(a) has 9.7M letters, a 45 MB text):
+    # there the values of f^32's images already pass the cap
+    @pytest.mark.parametrize("n", ["16", "32"])
+    def test_matrix_variant_refused_past_the_frontier(self, tmp_path, capsys,
+                                                      n):
+        fx = copy_fixture(tmp_path, "pubkey_demo")
+        params = str(fx / "params.txt")
+        pub = tmp_path / "c.txt"
+        assert run(["pubkey-keygen", "--params", params, "--n", "16",
+                    "--out", str(pub)]) == 0
+        msg = tmp_path / "m.txt"
+        msg.write_text("x1 x2^-1\n")
+        pair = tmp_path / "pair.txt"
+        pair.write_text(f"c1 = [[1, 0],[0, 1]]\nc2 = {pub.read_text()}")
+        started = time.perf_counter()
+        for argv in (["pubkey-encrypt", "--public", str(pub), "--message",
+                      str(msg), "--t", n, "--out", str(tmp_path / "out")],
+                     ["pubkey-decrypt", "--pair", str(pair), "--n", n]):
+            assert run([*argv, "--params", params, "--matrix"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: a product has a ")
+            assert "Traceback" not in captured.err
+        assert time.perf_counter() - started < 10
+        assert not (tmp_path / "out").exists()
+
 
 def _assert_written_or_refused(rc, captured):
     """Exit 0, or exit 2 with an error line and no output: never a

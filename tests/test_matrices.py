@@ -196,16 +196,27 @@ class TestEntryCap:
         with pytest.raises(ValueError):  # one bit more may not print
             str((1 << (_MAX_ENTRY_BITS + 1)) - 1)
 
-    def test_long_word_refused_before_any_product(self, monkeypatch):
+    def test_long_word_refused_at_the_first_product_past_the_cap(
+            self, monkeypatch):
         spec = demo_representation(ABCD)
-        monkeypatch.setattr(matrices, "_kmul", None)
-        with pytest.raises(CapExceededError, match="4001-letter word"):
+        products = []
+
+        def counting(A, B):
+            products.append(_kmul(A, B))
+            return products[-1]
+
+        monkeypatch.setattr(matrices, "_kmul", counting)
+        with pytest.raises(CapExceededError):
             word_to_matrix(spec, ABCD.parse("a^4000 b"))
+        # every product is checked: the last one made is the first past the
+        # cap, long before the 4001st
+        *before, last = [max(map(abs, k)).bit_length() for k in products]
+        assert last > _MAX_ENTRY_BITS >= max(before)
+        assert len(products) < 4001
 
     def test_result_past_the_cap_refused(self):
-        # the letter of y1^8 at r = 2 has 15-bit entries but grows by its
-        # eigenvalue (2 + 3^(1/2))^8, about 2^15.2, per letter: a^940 passes
-        # the length bound (940 * 15 bits) and only the exact check stops it
+        # the letter of y1^8 at r = 2 has 15-bit entries and grows by its
+        # eigenvalue (2 + 3^(1/2))^8, about 2^15.2, per letter
         a = Alphabet(("a",))
         spec = make_representation(
             a, gen_words=(Alphabet(("y1",)).parse("y1^8"),), tl_params=(2,))

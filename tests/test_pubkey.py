@@ -488,17 +488,56 @@ class TestMatrixVariant:
 
     def test_c1_is_the_product_of_evaluations(self):
         # g is a homomorphism, so evaluating the word c1 gives the product
-        # of the two evaluations exactly
+        # of the two evaluations exactly, up to the frontier n + t = 15
         params = demo_params(rep=True)
         m = demo_message()
-        for n in range(1, 5):
+        for n in range(1, 15):
             c = alice_keygen(params, n)
-            for t in range(1, 5):
+            for t in range(1, 16 - n):
                 pair = bob_encrypt_matrix(params, c, m, t)
                 ft = params.f.power(t)
                 assert pair.c1 == mat_mul(word_to_matrix(params.rep, m),
                                           word_to_matrix(params.rep, ft.apply(c)))
                 assert pair.c2 == bob_encrypt(params, c, m, t).c2
+
+    def test_frontier(self):
+        # the entry cap admits exactly n + t <= 15 on the demo.  A wrong
+        # exponent fails to decrypt wherever the old pre-loop length bound
+        # admitted both the pair and the wrong pad (max(n, wrong) + t <=
+        # 14); past that a product along the pad passes the cap
+        params = demo_params(rep=True)
+        rng = random.Random(15)
+        for n in range(1, 16):
+            c = alice_keygen(params, n)
+            for t in range(1, 17 - n):
+                m = random_word(rng, X123, 6, min_len=0)
+                if n + t == 16:
+                    with pytest.raises(CapExceededError):
+                        bob_encrypt_matrix(params, c, m, t)
+                    continue
+                pair = bob_encrypt_matrix(params, c, m, t)
+                assert alice_decrypt_matrix(params, n, pair) == m
+                for wrong in (n - 1, n + 1):
+                    if wrong < 1:
+                        continue
+                    fits = max(n, wrong) + t <= 14
+                    with pytest.raises(DecryptionError if fits
+                                       else CapExceededError):
+                        alice_decrypt_matrix(params, wrong, pair)
+
+    def test_refusal_builds_no_pad(self):
+        # at n = t = 16 the word m * f^t(c) has 9.7M letters; the refusal
+        # comes from the products along c over the values of f^16's images
+        params = demo_params(rep=True)
+        c = alice_keygen(params, 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                bob_encrypt_matrix(params, c, demo_message(), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_bound_too_small(self):
         params = demo_params(rep=True)

@@ -174,6 +174,12 @@ class TestArithmetic:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n", [10 ** 20, -2 ** 63])
+    def test_power_past_the_cap_refused_at_once(self, n):
+        # |w^n| >= |n| for w != 1; itertools.repeat cannot even count to n
+        with pytest.raises(CapExceededError, match="> 16777216 letters"):
+            AB.parse("a") ** n
+
     def test_identity_power_returns_at_once(self):
         # n empty substitutions would take hours; the identity is its own power
         start = time.perf_counter()
