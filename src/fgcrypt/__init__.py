@@ -21,7 +21,6 @@ from .words import (
 from .nielsen import (
     ElementaryMove,
     GeneratingTuple,
-    apply_move,
     apply_moves,
     canonical_minimal_basis,
     expand_expression,

@@ -80,7 +80,12 @@ def build_parser() -> _Parser:
     p = _Parser(prog="fgcrypt", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("otp-keygen", help="generate a private key file")
+    def verb(name, handler, **kwargs):
+        sp = sub.add_parser(name, **kwargs)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = verb("otp-keygen", _cmd_otp_keygen, help="generate a private key file")
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--plaintext-alphabet", required=True)
     sp.add_argument("--seed", type=_seed, required=True, help="hex64")
@@ -89,26 +94,27 @@ def build_parser() -> _Parser:
     sp.add_argument("--gamma", type=_parse_int, default=3)
     sp.add_argument("--out", default=None)
 
-    for name in ("otp-encrypt", "otp-decrypt"):
-        sp = sub.add_parser(name)
+    for name, handler in (("otp-encrypt", _cmd_otp_encrypt),
+                          ("otp-decrypt", _cmd_otp_decrypt)):
+        sp = verb(name, handler)
         sp.add_argument("--key", required=True)
         sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--aut", action="append", default=[],
                         help="override automorphism file, one per position")
 
-    sp = sub.add_parser("otp-table", help="emit the N x z cipher table")
+    sp = verb("otp-table", _cmd_otp_table, help="emit the N x z cipher table")
     sp.add_argument("--key", required=True)
     sp.add_argument("--positions", type=_parse_int, required=True)
     sp.add_argument("--aut", action="append", default=[])
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("pubkey-keygen", help="publish c = f^n(a)")
+    sp = verb("pubkey-keygen", _cmd_pubkey_keygen, help="publish c = f^n(a)")
     sp.add_argument("--params", required=True)
     sp.add_argument("--n", type=_parse_int, required=True)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("pubkey-encrypt")
+    sp = verb("pubkey-encrypt", _cmd_pubkey_encrypt)
     sp.add_argument("--params", required=True)
     sp.add_argument("--public", required=True, help="file holding c")
     sp.add_argument("--message", required=True)
@@ -117,7 +123,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--rep-preset", default="default")
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("pubkey-decrypt")
+    sp = verb("pubkey-decrypt", _cmd_pubkey_decrypt)
     sp.add_argument("--params", required=True)
     sp.add_argument("--n", type=_parse_int, required=True)
     sp.add_argument("--pair", required=True)
@@ -126,7 +132,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-len", type=_parse_int, default=32)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("nielsen-reduce")
+    sp = verb("nielsen-reduce", _cmd_nielsen_reduce)
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", default=None)
@@ -135,31 +141,31 @@ def build_parser() -> _Parser:
     mode.add_argument("--canonical", action="store_true",
                       help="emit the canonical minimal basis instead")
 
-    sp = sub.add_parser("aut-apply")
+    sp = verb("aut-apply", _cmd_aut_apply)
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--aut", required=True)
     sp.add_argument("--word", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("aut-invert")
+    sp = verb("aut-invert", _cmd_aut_invert)
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--aut", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("rep-eval")
+    sp = verb("rep-eval", _cmd_rep_eval)
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--preset", default="default")
     sp.add_argument("--word", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("rep-decode")
+    sp = verb("rep-decode", _cmd_rep_decode)
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--preset", default="default")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--max-len", type=_parse_int, default=16)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("attack")
+    sp = verb("attack", _cmd_attack)
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--ball-radius", type=_parse_int, required=True)
     sp.add_argument("--rank", type=_parse_int, required=True)
@@ -169,7 +175,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--estimate-only", action="store_true")
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("lcg-check")
+    sp = verb("lcg-check", _cmd_lcg_check)
     sp.add_argument("--modulus-exponent", type=_parse_int, required=True)
     sp.add_argument("--beta", type=_parse_int, required=True)
     sp.add_argument("--gamma", type=_parse_int, required=True)
@@ -312,28 +318,10 @@ def _cmd_lcg_check(args) -> None:
     sys.stdout.write(f"max_period = {str(has_max_period(p)).lower()}\n")
 
 
-_HANDLERS = {
-    "otp-keygen": _cmd_otp_keygen,
-    "otp-encrypt": _cmd_otp_encrypt,
-    "otp-decrypt": _cmd_otp_decrypt,
-    "otp-table": _cmd_otp_table,
-    "pubkey-keygen": _cmd_pubkey_keygen,
-    "pubkey-encrypt": _cmd_pubkey_encrypt,
-    "pubkey-decrypt": _cmd_pubkey_decrypt,
-    "nielsen-reduce": _cmd_nielsen_reduce,
-    "aut-apply": _cmd_aut_apply,
-    "aut-invert": _cmd_aut_invert,
-    "rep-eval": _cmd_rep_eval,
-    "rep-decode": _cmd_rep_decode,
-    "attack": _cmd_attack,
-    "lcg-check": _cmd_lcg_check,
-}
-
-
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

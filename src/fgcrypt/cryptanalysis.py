@@ -68,18 +68,17 @@ class CostEstimate:
     per_subset_cost: int  # quadratic proxy in the length bound
 
 
-def enumerate_ball(alphabet: Alphabet, radius: int,
-                   cap: int = BALL_CAP) -> list[Word]:
+def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:
     """All non-identity reduced words of length <= radius, sorted by the word
-    order.  Refuses (with the required cap) when the closed form exceeds it."""
+    order.  Refuses a ball of more than ``BALL_CAP`` words, by the closed
+    form, before it builds any."""
     if radius < 1:
         raise PreconditionError("radius must be >= 1")
     q = alphabet.rank
     expected = ball_size(q, radius)
-    if expected > cap:
+    if expected > BALL_CAP:
         raise CapExceededError(
-            f"ball has {expected} elements; cap is {cap} "
-            f"(raise the cap to at least {expected} to enumerate)")
+            f"ball has {expected} elements; the cap is {BALL_CAP}")
     out: list[Word] = []
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(radius):

@@ -12,11 +12,9 @@ and substituted by the free-reduction kernel of :mod:`fgcrypt.words`;
 Words and GeneratingTuples are built only for results.  The level walk
 keeps its tuples rank-encoded (letter s as 2(|s|-1) + (s<0)), so the word
 order is plain tuple order and a step normalizes only the entry it
-replaced.  A
-canonical basis is a function of the level of the reduced tuple, and so of
-that tuple's normal form: a caller may key the bases it has computed by
-normal form.  It is also a function of the subgroup alone, so a caller may
-key them by the subgroup's core graph instead (:func:`_core_graph`).
+replaced.  A canonical basis is a function of the subgroup alone, so a
+caller may key the bases it has computed by the subgroup's core graph
+(:func:`_core_graph`), as the subset attack does.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .words import (Alphabet, Word, _concat_signed, _invert_signed,
 __all__ = [
     "GeneratingTuple",
     "ElementaryMove",
-    "apply_move",
     "apply_moves",
     "is_nielsen_reduced",
     "is_nielsen_reduced_segments",
@@ -140,10 +137,6 @@ def _as_tuple(alphabet: Alphabet,
               elements: Iterable[tuple[int, ...]]) -> GeneratingTuple:
     return GeneratingTuple(alphabet, tuple(Word._make(alphabet, e)
                                            for e in elements))
-
-
-def apply_move(t: GeneratingTuple, m: ElementaryMove) -> GeneratingTuple:
-    return apply_moves(t, (m,))
 
 
 def apply_moves(t: GeneratingTuple, moves: Iterable[ElementaryMove]) -> GeneratingTuple:
@@ -388,10 +381,10 @@ def _normal_form(t: GeneratingTuple) -> tuple[tuple[int, ...], ...]:
                         key=lambda r: (len(r), r)))
 
 
-def _level_minimum(reduced: GeneratingTuple,
-                   orbit_limit: int = _ORBIT_LIMIT) -> GeneratingTuple:
+def _level_minimum(reduced: GeneratingTuple, limit: int) -> GeneratingTuple:
     """The smallest Nielsen reduced member of the level of the Nielsen
-    reduced tuple ``reduced``, inverse-normalized and sorted."""
+    reduced tuple ``reduced``, inverse-normalized and sorted; a level of more
+    than ``limit`` tuples raises ``CapExceededError``."""
     start = _normal_form(reduced)
     lengths = [len(r) for r in start]
     # without entry i, the other entries of its length sit at positions
@@ -413,9 +406,9 @@ def _level_minimum(reduced: GeneratingTuple,
             cand = rest[:k] + (r,) + rest[k:]
             if cand in seen:
                 continue
-            if len(seen) >= orbit_limit:
+            if len(seen) >= limit:
                 raise CapExceededError(
-                    f"canonical basis search exceeded {orbit_limit} tuples")
+                    f"canonical basis search exceeded {limit} tuples")
             seen.add(cand)
             if cand < best and is_nielsen_reduced_segments(
                     _as_tuple(reduced.alphabet, map(_unrank, cand))):
@@ -424,8 +417,7 @@ def _level_minimum(reduced: GeneratingTuple,
     return _as_tuple(reduced.alphabet, map(_unrank, best))
 
 
-def canonical_minimal_basis(t: GeneratingTuple,
-                            orbit_limit: int = _ORBIT_LIMIT) -> GeneratingTuple:
+def canonical_minimal_basis(t: GeneratingTuple) -> GeneratingTuple:
     """Deterministic canonical form of the subgroup generated by ``t``.
 
     Nielsen-reduces, then explores the reduced tuple's level: every tuple
@@ -442,9 +434,10 @@ def canonical_minimal_basis(t: GeneratingTuple,
     Both steps run on signed tuples and build Words only for the result.
     The walk keeps rank-encoded normal forms and normalizes only the
     replaced entry, then inserts it into the already sorted rest.  The
-    level is finite; ``orbit_limit`` guards against blowups."""
+    level is finite; one of more than ``_ORBIT_LIMIT`` tuples raises
+    ``CapExceededError``."""
     reduced, _ = nielsen_reduce(t)
-    return _level_minimum(reduced, orbit_limit)
+    return _level_minimum(reduced, _ORBIT_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +608,9 @@ def subgroup_membership(basis: GeneratingTuple, w: Word) -> Optional[list[int]]:
     in the subgroup.  Strips symbols whose major initial segment prefixes
     the remainder; even-length symbols may only show their left half, so
     those strips are tried with backtracking (memoized on the remainder)."""
-    candidates = _strip_candidates(basis)
     if w.alphabet.names != basis.alphabet.names:
         raise PreconditionError("word and basis alphabets differ")
-    return _express(candidates, w.signed)
+    return _express(_strip_candidates(basis), w.signed)
 
 
 def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:

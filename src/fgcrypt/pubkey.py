@@ -13,7 +13,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .automorphisms import FactoredAutomorphism, parse_automorphism
+from .automorphisms import (FactoredAutomorphism, _basis, _power,
+                           parse_automorphism)
 from .errors import CapExceededError, DecryptionError, PreconditionError
 from .matrices import (Mat2Q, RepSpec, _evaluate, format_matrix,
                        matrix_to_word, parse_matrix, word_to_matrix)
@@ -172,44 +173,46 @@ def _cyclotomic_factors(chi: list[int]) -> Optional[dict[int, list[int]]]:
     return found if len(chi) == 1 else None
 
 
-def _kills(A: list[dict[int, int]], p: list[int], v: list[int]) -> bool:
-    """Whether p(A) v = 0, by Horner's rule: deg p products of A with a
-    vector, where p(A) itself could fill in to n^2 entries."""
+def _apply(A: list[dict[int, int]], p: list[int], v: list[int]) -> list[int]:
+    """p(A) v by Horner's rule: deg p products of A with a vector, where
+    p(A) itself could fill in to n^2 entries."""
     w = [0] * len(v)
     for c in p:
         w = [sum(a * w[j] for j, a in row.items()) + c * x
              for row, x in zip(A, v)]
-    return not any(w)
+    return w
 
 
 def _is_period(f: FactoredAutomorphism, k: int) -> bool:
-    """Whether f^k = id, tested as f^h = (f^-1)^(k-h) with h = ceil(k/2) by
-    ``power``, O(log k) compositions, of maps with the images of f and f^-1
-    and no factors (h copies of f's factors could fill memory).  A power
-    past the 2^24-letter cap leaves it undecided, and counts as no."""
+    """Whether f^k = id, tested as f^h = (f^-1)^(k-h) with h = ceil(k/2):
+    the signed images of f and f^-1 are powered by ``_power``, O(log k)
+    compositions with no factor lists (h copies of f's factors could fill
+    memory).  A power past the 2^24-letter cap leaves it undecided, and
+    counts as no."""
     h = (k + 1) // 2
     try:
-        lhs = FactoredAutomorphism(f.alphabet, (), f.images).power(h)
-        rhs = (FactoredAutomorphism(f.alphabet, (), f.inverse().images)
-               .power(k - h) if k > h else f.power(0))
+        lhs = _power([im.signed for im in f.images], h)
+        rhs = (_power([im.signed for im in f.inverse().images], k - h)
+               if k > h else _basis(f.alphabet.rank))
     except CapExceededError:
         return False
-    return lhs.images == rhs.images
+    return lhs == rhs
 
 
 def _finite_order(f: FactoredAutomorphism) -> Optional[int]:
     """The order of f, or None when it is infinite or left undecided.
     With k the lcm above, f is composed to test f^k = id only when
-    r(A) v = 0 for the fixed vector v = (1, ..., q): r(A) = 0 implies that,
-    and the test on f decides either way.  When the characteristic
-    polynomials would cost more than _ORDER_WORK entry operations, the
-    orders k <= 12 with A^k v = v are tried instead, smallest first."""
+    r(A) v = 0 for the fixed vector v = (1, ..., q), found by applying each
+    Phi_d in turn: r(A) = 0 implies that, and the test on f decides either
+    way.  When the characteristic polynomials would cost more than
+    _ORDER_WORK entry operations, the orders k <= 12 with A^k v = v are
+    tried instead, smallest first."""
     A = _abelianization(f)
     v = list(range(1, len(A) + 1))
     blocks = _diagonal_blocks(A)
     if sum(len(b) ** 2 * sum(map(len, b)) for b in blocks) > _ORDER_WORK:
         return next((k for k in range(1, 13)
-                     if _kills(A, [1] + [0] * (k - 1) + [-1], v)
+                     if not any(_apply(A, [1] + [0] * (k - 1) + [-1], v))
                      and _is_period(f, k)), None)
     factors: dict[int, list[int]] = {}
     for block in blocks:
@@ -217,15 +220,10 @@ def _finite_order(f: FactoredAutomorphism) -> Optional[int]:
         if found is None:
             return None
         factors.update(found)
-    r = [1]
     for phi in factors.values():
-        product = [0] * (len(r) + len(phi) - 1)
-        for i, a in enumerate(r):
-            for j, b in enumerate(phi):
-                product[i + j] += a * b
-        r = product
+        v = _apply(A, phi, v)
     k = math.lcm(*factors)
-    return k if _kills(A, r, v) and _is_period(f, k) else None
+    return k if not any(v) and _is_period(f, k) else None
 
 
 @dataclass(frozen=True)

@@ -172,3 +172,18 @@ def test_one_evaluation_loop():
                 if name == "_kmul" and path.name != "matrices.py":
                     found.add((path.name, "_kmul"))
     assert found == {("matrices.py", "_evaluate")}, found
+
+
+def test_automorphisms_built_inside():
+    """Only automorphisms.py builds a ``FactoredAutomorphism`` directly, so
+    every map elsewhere comes from its constructors and carries factors
+    that agree with its images."""
+    found = set()
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and (node.func.id if isinstance(node.func, ast.Name)
+                         else getattr(node.func, "attr", None))
+                    == "FactoredAutomorphism"):
+                found.add(path.name)
+    assert found == {"automorphisms.py"}, found

@@ -14,7 +14,6 @@ from fgcrypt import (
     FactoredAutomorphism,
     Word,
     WhiteheadMove,
-    apply_move,
     apply_moves,
     canonical_minimal_basis,
     concat,
@@ -30,6 +29,7 @@ from fgcrypt import (
 from fgcrypt import automorphisms, words
 from fgcrypt.automorphisms import _invert_factor, _mutually_inverse, _step
 from fgcrypt.errors import (
+    AlphabetMismatchError,
     CapExceededError,
     IllegalMoveError,
     NotRegularError,
@@ -206,6 +206,13 @@ class TestApply:
         assert str(f.apply(ABCD.parse("c^2 b a"))) == \
             "c a^2 c a^2 b^-1 a^3 d a c a^2"
 
+    def test_other_alphabet_refused(self):
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
+        with pytest.raises(AlphabetMismatchError):
+            f.apply(ABCD.parse("a"))
+        with pytest.raises(AlphabetMismatchError):
+            f.compose(identity_automorphism(ABCD))
+
 
 class TestComposePower:
     def test_power7_first_image(self):
@@ -224,6 +231,11 @@ class TestComposePower:
     def test_power_one(self):
         f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         assert f.power(1).images == f.images
+
+    def test_negative_power_refused(self):
+        f = from_factors(parse_moves(PUBKEY_SEQ), X123)
+        with pytest.raises(PreconditionError, match="n >= 0"):
+            f.power(-1)
 
     def test_power_addition(self):
         f = from_factors(parse_moves(PUBKEY_SEQ), X123)
@@ -618,7 +630,7 @@ class TestMoveEngine:
         alphabet, bad, moves = case
         start = GeneratingTuple(alphabet, generators(alphabet))
         with pytest.raises(IllegalMoveError):
-            apply_move(start, bad)
+            apply_moves(start, [bad])
         with pytest.raises(IllegalMoveError):
             apply_moves(start, moves)
         with pytest.raises(IllegalMoveError):

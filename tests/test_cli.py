@@ -434,6 +434,11 @@ class TestErrors:
         assert run(["no-such-command"]) == 1
         assert run(["otp-encrypt"]) == 1
 
+    def test_unknown_preset_exit_1(self, capsys):
+        assert run(["rep-eval", "--alphabet", "a b", "--preset", "nope",
+                    "--word", "a"]) == 1
+        assert "unknown representation preset 'nope'" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, tmp_path):
         assert run(["otp-encrypt", "--key", str(tmp_path / "nope.txt"),
                     "--in", str(tmp_path / "nope2.txt")]) == 1

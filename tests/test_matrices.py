@@ -150,6 +150,10 @@ class TestMakeRepresentation:
 
 
 class TestWordToMatrix:
+    def test_other_alphabet_refused(self):
+        with pytest.raises(PreconditionError, match="different alphabet"):
+            word_to_matrix(make_representation(AB), ABC.parse("x1"))
+
     def test_first_demo_ciphertext_matrix(self):
         spec = demo_representation(ABCD)
         w = ABCD.parse("d c^-1 d^-1 a^-1 d^-2 a^-1 c^-1")
@@ -227,6 +231,10 @@ class TestEntryCap:
 
 
 class TestMatrixToWord:
+    def test_negative_bound_refused(self):
+        with pytest.raises(PreconditionError, match="max_len must be >= 0"):
+            matrix_to_word(make_representation(AB), Mat2Q.identity(), -1)
+
     def test_round_trip_basic(self):
         spec = demo_representation(ABCD)
         w = ABCD.parse("b a^2")

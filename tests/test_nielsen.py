@@ -9,7 +9,6 @@ from fgcrypt import (
     ElementaryMove,
     GeneratingTuple,
     Word,
-    apply_move,
     apply_moves,
     canonical_minimal_basis,
     concat,
@@ -25,8 +24,8 @@ from fgcrypt import (
     same_subgroup_by_membership,
     subgroup_membership,
 )
-from fgcrypt.errors import (CapExceededError, IllegalMoveError,
-                            PreconditionError, WordSyntaxError)
+from fgcrypt import nielsen
+from fgcrypt.errors import IllegalMoveError, PreconditionError, WordSyntaxError
 from fgcrypt.nielsen import _core_graph
 
 from conftest import random_tuple, random_word, subgroup_ball
@@ -47,11 +46,12 @@ def t(alphabet, *texts):
 
 class TestMoves:
     def test_t1(self):
-        got = apply_move(t(ABCD, "a", "b", "c", "d"), ElementaryMove("T1", 3))
+        got = apply_moves(t(ABCD, "a", "b", "c", "d"),
+                          [ElementaryMove("T1", 3)])
         assert [str(w) for w in got] == ["a", "b", "c^-1", "d"]
 
     def test_t2_cancellation(self):
-        got = apply_move(t(AB, "a b", "b^-1"), ElementaryMove("T2", 1, 2))
+        got = apply_moves(t(AB, "a b", "b^-1"), [ElementaryMove("T2", 1, 2)])
         assert [str(w) for w in got] == ["a", "b^-1"]
 
     def test_demo_sequence(self):
@@ -61,16 +61,16 @@ class TestMoves:
             "a d^2 c^-1", "b c^-1", "c a d^2 c^-1", "d c^-1"]
 
     def test_t3(self):
-        got = apply_move(t(AB, "a", "1", "b"), ElementaryMove("T3", 2))
+        got = apply_moves(t(AB, "a", "1", "b"), [ElementaryMove("T3", 2)])
         assert [str(w) for w in got] == ["a", "b"]
 
     def test_t3_nonidentity_rejected(self):
         with pytest.raises(IllegalMoveError):
-            apply_move(t(AB, "a", "b"), ElementaryMove("T3", 1))
+            apply_moves(t(AB, "a", "b"), [ElementaryMove("T3", 1)])
 
     def test_bad_index(self):
         with pytest.raises(IllegalMoveError):
-            apply_move(t(AB, "a"), ElementaryMove("T1", 2))
+            apply_moves(t(AB, "a"), [ElementaryMove("T1", 2)])
         with pytest.raises(IllegalMoveError):
             ElementaryMove("T2", 1, 1)
 
@@ -195,12 +195,12 @@ class TestReduce:
             variant = reduced
             for _ in range(rng.randint(1, 8)):
                 if rng.random() < 0.4:
-                    variant = apply_move(variant,
-                                         ElementaryMove("T1", rng.randint(1, 2)))
+                    variant = apply_moves(
+                        variant, [ElementaryMove("T1", rng.randint(1, 2))])
                 else:
                     i = rng.randint(1, 2)
-                    variant = apply_move(variant,
-                                         ElementaryMove("T2", i, 3 - i))
+                    variant = apply_moves(
+                        variant, [ElementaryMove("T2", i, 3 - i)])
             assert variant.total_length() >= base_total
 
 
@@ -238,12 +238,13 @@ class TestCanonical:
             variant = base
             for _ in range(rng.randint(1, 8)):
                 if rng.random() < 0.4:
-                    variant = apply_move(
-                        variant, ElementaryMove("T1", rng.randint(1, size)))
+                    variant = apply_moves(
+                        variant, [ElementaryMove("T1", rng.randint(1, size))])
                 else:
                     i = rng.randint(1, size)
                     j = rng.choice([x for x in range(1, size + 1) if x != i])
-                    variant = apply_move(variant, ElementaryMove("T2", i, j))
+                    variant = apply_moves(
+                        variant, [ElementaryMove("T2", i, j)])
             assert canonical_minimal_basis(base).elements == \
                 canonical_minimal_basis(variant).elements
 
@@ -251,9 +252,9 @@ class TestCanonical:
 class TestNielsenGolden:
     # SHA-256 over 1200 seeded tuples at ranks 2-4 (1-4 words of 0-7
     # letters, identity entries included so T3 paths run): each tuple's
-    # reduction, its move list and its canonical basis under a 20000-tuple
-    # orbit limit ("cap" when the limit is hit).  Pins the order in which
-    # the reduction tries replacements and the canonical search's result.
+    # reduction, its move list and its canonical basis (no level here comes
+    # near the orbit limit).  Pins the order in which the reduction tries
+    # replacements and the canonical search's result.
     DIGEST = "d09ed78661ae51dc645d524f38bcd82ee00c533923837c989f79e0dd01661d36"
 
     def test_golden_digest(self):
@@ -266,10 +267,7 @@ class TestNielsenGolden:
                 random_word(rng, alphabet, 7, min_len=0)
                 for _ in range(rng.randint(1, 4))))
             reduced, moves = nielsen_reduce(tup)
-            try:
-                canon = format_tuple(canonical_minimal_basis(tup, orbit_limit=20000))
-            except CapExceededError:
-                canon = "cap"
+            canon = format_tuple(canonical_minimal_basis(tup))
             lines.append(f"{k}\n{format_tuple(reduced)}\n{format_moves(moves)}\n{canon}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST
@@ -327,6 +325,19 @@ class TestMembership:
         with pytest.raises(PreconditionError):
             subgroup_membership(t(AB, "a b", "b"), AB.parse("a"))
 
+    def test_alphabet_checked_first(self):
+        # a word over another alphabet is refused as such, also against a
+        # basis that is not reduced
+        with pytest.raises(PreconditionError, match="alphabets differ"):
+            subgroup_membership(t(AB, "a b", "b"), XYZ.parse("x"))
+
+    def test_alphabet_refusal_skips_validation(self, monkeypatch):
+        def validate(basis):
+            raise AssertionError("validated the basis")
+        monkeypatch.setattr(nielsen, "is_nielsen_reduced", validate)
+        with pytest.raises(PreconditionError, match="alphabets differ"):
+            subgroup_membership(t(AB, "a", "b"), XYZ.parse("x"))
+
     def test_against_oracle(self):
         rng = random.Random(17)
         for _ in range(120):
@@ -382,6 +393,11 @@ class TestSameSubgroup:
             s2 = random_tuple(rng, alphabet, rng.randint(1, 3), 4)
             assert same_subgroup(s1, s2) == same_subgroup_by_membership(s1, s2)
 
+    def test_other_alphabets_refused(self):
+        for same in (same_subgroup, same_subgroup_by_membership):
+            with pytest.raises(PreconditionError, match="different alphabets"):
+                same(t(AB, "a"), t(XYZ, "x"))
+
 
 def _graph(tup):
     return _core_graph(w.signed for w in tup.elements)
@@ -432,6 +448,9 @@ class TestCoreGraph:
         tree = GeneratingTuple(alphabet,
                                tuple(Word(alphabet, b) for b in basis))
         assert tuple(w.signed for w in tree) == basis  # already reduced
+        # read off a breadth-first, so geodesic, spanning tree: Nielsen
+        # reduced, so the attack's canonical call on it reduces nothing
+        assert is_nielsen_reduced(tree)
         assert (canonical_minimal_basis(tree).elements
                 == canonical_minimal_basis(s1).elements)
         equal = _graph(s2)[1] == key

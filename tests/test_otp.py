@@ -13,6 +13,7 @@ from fgcrypt import (
     GeneratingTuple,
     LcgParams,
     Prg,
+    Word,
     build_cipher_table,
     canonical_minimal_basis,
     decrypt,
@@ -173,7 +174,6 @@ class TestEncryptDecrypt:
         assert err.value.symbol == "Q" and err.value.position == 1
 
     def test_tampered_unit(self):
-        from fgcrypt import Word
         params = small_params()
         key = keygen(params, Prg(6))
         ct = encrypt(params, key, "XYZ")
@@ -230,6 +230,24 @@ class TestTable:
                           for _ in range(12))
             ct = encrypt(params, key, msg)
             assert decrypt(params, key, ct) == decrypt_with_table(params, key, ct)
+
+    def test_empty(self):
+        params = small_params()
+        key = keygen(params, Prg(2))
+        assert decrypt_with_table(params, key, Ciphertext(())) == []
+
+    def test_tampered_unit(self):
+        # as the inverse path: the failing unit's index, no partial plaintext
+        params = small_params()
+        key = keygen(params, Prg(6))
+        ct = encrypt(params, key, "XYZ")
+        flipped = list(ct.units[1].signed)
+        flipped[0] = -flipped[0]
+        bad = Ciphertext(ct.units[:1] + (Word(params.alphabet, flipped),)
+                         + ct.units[2:])
+        with pytest.raises(DecryptionError) as err:
+            decrypt_with_table(params, key, bad)
+        assert err.value.unit_index == 1
 
 
 class TestPolyalphabetic:

@@ -64,6 +64,15 @@ class TestParams:
             PubkeyParams(X123, X123.parse("x1"),
                          from_factors([], X123))
 
+    def test_rejects_other_alphabets(self):
+        f = from_factors(parse_moves(F_SEQ), X123)
+        abc = Alphabet(("a", "b", "c"))
+        with pytest.raises(PreconditionError, match="base word alphabet"):
+            PubkeyParams(X123, abc.parse("a"), f)
+        with pytest.raises(PreconditionError, match="automorphism alphabet"):
+            PubkeyParams(X123, X123.parse("x1"),
+                         from_factors(parse_moves(F_SEQ), abc))
+
     def test_finite_order_warning(self):
         inv = from_factors([WhiteheadMove("INV", 1)], X123)
         with warnings.catch_warnings(record=True) as seen:
@@ -352,6 +361,13 @@ class TestWordVariant:
                     * x3 * x2 * x3 ** 2 * x2 * x3 ** -1)
         assert alice_keygen(params, 7) == expected
 
+    def test_matrix_c1_refused(self):
+        params = demo_params(rep=True)
+        pair = bob_encrypt_matrix(params, alice_keygen(params, 1),
+                                  X123.parse("x1"), 1)
+        with pytest.raises(PreconditionError, match="needs a word c1"):
+            alice_decrypt(params, 1, pair)
+
     def test_n1_is_f_of_a(self):
         params = demo_params()
         assert alice_keygen(params, 1) == params.f.apply(params.a)
@@ -546,6 +562,12 @@ class TestMatrixVariant:
         pair = bob_encrypt_matrix(params, c, m, 2)
         with pytest.raises(DecryptionError):
             alice_decrypt_matrix(params, 2, pair, decode_bound=3)
+
+    def test_word_c1_refused(self):
+        params = demo_params(rep=True)
+        pair = bob_encrypt(params, alice_keygen(params, 1), X123.parse("x1"), 1)
+        with pytest.raises(PreconditionError, match="needs a matrix c1"):
+            alice_decrypt_matrix(params, 1, pair)
 
     def test_requires_rep(self):
         params = demo_params(rep=False)
