@@ -19,7 +19,6 @@ bit source is single-owner and must not be shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Union
 
 from .errors import (
@@ -31,8 +30,8 @@ from .errors import (
     WordSyntaxError,
 )
 from .nielsen import ElementaryMove, _move, _realization, parse_moves
-from .words import (_MAX_LETTERS, Alphabet, Word, _concat_signed,
-                    _invert_signed, _substitute)
+from .words import (_MAX_LETTERS, Alphabet, Word, _Value, _concat_signed,
+                    _invert_signed, _setters, _substitute)
 
 __all__ = [
     "WhiteheadMove",
@@ -46,46 +45,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WhiteheadMove:
+class WhiteheadMove(_Value):
     """Either the inversion i_a (kind "INV") or the multiplier map
     W_(a,L,R,M) (kind "W") sending b to ab / b a^-1 / a b a^-1 / b according
     to membership of b in L / R / M \\ {a} / none.  Indices are 1-based."""
 
+    __slots__ = _fields = ("kind", "a", "L", "R", "M")
+
     kind: str
     a: int
-    L: frozenset[int] = frozenset()
-    R: frozenset[int] = frozenset()
-    M: frozenset[int] = frozenset()
+    L: frozenset[int]
+    R: frozenset[int]
+    M: frozenset[int]
 
-    def __post_init__(self):
-        for part in ("L", "R", "M"):
-            object.__setattr__(self, part, frozenset(getattr(self, part)))
-        if self.kind == "INV":
-            if self.L or self.R or self.M:
+    def __init__(self, kind: str, a: int, L: Iterable[int] = frozenset(),
+                 R: Iterable[int] = frozenset(), M: Iterable[int] = frozenset()):
+        L, R, M = frozenset(L), frozenset(R), frozenset(M)
+        if kind == "INV":
+            if L or R or M:
                 raise IllegalMoveError("INV carries no letter sets")
-            return
-        if self.kind != "W":
-            raise IllegalMoveError(f"unknown Whitehead move kind {self.kind!r}")
-        if self.a not in self.M:
+        elif kind != "W":
+            raise IllegalMoveError(f"unknown Whitehead move kind {kind!r}")
+        elif a not in M:
             raise IllegalMoveError("multiplier must lie in M")
-        if self.a in self.L or self.a in self.R:
+        elif a in L or a in R:
             raise IllegalMoveError("multiplier cannot lie in L or R")
-        if (self.L & self.R) or (self.L & self.M) or (self.R & self.M):
+        elif (L & R) or (L & M) or (R & M):
             raise IllegalMoveError("L, R, M must be pairwise disjoint")
-        if not (self.L or self.R or (self.M - {self.a})):
+        elif not (L or R or (M - {a})):
             raise IllegalMoveError("move would be the identity map")
+        _set_kind(self, kind)
+        _set_a(self, a)
+        _set_L(self, L)
+        _set_R(self, R)
+        _set_M(self, M)
 
     @classmethod
     def _make(cls, kind: str, a: int, L: frozenset[int] = frozenset(),
               R: frozenset[int] = frozenset(),
               M: frozenset[int] = frozenset()) -> "WhiteheadMove":
         """Internal: a factor valid by construction, built without the checks
-        of ``__post_init__``.  Only the sampler's draw and the factor inverse
+        of ``__init__``.  Only the sampler's draw and the factor inverse
         call it; ``from_factors`` still checks the indices of every factor."""
         w = object.__new__(cls)
-        w.__dict__.update(kind=kind, a=a, L=L, R=R, M=M)
+        _set_kind(w, kind)
+        _set_a(w, a)
+        _set_L(w, L)
+        _set_R(w, R)
+        _set_M(w, M)
         return w
+
+
+_set_kind, _set_a, _set_L, _set_R, _set_M = _setters(WhiteheadMove)
 
 
 Factor = Union[ElementaryMove, WhiteheadMove]
@@ -134,12 +145,14 @@ def _compose_signed(outer: list[tuple[int, ...]],
     """Signed images of ``outer o inner``.  Each image is built within the
     room the images before it leave under the cap, by the rule of
     ``_substitute``, so the running total passes the cap by at most one
-    outer image."""
+    outer image.  Each outer image is inverted at most once, into one table
+    shared by all the inner images."""
     images = []
+    inverses: dict[int, tuple[int, ...]] = {}
     total = 0
     for im in inner:
         try:
-            image = _substitute(outer, im, _MAX_LETTERS - total)
+            image = _substitute(outer, im, _MAX_LETTERS - total, inverses)
             total += len(image)
         except CapExceededError as err:  # past the room, so past the cap
             total += err.letters
@@ -171,13 +184,22 @@ def _words(alphabet: Alphabet, images: list[tuple[int, ...]]) -> tuple[Word, ...
     return tuple(Word._make(alphabet, im) for im in images)
 
 
-@dataclass(frozen=True)
-class FactoredAutomorphism:
-    """An automorphism carrying its factorization and cached images."""
+class FactoredAutomorphism(_Value):
+    """An automorphism carrying its factorization and cached images; the
+    images are derived, so equality and hashing read the factors alone."""
+
+    __slots__ = _fields = ("alphabet", "factors", "images")
+    _compared = ("alphabet", "factors")
 
     alphabet: Alphabet
     factors: tuple[Factor, ...]
-    images: tuple[Word, ...] = field(compare=False)
+    images: tuple[Word, ...]
+
+    def __init__(self, alphabet: Alphabet, factors: tuple[Factor, ...],
+                 images: tuple[Word, ...]):
+        _set_alphabet(self, alphabet)
+        _set_factors(self, factors)
+        _set_images(self, images)
 
     def apply(self, w: Word) -> Word:
         """f(w).  An image of more than 2^24 letters raises
@@ -226,6 +248,9 @@ class FactoredAutomorphism:
 
     def __str__(self):
         return format_automorphism(self)
+
+
+_set_alphabet, _set_factors, _set_images = _setters(FactoredAutomorphism)
 
 
 def _invert_factor(factor: Factor) -> list[Factor]:

@@ -8,7 +8,6 @@ The attack is intentionally exponential; hard caps keep it demonstrative.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional
@@ -16,7 +15,8 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, PreconditionError
 from .nielsen import (GeneratingTuple, _as_tuple, _core_graph,
                       canonical_minimal_basis)
-from .words import Alphabet, Word, _invert_signed, ball_size
+from .words import (Alphabet, Word, _Value, _invert_signed, _setters,
+                    ball_size)
 
 __all__ = [
     "AttackConfig",
@@ -34,38 +34,73 @@ BALL_CAP = 100_000
 SUBSET_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class AttackConfig:
+class AttackConfig(_Value):
+    __slots__ = _fields = ("ball_radius", "target_rank", "subset_size",
+                           "max_subsets")
+
     ball_radius: int          # L
     target_rank: int          # N
     subset_size: int          # K >= N
-    max_subsets: Optional[int] = None
+    max_subsets: Optional[int]
 
-    def __post_init__(self):
-        if self.ball_radius < 1:
+    def __init__(self, ball_radius: int, target_rank: int, subset_size: int,
+                 max_subsets: Optional[int] = None):
+        if ball_radius < 1:
             raise PreconditionError("ball radius must be >= 1")
-        if self.target_rank < 2:
+        if target_rank < 2:
             raise PreconditionError("target rank must be >= 2")
-        if self.subset_size < self.target_rank:
+        if subset_size < target_rank:
             raise PreconditionError("subset size must be >= target rank")
-        if self.max_subsets is not None and self.max_subsets < 1:
+        if max_subsets is not None and max_subsets < 1:
             raise PreconditionError("max subsets must be >= 1")
+        _set_ball_radius(self, ball_radius)
+        _set_target_rank(self, target_rank)
+        _set_subset_size(self, subset_size)
+        _set_max_subsets(self, max_subsets)
 
 
-@dataclass(frozen=True)
-class AttackReport:
+(_set_ball_radius, _set_target_rank, _set_subset_size,
+ _set_max_subsets) = _setters(AttackConfig)
+
+
+class AttackReport(_Value):
+    __slots__ = _fields = ("candidates", "subsets_examined", "elapsed",
+                           "complete", "hit_index")
+
     candidates: tuple[GeneratingTuple, ...]
     subsets_examined: int
     elapsed: float
     complete: bool
-    hit_index: Optional[int] = None
+    hit_index: Optional[int]
+
+    def __init__(self, candidates: tuple[GeneratingTuple, ...],
+                 subsets_examined: int, elapsed: float, complete: bool,
+                 hit_index: Optional[int] = None):
+        _set_candidates(self, candidates)
+        _set_subsets_examined(self, subsets_examined)
+        _set_elapsed(self, elapsed)
+        _set_complete(self, complete)
+        _set_hit_index(self, hit_index)
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+(_set_candidates, _set_subsets_examined, _set_elapsed, _set_complete,
+ _set_hit_index) = _setters(AttackReport)
+
+
+class CostEstimate(_Value):
+    __slots__ = _fields = ("ball", "subsets", "per_subset_cost")
+
     ball: int
     subsets: int
     per_subset_cost: int  # quadratic proxy in the length bound
+
+    def __init__(self, ball: int, subsets: int, per_subset_cost: int):
+        _set_ball(self, ball)
+        _set_subsets(self, subsets)
+        _set_per_subset_cost(self, per_subset_cost)
+
+
+_set_ball, _set_subsets, _set_per_subset_cost = _setters(CostEstimate)
 
 
 def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:

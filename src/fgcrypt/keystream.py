@@ -10,11 +10,10 @@ shared seed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .automorphisms import FactoredAutomorphism, random_whitehead_automorphism
 from .errors import PreconditionError
-from .words import Alphabet, _parse_int, parse_kv_lines
+from .words import Alphabet, _Value, _parse_int, _setters, parse_kv_lines
 
 __all__ = [
     "LcgParams",
@@ -59,21 +58,28 @@ def splitmix64(state: int) -> tuple[int, int]:
     return prg.state, out
 
 
-@dataclass(frozen=True)
-class LcgParams:
+class LcgParams(_Value):
     """x -> beta*x + gamma on Z_(2^m)."""
+
+    __slots__ = _fields = ("m", "beta", "gamma")
 
     m: int
     beta: int
     gamma: int
 
-    def __post_init__(self):
-        if not 1 <= self.m <= 128:
+    def __init__(self, m: int, beta: int, gamma: int):
+        if not 1 <= m <= 128:
             raise PreconditionError("modulus exponent m must be in 1..128")
+        _set_m(self, m)
+        _set_beta(self, beta)
+        _set_gamma(self, gamma)
 
     @property
     def modulus(self) -> int:
         return 1 << self.m
+
+
+_set_m, _set_beta, _set_gamma = _setters(LcgParams)
 
 
 def lcg_next(p: LcgParams, x: int) -> int:
@@ -101,23 +107,30 @@ def keystream(p: LcgParams, alpha: int, z: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class AutFamily:
+class AutFamily(_Value):
     """Lazily derived family of 2^m automorphisms, one per residue class,
     from a ``master_seed`` in 0..2^64-1.
 
     Members come from at most 2^64 derivation seeds, so they are distinct
     only with high probability, never by construction."""
 
+    __slots__ = _fields = ("master_seed", "alphabet", "m")
+
     master_seed: int
     alphabet: Alphabet
     m: int
 
-    def __post_init__(self):
-        if not 1 <= self.m <= 128:
+    def __init__(self, master_seed: int, alphabet: Alphabet, m: int):
+        if not 1 <= m <= 128:
             raise PreconditionError("modulus exponent m must be in 1..128")
-        if not 0 <= self.master_seed <= _MASK64:
+        if not 0 <= master_seed <= _MASK64:
             raise PreconditionError("master seed must be in 0..2^64-1")
+        _set_master_seed(self, master_seed)
+        _set_alphabet(self, alphabet)
+        _set_family_m(self, m)
+
+
+_set_master_seed, _set_alphabet, _set_family_m = _setters(AutFamily)
 
 
 def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:

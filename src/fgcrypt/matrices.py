@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .errors import (CapExceededError, PreconditionError, SingularMatrixError,
                      WordSyntaxError)
 from .nielsen import (GeneratingTuple, _express, _strip_candidates,
                       apply_moves, expand_expression, nielsen_reduce)
-from .words import _INTEGER, Alphabet, Word, generators
+from .words import _INTEGER, Alphabet, Word, _Value, _setters, generators
 
 __all__ = [
     "Mat2Q",
@@ -55,8 +55,7 @@ _IDENTITY = (1, 0, 0, 1, 1)
 _MAX_ENTRY_BITS = 14_284
 
 
-@dataclass(frozen=True, init=False)
-class Mat2Q:
+class Mat2Q(_Value):
     """A 2x2 rational matrix [[a11, a12], [a21, a22]].
 
     Stored as one integer tuple ``k = (n11, n12, n21, n22, den)`` with entries
@@ -65,19 +64,21 @@ class Mat2Q:
     dictionary key.  ``Mat2Q(a11, a12, a21, a22)`` takes anything
     ``Fraction()`` takes; ``entries()`` is the ``Fraction`` view."""
 
+    __slots__ = _fields = ("k",)
+
     k: tuple[int, int, int, int, int]
 
     def __init__(self, a11, a12, a21, a22):
         entries = [Fraction(a) for a in (a11, a12, a21, a22)]
         den = math.lcm(*(e.denominator for e in entries))
-        object.__setattr__(self, "k", tuple(
+        _set_k(self, tuple(
             e.numerator * (den // e.denominator) for e in entries) + (den,))
 
     @classmethod
     def _make(cls, k: tuple[int, ...]) -> "Mat2Q":
         """Internal: wrap a tuple already in lowest terms."""
         M = object.__new__(cls)
-        object.__setattr__(M, "k", k)
+        _set_k(M, k)
         return M
 
     @classmethod
@@ -93,6 +94,9 @@ class Mat2Q:
 
     def __str__(self):
         return format_matrix(self)
+
+
+(_set_k,) = _setters(Mat2Q)
 
 
 def mat_mul(A: Mat2Q, B: Mat2Q) -> Mat2Q:
@@ -133,8 +137,7 @@ def _check_tl_params(params: Sequence[Fraction]) -> None:
             raise PreconditionError("parameter gaps must be >= 3")
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(_Value):
     """A faithful representation of the alphabet's free group in SL(2,Q).
 
     Without ``gen_words`` generator i maps to the family matrix of
@@ -144,7 +147,8 @@ class RepSpec:
     along ``gen_words[i-1]``.  The schedule must satisfy the ping-pong
     precondition (r_1 >= 2, gaps >= 3), checked here.
 
-    Derived: ``generator_matrices``, the kernel tuples of them and of their
+    Derived, and read by neither equality, hashing nor ``repr``:
+    ``generator_matrices``, the kernel tuples of them and of their
     inverses (one table per spec, read by every evaluation); for
     ``gen_words`` specs also ``basis_words``, the words v_i over the
     alphabet with basis_i = v_i(gen_words) for the Nielsen reduced basis
@@ -152,28 +156,28 @@ class RepSpec:
     letters.  The basis is checked and its membership strips are built
     here, once per spec."""
 
+    __slots__ = ("alphabet", "tl_params", "gen_words", "generator_matrices",
+                 "basis_words", "_letters", "_ping_pong", "_strips")
+    _fields = ("alphabet", "tl_params", "gen_words")
+
     alphabet: Alphabet
     tl_params: tuple[Fraction, ...]
-    gen_words: Optional[tuple[Word, ...]] = None
-    generator_matrices: tuple[Mat2Q, ...] = field(init=False, repr=False,
-                                                  compare=False)
-    basis_words: Optional[GeneratingTuple] = field(init=False, repr=False,
-                                                   compare=False)
-    _letters: dict = field(init=False, repr=False, compare=False)
-    _ping_pong: tuple = field(init=False, repr=False, compare=False)
-    _strips: Optional[list] = field(init=False, repr=False, compare=False)
+    gen_words: Optional[tuple[Word, ...]]
+    generator_matrices: tuple[Mat2Q, ...]
+    basis_words: Optional[GeneratingTuple]
 
-    def __post_init__(self):
-        params = tuple(Fraction(r) for r in self.tl_params)
+    def __init__(self, alphabet: Alphabet, tl_params: Sequence,
+                 gen_words: Optional[Sequence[Word]] = None):
+        params = tuple(Fraction(r) for r in tl_params)
         _check_tl_params(params)
-        gen_words, basis_words, strips = self.gen_words, None, None
+        basis_words, strips = None, None
         if gen_words is None:
-            if len(params) != self.alphabet.rank:
+            if len(params) != alphabet.rank:
                 raise PreconditionError("need one parameter per generator")
             mats = tuple(tl_generator(r) for r in params)
         else:
             gen_words = tuple(gen_words)
-            if len(gen_words) != self.alphabet.rank:
+            if len(gen_words) != alphabet.rank:
                 raise PreconditionError("need one word per generator")
             aux = gen_words[0].alphabet
             if len(params) != aux.rank:
@@ -185,18 +189,24 @@ class RepSpec:
                     "gen_words are not a basis (rank drops)")
             family = RepSpec(aux, params)
             mats = tuple(word_to_matrix(family, w) for w in gen_words)
-            own = GeneratingTuple(self.alphabet, generators(self.alphabet))
+            own = GeneratingTuple(alphabet, generators(alphabet))
             basis_words = apply_moves(own, moves)
             strips = _strip_candidates(basis)
         letters = _letter_kernels(enumerate((M.k for M in mats), start=1))
         ping_pong = (_peel_table(params, letters) if gen_words is None
                      else family._ping_pong)  # the family's own table
-        for name, value in (("tl_params", params), ("gen_words", gen_words),
-                            ("generator_matrices", mats),
-                            ("basis_words", basis_words),
-                            ("_letters", letters), ("_ping_pong", ping_pong),
-                            ("_strips", strips)):
-            object.__setattr__(self, name, value)
+        _set_alphabet(self, alphabet)
+        _set_tl_params(self, params)
+        _set_gen_words(self, gen_words)
+        _set_generator_matrices(self, mats)
+        _set_basis_words(self, basis_words)
+        _set_letters(self, letters)
+        _set_ping_pong(self, ping_pong)
+        _set_strips(self, strips)
+
+
+(_set_alphabet, _set_tl_params, _set_gen_words, _set_generator_matrices,
+ _set_basis_words, _set_letters, _set_ping_pong, _set_strips) = _setters(RepSpec)
 
 
 def make_representation(alphabet: Alphabet,
@@ -265,11 +275,14 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
 
 
 def _evaluate(spec: RepSpec, w: Word, start: Mat2Q = Mat2Q.identity(),
-              images: Optional[Sequence[Word]] = None) -> Mat2Q:
+              images: Optional[Sequence[Word]] = None,
+              inverse: bool = False) -> Mat2Q:
     """start times the value of w, or with ``images`` of its image under
     x_i -> images[i-1], from the value of each image w uses: the image word
-    is never built.  The first product with an entry past the cap raises,
-    so the work stays bounded by the cap and the letters read."""
+    is never built.  With ``inverse``, of w^-1 instead, read along w's
+    letters reversed and negated, so w^-1 is never built either.  The first
+    product with an entry past the cap raises, so the work stays bounded by
+    the cap and the letters read."""
     if w.alphabet.names != spec.alphabet.names:
         raise PreconditionError("word is over a different alphabet")
     kernels = spec._letters
@@ -277,7 +290,7 @@ def _evaluate(spec: RepSpec, w: Word, start: Mat2Q = Mat2Q.identity(),
         kernels = _letter_kernels((i, _evaluate(spec, images[i - 1]).k)
                                   for i in set(map(abs, w.signed)))
     out = start.k
-    for s in w.signed:
+    for s in map(neg, reversed(w.signed)) if inverse else w.signed:
         out = _kmul(out, kernels[s])
         bits = max(max(out), -min(out)).bit_length()
         if bits > _MAX_ENTRY_BITS:

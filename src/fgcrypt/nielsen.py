@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -30,8 +29,9 @@ from .errors import (
     PreconditionError,
     WordSyntaxError,
 )
-from .words import (Alphabet, Word, _concat_signed, _invert_signed,
-                    _parse_int, _rank_tuple, _seam, _substitute, parse_word)
+from .words import (Alphabet, Word, _Value, _concat_signed, _invert_signed,
+                    _parse_int, _rank_tuple, _seam, _setters, _substitute,
+                    parse_word)
 
 __all__ = [
     "GeneratingTuple",
@@ -52,21 +52,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratingTuple:
+class GeneratingTuple(_Value):
     """An ordered tuple of freely reduced words over one alphabet.
 
     Identity entries are permitted (until a T3 move removes them)."""
 
+    __slots__ = _fields = ("alphabet", "elements")
+
     alphabet: Alphabet
     elements: tuple[Word, ...]
 
-    def __post_init__(self):
-        if isinstance(self.elements, list):
-            object.__setattr__(self, "elements", tuple(self.elements))
-        for w in self.elements:
-            if w.alphabet.names != self.alphabet.names:
+    def __init__(self, alphabet: Alphabet, elements: tuple[Word, ...]):
+        if isinstance(elements, list):
+            elements = tuple(elements)
+        for w in elements:
+            if w.alphabet.names != alphabet.names:
                 raise PreconditionError("tuple entries must share one alphabet")
+        _set_alphabet(self, alphabet)
+        _set_elements(self, elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -84,37 +87,46 @@ class GeneratingTuple:
         return format_tuple(self)
 
 
+_set_alphabet, _set_elements = _setters(GeneratingTuple)
+
 _KINDS = ("T1", "T2", "T3")
 
 
-@dataclass(frozen=True)
-class ElementaryMove:
+class ElementaryMove(_Value):
     """T1 i (invert), T2 i j (right-multiply u_i by u_j, j != i),
     T3 i (delete the identity entry u_i).  Indices are 1-based."""
 
+    __slots__ = _fields = ("kind", "i", "j")
+
     kind: str
     i: int
-    j: Optional[int] = None
+    j: Optional[int]
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise IllegalMoveError(f"unknown move kind {self.kind!r}")
-        if self.i < 1:
+    def __init__(self, kind: str, i: int, j: Optional[int] = None):
+        if kind not in _KINDS:
+            raise IllegalMoveError(f"unknown move kind {kind!r}")
+        if i < 1:
             raise IllegalMoveError("move index must be >= 1")
-        if self.kind == "T2":
-            if self.j is None:
+        if kind == "T2":
+            if j is None:
                 raise IllegalMoveError("T2 needs a second index")
-            if self.j == self.i:
+            if j == i:
                 raise IllegalMoveError("T2 requires j != i")
-            if self.j < 1:
+            if j < 1:
                 raise IllegalMoveError("move index must be >= 1")
-        elif self.j is not None:
-            raise IllegalMoveError(f"{self.kind} takes a single index")
+        elif j is not None:
+            raise IllegalMoveError(f"{kind} takes a single index")
+        _set_kind(self, kind)
+        _set_i(self, i)
+        _set_j(self, j)
 
     def __str__(self):
         if self.kind == "T2":
             return f"T2 {self.i} {self.j}"
         return f"{self.kind} {self.i}"
+
+
+_set_kind, _set_i, _set_j = _setters(ElementaryMove)
 
 
 def _move(elements: list[tuple[int, ...]], m: ElementaryMove) -> None:
@@ -635,13 +647,15 @@ def same_subgroup(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
 
 
 def same_subgroup_by_membership(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
-    """Mutual-membership implementation; must agree with :func:`same_subgroup`."""
+    """Mutual-membership implementation; must agree with :func:`same_subgroup`.
+    Each reduced basis is checked and stripped once, not once per element."""
     if s1.alphabet.names != s2.alphabet.names:
         raise PreconditionError("tuples over different alphabets")
-    b1, _ = nielsen_reduce(s1)
-    b2, _ = nielsen_reduce(s2)
-    return (all(subgroup_membership(b2, w) is not None for w in s1.elements)
-            and all(subgroup_membership(b1, w) is not None for w in s2.elements))
+    strips1 = _strip_candidates(nielsen_reduce(s1)[0])
+    strips2 = _strip_candidates(nielsen_reduce(s2)[0])
+    return (all(_express(strips2, w.signed) is not None for w in s1.elements)
+            and all(_express(strips1, w.signed) is not None
+                    for w in s2.elements))
 
 
 # ---------------------------------------------------------------------------

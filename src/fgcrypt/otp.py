@@ -8,7 +8,6 @@ either through inverse automorphisms or by table lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .automorphisms import FactoredAutomorphism
@@ -33,8 +32,8 @@ from .nielsen import (
     nielsen_reduce,
     parse_tuple,
 )
-from .words import (Alphabet, Word, _parse_int, format_word, parse_kv_lines,
-                    parse_word)
+from .words import (Alphabet, Word, _Value, _parse_int, _setters, format_word,
+                    parse_kv_lines, parse_word)
 
 __all__ = [
     "CipherPublicParams",
@@ -54,44 +53,58 @@ __all__ = [
 UNIT_SEPARATOR = " | "
 
 
-@dataclass(frozen=True)
-class CipherPublicParams:
+class CipherPublicParams(_Value):
+    __slots__ = _fields = ("alphabet", "plaintext_alphabet", "fam", "lcg")
+
     alphabet: Alphabet
     plaintext_alphabet: tuple[str, ...]
     fam: AutFamily
     lcg: LcgParams
 
-    def __post_init__(self):
-        if isinstance(self.plaintext_alphabet, list):
-            object.__setattr__(self, "plaintext_alphabet",
-                               tuple(self.plaintext_alphabet))
-        if self.alphabet.rank < 2:
+    def __init__(self, alphabet: Alphabet, plaintext_alphabet: tuple[str, ...],
+                 fam: AutFamily, lcg: LcgParams):
+        if isinstance(plaintext_alphabet, list):
+            plaintext_alphabet = tuple(plaintext_alphabet)
+        if alphabet.rank < 2:
             raise PreconditionError("protocol requires rank >= 2")
-        if len(self.plaintext_alphabet) < 2:
+        if len(plaintext_alphabet) < 2:
             raise PreconditionError("plaintext alphabet needs >= 2 symbols")
-        if len(set(self.plaintext_alphabet)) != len(self.plaintext_alphabet):
+        if len(set(plaintext_alphabet)) != len(plaintext_alphabet):
             raise PreconditionError("plaintext symbols must be distinct")
-        if not has_max_period(self.lcg):
+        if not has_max_period(lcg):
             raise PreconditionError("the congruence generator must have "
                                     "maximal period")
-        if self.fam.alphabet.names != self.alphabet.names:
+        if fam.alphabet.names != alphabet.names:
             raise PreconditionError("family alphabet differs")
-        if self.fam.m != self.lcg.m:
+        if fam.m != lcg.m:
             raise PreconditionError("family and generator moduli differ")
+        _set_alphabet(self, alphabet)
+        _set_plaintext_alphabet(self, plaintext_alphabet)
+        _set_fam(self, fam)
+        _set_lcg(self, lcg)
 
     @property
     def n_symbols(self) -> int:
         return len(self.plaintext_alphabet)
 
 
-@dataclass(frozen=True)
-class CipherPrivateKey:
+(_set_alphabet, _set_plaintext_alphabet, _set_fam,
+ _set_lcg) = _setters(CipherPublicParams)
+
+
+class CipherPrivateKey(_Value):
     """The subgroup basis (position k encodes symbol k) and the starting
     class alpha.  Any Nielsen reduced identity-free basis is accepted;
     :func:`keygen` always produces the canonical form."""
 
+    __slots__ = _fields = ("basis", "alpha")
+
     basis: GeneratingTuple
     alpha: int
+
+    def __init__(self, basis: GeneratingTuple, alpha: int):
+        _set_basis(self, basis)
+        _set_alpha(self, alpha)
 
     def validate(self, params: CipherPublicParams) -> None:
         if len(self.basis) != params.n_symbols:
@@ -104,13 +117,18 @@ class CipherPrivateKey:
             raise PreconditionError("alpha out of range")
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+_set_basis, _set_alpha = _setters(CipherPrivateKey)
+
+
+class Ciphertext(_Value):
+    __slots__ = _fields = ("units",)
+
     units: tuple[Word, ...]
 
-    def __post_init__(self):
-        if isinstance(self.units, list):
-            object.__setattr__(self, "units", tuple(self.units))
+    def __init__(self, units: tuple[Word, ...]):
+        if isinstance(units, list):
+            units = tuple(units)
+        _set_units(self, units)
 
     def __len__(self):
         return len(self.units)
@@ -121,6 +139,9 @@ class Ciphertext:
 
     def __str__(self):
         return format_ciphertext(self)
+
+
+(_set_units,) = _setters(Ciphertext)
 
 
 def _random_word(prg: Prg, alphabet: Alphabet, length: int) -> Word:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .automorphisms import (FactoredAutomorphism, _basis, _power,
@@ -18,8 +17,8 @@ from .automorphisms import (FactoredAutomorphism, _basis, _power,
 from .errors import CapExceededError, DecryptionError, PreconditionError
 from .matrices import (Mat2Q, RepSpec, _evaluate, format_matrix,
                        matrix_to_word, parse_matrix, word_to_matrix)
-from .words import (Alphabet, Word, concat, format_word, parse_kv_lines,
-                    parse_word)
+from .words import (Alphabet, Word, _Value, _setters, concat, format_word,
+                    parse_kv_lines, parse_word)
 
 __all__ = [
     "PubkeyParams",
@@ -226,8 +225,7 @@ def _finite_order(f: FactoredAutomorphism) -> Optional[int]:
     return k if not any(v) and _is_period(f, k) else None
 
 
-@dataclass(frozen=True)
-class PubkeyParams:
+class PubkeyParams(_Value):
     """Public data: the base word a != 1 and an automorphism f intended to
     have infinite order.  Construction warns when f has finite order.  It
     composes f only when the abelianization of f may have finite order
@@ -236,24 +234,31 @@ class PubkeyParams:
     once freely reduced, or the abelianization is too costly to factor and
     the order is above 12."""
 
+    __slots__ = _fields = ("alphabet", "a", "f", "rep")
+
     alphabet: Alphabet
     a: Word
     f: FactoredAutomorphism
-    rep: Optional[RepSpec] = None
+    rep: Optional[RepSpec]
 
-    def __post_init__(self):
-        if self.a.is_identity():
+    def __init__(self, alphabet: Alphabet, a: Word, f: FactoredAutomorphism,
+                 rep: Optional[RepSpec] = None):
+        if a.is_identity():
             raise PreconditionError("base word must not be the identity")
-        if self.f.is_identity():
+        if f.is_identity():
             raise PreconditionError("automorphism must not be the identity")
-        if self.a.alphabet.names != self.alphabet.names:
+        if a.alphabet.names != alphabet.names:
             raise PreconditionError("base word alphabet differs")
-        if self.f.alphabet.names != self.alphabet.names:
+        if f.alphabet.names != alphabet.names:
             raise PreconditionError("automorphism alphabet differs")
-        k = _finite_order(self.f)
+        k = _finite_order(f)
         if k is not None:
             warnings.warn(f"automorphism has finite order {k}; "
                           "the scheme expects infinite order", stacklevel=2)
+        _set_alphabet(self, alphabet)
+        _set_a(self, a)
+        _set_f(self, f)
+        _set_rep(self, rep)
 
     def _check_exponent(self, n: int) -> None:
         if n < 1:
@@ -263,10 +268,21 @@ class PubkeyParams:
                 f"exponent {n} exceeds the cap {_MAX_EXPONENT}")
 
 
-@dataclass(frozen=True)
-class CipherPair:
+_set_alphabet, _set_a, _set_f, _set_rep = _setters(PubkeyParams)
+
+
+class CipherPair(_Value):
+    __slots__ = _fields = ("c1", "c2")
+
     c1: Union[Word, Mat2Q]
     c2: Word
+
+    def __init__(self, c1: Union[Word, Mat2Q], c2: Word):
+        _set_c1(self, c1)
+        _set_c2(self, c2)
+
+
+_set_c1, _set_c2 = _setters(CipherPair)
 
 
 def alice_keygen(params: PubkeyParams, n: int) -> Word:
@@ -304,7 +320,8 @@ def bob_encrypt_matrix(params: PubkeyParams, c: Word, m: Word, t: int) -> Cipher
 def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
                          decode_bound: int = 32) -> Word:
     """Recover g(m) = c1 * g(f^n(c2))^-1 exactly, then decode the word.
-    The product runs along c2^-1 over the values of f^n's images.
+    The product runs along c2^-1, read from c2's letters without building
+    it, over the values of f^n's images.
 
     Raises :class:`DecryptionError` when no word of length <= decode_bound
     evaluates to g(m), as with a wrong n; a miss is never anything else."""
@@ -313,8 +330,8 @@ def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
     params._check_exponent(n)
     if not isinstance(pair.c1, Mat2Q):
         raise PreconditionError("matrix-variant decrypt needs a matrix c1")
-    G = _evaluate(params.rep, pair.c2.inverse(), pair.c1,
-                  params.f.power(n).images)
+    G = _evaluate(params.rep, pair.c2, pair.c1, params.f.power(n).images,
+                  inverse=True)
     m = matrix_to_word(params.rep, G, decode_bound)
     if m is None:
         raise DecryptionError(

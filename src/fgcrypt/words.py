@@ -10,14 +10,19 @@ The free-reduction kernel works on plain signed tuples: ``_seam`` (letters
 cancelling where two words meet), the product ``_concat_signed``, the
 inverse ``_invert_signed`` and the substitution ``_substitute``.  No other
 module reduces words.
+
+The package's value classes (``Alphabet`` and ``Word`` here; tuples,
+moves, maps, parameters and reports in their own modules) derive from
+``_Value``: plain ``__slots__`` classes whose constructors check their
+input and set each slot through the slot's own setter, and which refuse
+every later write.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import count, islice, repeat
-from operator import length_hint, neg
+from operator import attrgetter, length_hint, neg
 from typing import Iterable, Sequence
 
 from .errors import (AlphabetMismatchError, CapExceededError,
@@ -36,22 +41,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Value:
+    """Base of the package's immutable value classes.  A subclass names in
+    ``_fields`` the fields ``repr`` shows and, where equality and hashing
+    read fewer, those in ``_compared``; ``==`` holds between instances of
+    one class with equal compared fields, and the hash is that of their
+    tuple.  Every write is refused, so constructors set their slots through
+    the slots' own setters (``_setters``)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        names = cls.__dict__.get("_compared", cls._fields)
+        get = attrgetter(*names)
+        cls._key = staticmethod(get if len(names) > 1
+                                else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _restore, (type(self),
+                          tuple(getattr(self, name) for name in self.__slots__))
+
+
+def _setters(cls: type) -> list:
+    """The setters of ``cls``'s slots in ``__slots__`` order, which skip the
+    ``__setattr__`` that refuses every write."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+def _restore(cls: type, values: tuple) -> _Value:
+    """The value of ``cls`` whose slots hold ``values``: copy and pickle."""
+    value = object.__new__(cls)
+    for setter, field_value in zip(_setters(cls), values):
+        setter(value, field_value)
+    return value
+
+
+class Alphabet(_Value):
     """An ordered finite set of generator names; rank q = len(names)."""
 
-    names: tuple[str, ...]
-    # name -> 1-based index, derived from ``names``
-    _index: dict[str, int] = field(init=False, repr=False, compare=False,
-                                   hash=False)
+    # _index maps each name to its 1-based index, derived from ``names``
+    __slots__ = ("names", "_index")
+    _fields = ("names",)
 
-    def __post_init__(self):
-        if isinstance(self.names, list):  # tolerate list input
-            object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) < 1:
+    names: tuple[str, ...]
+
+    def __init__(self, names: tuple[str, ...]):
+        if isinstance(names, list):  # tolerate list input
+            names = tuple(names)
+        if len(names) < 1:
             raise PreconditionError("alphabet needs at least one generator")
         seen = set()
-        for name in self.names:
+        for name in names:
             if not name:
                 raise PreconditionError("generator names must be non-empty")
             if any(ch.isspace() or ch in "^|=;" for ch in name):
@@ -62,8 +122,8 @@ class Alphabet:
             if name in seen:
                 raise PreconditionError(f"duplicate generator name {name!r}")
             seen.add(name)
-        object.__setattr__(self, "_index",
-                           {name: i for i, name in enumerate(self.names, 1)})
+        _set_names(self, names)
+        _set_index(self, {name: i for i, name in enumerate(names, 1)})
 
     @property
     def rank(self) -> int:
@@ -92,6 +152,9 @@ class Alphabet:
         return " ".join(self.names)
 
 
+_set_names, _set_index = _setters(Alphabet)
+
+
 def _as_signed(letter: int, q: int) -> int:
     """A raw letter, checked before free reduction can cancel it."""
     if isinstance(letter, int) and letter and -q <= letter <= q:
@@ -99,23 +162,20 @@ def _as_signed(letter: int, q: int) -> int:
     raise InvalidLetterError(f"not a letter of rank {q}: {letter!r}")
 
 
-class Word:
+class Word(_Value):
     """A freely reduced word.  Compare with ``<`` etc. for the ShortLex-style
     total order (length first, then x1 < x1^-1 < x2 < x2^-1 < ...)."""
 
-    __slots__ = ("alphabet", "signed")
+    __slots__ = _fields = ("alphabet", "signed")
 
     alphabet: Alphabet
     signed: tuple[int, ...]
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
-        object.__setattr__(self, "alphabet", alphabet)
         q = alphabet.rank
-        object.__setattr__(self, "signed",
-                           _reduce_signed(_as_signed(l, q) for l in letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+        signed = _reduce_signed(_as_signed(l, q) for l in letters)
+        _set_alphabet(self, alphabet)
+        _set_signed(self, signed)
 
     @classmethod
     def _make(cls, alphabet: Alphabet, signed: tuple[int, ...]) -> "Word":
@@ -178,9 +238,7 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
-# the slots' own setters, which skip Word.__setattr__ (it refuses every write)
-_set_alphabet = Word.alphabet.__set__
-_set_signed = Word.signed.__set__
+_set_alphabet, _set_signed = _setters(Word)
 
 
 def _reduce_signed(seq: Iterable[int]) -> tuple[int, ...]:
@@ -229,7 +287,9 @@ def _invert_signed(a: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _substitute(images: Sequence[tuple[int, ...]], letters: Iterable[int],
-                cap: int | None = None) -> tuple[int, ...]:
+                cap: int | None = None,
+                inverses: dict[int, tuple[int, ...]] | None = None
+                ) -> tuple[int, ...]:
     """Freely reduced image of the signed letters under x_i -> images[i-1];
     the images are freely reduced, so letters cancel only at the seams, and
     a seam is measured only when its first letters cancel (most do not).
@@ -237,8 +297,12 @@ def _substitute(images: Sequence[tuple[int, ...]], letters: Iterable[int],
     once it has passed the cap, by at most one letter's image.  The running
     check is skipped when the letters' length hint times the longest image,
     a bound on the unreduced image, is within the cap; letters without a
-    hint are always checked."""
-    inverses: dict[int, tuple[int, ...]] = {}
+    hint are always checked.  A negative letter s takes the inverse of
+    images[-s-1], inverted at most once into ``inverses``; a caller that
+    substitutes into the same images several times passes all its calls
+    one dict."""
+    if inverses is None:
+        inverses = {}
     out: list[int] = []
     if (cap is not None
             and length_hint(letters, cap + 1) * max(map(len, images)) > cap):

@@ -4,7 +4,10 @@ the traced benchmark run wraps exists."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,3 +190,33 @@ def test_automorphisms_built_inside():
                     == "FactoredAutomorphism"):
                 found.add(path.name)
     assert found == {"automorphisms.py"}, found
+
+
+def test_no_dataclasses():
+    """The value classes are plain ``__slots__`` classes: no module in the
+    package imports ``dataclasses``, whose import and class generation cost
+    more than the rest of the package's set-up."""
+    found = []
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if any(name and name.split(".")[0] == "dataclasses"
+                   for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """A fresh interpreter (without ``site``, so nothing else loads them)
+    that imports the package has loaded neither ``dataclasses`` nor
+    ``inspect``."""
+    src = str(Path(fgcrypt.__file__).resolve().parent.parent)
+    code = ("import sys, fgcrypt; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["[]"]

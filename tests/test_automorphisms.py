@@ -572,7 +572,7 @@ class TestSampler:
 
 class TestTrustedFactors:
     """The sampler and the factor inverse build Whitehead factors through
-    ``WhiteheadMove._make``, skipping ``__post_init__``: every such factor
+    ``WhiteheadMove._make``, skipping the checks of ``__init__``: every such factor
     must be one the validating constructor accepts and equals."""
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
@@ -593,13 +593,13 @@ class TestTrustedFactors:
 
     def test_no_validation_on_the_trusted_path(self, monkeypatch):
         validated = []
-        post_init = WhiteheadMove.__post_init__
+        init = WhiteheadMove.__init__
 
-        def counting(self):
-            validated.append(self)
-            post_init(self)
+        def counting(self, *args):
+            validated.append(args)
+            init(self, *args)
 
-        monkeypatch.setattr(WhiteheadMove, "__post_init__", counting)
+        monkeypatch.setattr(WhiteheadMove, "__init__", counting)
         for q in (2, 4, 6):
             fam = AutFamily(0x5EED, Alphabet(tuple("abcdef"[:q])), 64)
             for index in range(40):

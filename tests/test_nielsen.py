@@ -393,6 +393,20 @@ class TestSameSubgroup:
             s2 = random_tuple(rng, alphabet, rng.randint(1, 3), 4)
             assert same_subgroup(s1, s2) == same_subgroup_by_membership(s1, s2)
 
+    def test_each_basis_validated_once(self, monkeypatch):
+        """Both reduced bases are checked once each, not once per element
+        tested against them."""
+        calls = []
+
+        def counted(basis):
+            calls.append(len(basis))
+            return is_nielsen_reduced(basis)
+
+        monkeypatch.setattr(nielsen, "is_nielsen_reduced", counted)
+        demo = GeneratingTuple(ABCD, DEMO_BASIS)
+        assert same_subgroup_by_membership(demo, demo)
+        assert calls == [12, 12]
+
     def test_other_alphabets_refused(self):
         for same in (same_subgroup, same_subgroup_by_membership):
             with pytest.raises(PreconditionError, match="different alphabets"):

@@ -9,8 +9,10 @@ import pytest
 
 from fgcrypt import (
     Alphabet,
+    CipherPair,
     ElementaryMove,
     FactoredAutomorphism,
+    Mat2Q,
     PubkeyParams,
     WhiteheadMove,
     alice_decrypt,
@@ -79,6 +81,8 @@ class TestParams:
             warnings.simplefilter("always")
             PubkeyParams(X123, X123.parse("x1"), inv)
         assert any("finite order" in str(w.message) for w in seen)
+        # the warning names the line that built the parameters
+        assert [w.filename for w in seen] == [__file__]
 
     @staticmethod
     def order_warnings(alphabet, f):
@@ -554,6 +558,21 @@ class TestMatrixVariant:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    def test_decrypt_copies_no_c2(self):
+        # Alice's product runs along c2^-1 read from c2's own letters: the
+        # refusal on a 30 266-letter c2 allocates less than the 8 bytes per
+        # letter that an inverted copy of c2 would take
+        params = demo_params(rep=True)
+        pair = CipherPair(Mat2Q.identity(), alice_keygen(params, 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                alice_decrypt_matrix(params, 1, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(pair.c2)
 
     def test_bound_too_small(self):
         params = demo_params(rep=True)
