@@ -4,13 +4,14 @@ A factor is either a regular elementary move (T1/T2 by index) or a
 Whitehead move (a single-generator inversion, or the four-case multiplier
 map).  Factor sequences are applied left to right at the tuple level, which
 makes the composite map equal to the leftmost factor applied outermost:
-``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds run on signed image
-tuples through the kernel in :mod:`fgcrypt.words`, one step per factor, and
-wrap each final image in a ``Word`` once.  An inverse is never solved from
-the images: they are the fold of the factor-wise inverse list
-(W^-1 = INV W INV).  Applying, composing and powers are kernel substitutions
-of images; a power composes signed tuples by repeated squaring and also
-wraps only its final images.  This module does no free reduction of its own.
+``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds run on the images'
+rank codes (``Word.codes``) through the kernel in :mod:`fgcrypt.words`,
+one step per factor, and wrap each final image in a ``Word`` once.  An
+inverse is never solved from the images: they are the fold of the
+factor-wise inverse list (W^-1 = INV W INV).  Applying, composing and
+powers are kernel substitutions of images; a power composes code strings
+by repeated squaring and also wraps only its final images.  This module
+does no free reduction of its own.
 
 Automorphisms are immutable after construction and apply/compose/power/
 inverse are pure, so they are safe to share across threads; a sampler's
@@ -30,8 +31,8 @@ from .errors import (
     WordSyntaxError,
 )
 from .nielsen import ElementaryMove, _move, _realization, parse_moves
-from .words import (_MAX_LETTERS, Alphabet, Word, _Value, _concat_signed,
-                    _invert_signed, _setters, _substitute)
+from .words import (_MAX_LETTERS, Alphabet, Word, _Value, _code, _concat_codes,
+                    _invert_codes, _setters, _substitute)
 
 __all__ = [
     "WhiteheadMove",
@@ -102,8 +103,8 @@ _set_kind, _set_a, _set_L, _set_R, _set_M = _setters(WhiteheadMove)
 Factor = Union[ElementaryMove, WhiteheadMove]
 
 
-def _step(images: list[tuple[int, ...]], factor: Factor) -> None:
-    """Turn the signed images of a map into those of ``map o factor`` in place;
+def _step(images: list[bytes], factor: Factor) -> None:
+    """Turn the coded images of a map into those of ``map o factor`` in place;
     untouched images are kept.  Regular factors are the Nielsen moves of
     :func:`fgcrypt.nielsen._move`.  A Whitehead factor is not checked here
     (``from_factors`` checks its indices first); a multiplier map walks M
@@ -112,43 +113,42 @@ def _step(images: list[tuple[int, ...]], factor: Factor) -> None:
         a = factor.a
         x = images[a - 1]
         if factor.kind == "INV":
-            images[a - 1] = _invert_signed(x)
+            images[a - 1] = _invert_codes(x)
             return
         # W sends b to ab / b a^-1 / a b a^-1
-        x_inv = _invert_signed(x) if factor.R or len(factor.M) > 1 else ()
+        x_inv = _invert_codes(x) if factor.R or len(factor.M) > 1 else b""
         for b in factor.L:
-            images[b - 1] = _concat_signed(x, images[b - 1])
+            images[b - 1] = _concat_codes(x, images[b - 1])
         for b in factor.R:
-            images[b - 1] = _concat_signed(images[b - 1], x_inv)
+            images[b - 1] = _concat_codes(images[b - 1], x_inv)
         for b in factor.M:
             if b != a:
-                images[b - 1] = _concat_signed(_concat_signed(x, images[b - 1]),
-                                               x_inv)
+                images[b - 1] = _concat_codes(_concat_codes(x, images[b - 1]),
+                                              x_inv)
         return
     _move(images, factor)
 
 
-def _basis(q: int) -> list[tuple[int, ...]]:
-    """The signed images of the identity map at rank q."""
-    return [(i,) for i in range(1, q + 1)]
+def _basis(q: int) -> list[bytes]:
+    """The coded images of the identity map at rank q."""
+    return [_code(i, q).to_bytes(1, "little") for i in range(1, q + 1)]
 
 
-def _fold(factors: Iterable[Factor], q: int) -> list[tuple[int, ...]]:
+def _fold(factors: Iterable[Factor], q: int) -> list[bytes]:
     images = _basis(q)
     for factor in factors:
         _step(images, factor)
     return images
 
 
-def _compose_signed(outer: list[tuple[int, ...]],
-                    inner: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Signed images of ``outer o inner``.  Each image is built within the
+def _compose_codes(outer: list[bytes], inner: list[bytes]) -> list[bytes]:
+    """Coded images of ``outer o inner``.  Each image is built within the
     room the images before it leave under the cap, by the rule of
     ``_substitute``, so the running total passes the cap by at most one
     outer image.  Each outer image is inverted at most once, into one table
     shared by all the inner images."""
     images = []
-    inverses: dict[int, tuple[int, ...]] = {}
+    inverses: dict[int, bytes] = {}
     total = 0
     for im in inner:
         try:
@@ -164,23 +164,23 @@ def _compose_signed(outer: list[tuple[int, ...]],
     return images
 
 
-def _power(images: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Signed images of f^n, n >= 1, by repeated squaring: O(log n)
+def _power(images: list[bytes], n: int) -> list[bytes]:
+    """Coded images of f^n, n >= 1, by repeated squaring: O(log n)
     compositions.  Powers of f commute, so each product takes the longer
     power as the outer map and walks the letters of the shorter one."""
     result = None
     while True:
         if n & 1:
-            result = (images if result is None else _compose_signed(
+            result = (images if result is None else _compose_codes(
                 *sorted((images, result), key=lambda ims: sum(map(len, ims)),
                         reverse=True)))
         n >>= 1
         if not n:
             return result
-        images = _compose_signed(images, images)
+        images = _compose_codes(images, images)
 
 
-def _words(alphabet: Alphabet, images: list[tuple[int, ...]]) -> tuple[Word, ...]:
+def _words(alphabet: Alphabet, images: list[bytes]) -> tuple[Word, ...]:
     return tuple(Word._make(alphabet, im) for im in images)
 
 
@@ -208,8 +208,8 @@ class FactoredAutomorphism(_Value):
         longest image, a bound on the unreduced image, is within the cap."""
         if w.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("word is over a different alphabet")
-        images = [im.signed for im in self.images]
-        return Word._make(self.alphabet, _substitute(images, w.signed,
+        images = [im.codes for im in self.images]
+        return Word._make(self.alphabet, _substitute(images, w.codes,
                                                      _MAX_LETTERS))
 
     def compose(self, other: "FactoredAutomorphism") -> "FactoredAutomorphism":
@@ -218,14 +218,14 @@ class FactoredAutomorphism(_Value):
         bounds power() and the finite-order check of a fast-growing map."""
         if other.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("automorphisms over different alphabets")
-        images = _compose_signed([im.signed for im in self.images],
-                                 [im.signed for im in other.images])
+        images = _compose_codes([im.codes for im in self.images],
+                                [im.codes for im in other.images])
         return FactoredAutomorphism(self.alphabet, self.factors + other.factors,
                                     _words(self.alphabet, images))
 
     def power(self, n: int) -> "FactoredAutomorphism":
         """f^n with factors ``self.factors * n``; the images are composed as
-        signed tuples by repeated squaring, under the same cap as compose.
+        code strings by repeated squaring, under the same cap as compose.
         A factor list longer than that cap raises ``CapExceededError``
         before anything is composed."""
         if n < 0:
@@ -236,7 +236,7 @@ class FactoredAutomorphism(_Value):
             raise CapExceededError(
                 f"power has {len(self.factors) * n} factors, more than "
                 f"{_MAX_LETTERS}")
-        images = _words(self.alphabet, _power([im.signed for im in self.images], n))
+        images = _words(self.alphabet, _power([im.codes for im in self.images], n))
         return FactoredAutomorphism(self.alphabet, self.factors * n, images)
 
     def inverse(self) -> "FactoredAutomorphism":
@@ -244,7 +244,7 @@ class FactoredAutomorphism(_Value):
                              for g in _invert_factor(f)], self.alphabet)
 
     def is_identity(self) -> bool:
-        return [im.signed for im in self.images] == _basis(self.alphabet.rank)
+        return [im.codes for im in self.images] == _basis(self.alphabet.rank)
 
     def __str__(self):
         return format_automorphism(self)

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, PreconditionError
 from .nielsen import (GeneratingTuple, _as_tuple, _core_graph,
                       canonical_minimal_basis)
-from .words import (Alphabet, Word, _Value, _invert_signed, _setters,
+from .words import (Alphabet, Word, _Value, _invert_codes, _setters,
                     ball_size)
 
 __all__ = [
@@ -115,19 +115,18 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:
         raise CapExceededError(
             f"ball has {expected} elements; the cap is {BALL_CAP}")
     out: list[Word] = []
-    frontier: list[tuple[int, ...]] = [()]
+    frontier = [b""]
     for _ in range(radius):
         nxt = []
         for seq in frontier:
-            for i in range(1, q + 1):
-                for s in (i, -i):
-                    if seq and seq[-1] == -s:
-                        continue
-                    item = seq + (s,)
-                    nxt.append(item)
-                    out.append(Word._make(alphabet, item))
+            for c in range(2 * q):
+                if seq and seq[-1] == c ^ 1:
+                    continue
+                item = seq + c.to_bytes(1, "little")
+                nxt.append(item)
+                out.append(Word._make(alphabet, item))
         frontier = nxt
-    # sorted prefixes extended in letter order come out in the word order
+    # sorted prefixes extended in code order come out in the word order
     return out
 
 
@@ -173,10 +172,10 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
     limit, and already gave the same rank, key and hit."""
     started = time.perf_counter()
     ball = enumerate_ball(alphabet, cfg.ball_radius)
-    signed = [w.signed for w in ball]
-    index = {s: i for i, s in enumerate(signed)}
+    codes = [w.codes for w in ball]
+    index = {u: i for i, u in enumerate(codes)}
     # the earlier index of each pair u, u^-1
-    first = [min(i, index[_invert_signed(s)]) for i, s in enumerate(signed)]
+    first = [min(i, index[_invert_codes(u)]) for i, u in enumerate(codes)]
     limit = min(cfg.max_subsets or SUBSET_CAP, SUBSET_CAP)
     target = None
     if oracle_known_basis is not None:
@@ -192,7 +191,7 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
         examined += 1
         if not set(subset).issuperset(map(first.__getitem__, subset)):
             continue
-        rank, key, tree = _core_graph([signed[i] for i in subset])
+        rank, key, tree = _core_graph([codes[i] for i in subset])
         if rank != cfg.target_rank:
             continue
         canon = bases.get(key)

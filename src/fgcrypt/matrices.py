@@ -11,8 +11,8 @@ w != 1 sends 0 into the interval of its first letter.  The decoder reads the
 letters off one at a time that way, with no search.  Arithmetic is exact,
 with no floating point anywhere: a `Mat2Q` is an integer tuple, and
 products, evaluation and the decoder run on plain ints.  Each `RepSpec`
-derives the tuples of its letters and their inverses once, and every
-evaluation reads that table.
+derives the tuples of its letters and their inverses once, by letter code
+(as `Word.codes` holds them), and every evaluation reads that table.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .errors import (CapExceededError, PreconditionError, SingularMatrixError,
                      WordSyntaxError)
 from .nielsen import (GeneratingTuple, _express, _strip_candidates,
-                      apply_moves, expand_expression, nielsen_reduce)
-from .words import _INTEGER, Alphabet, Word, _Value, _setters, generators
+                      apply_moves, nielsen_reduce)
+from .words import (_INTEGER, Alphabet, Word, _Value, _invert_codes, _setters,
+                    _substitute, generators)
 
 __all__ = [
     "Mat2Q",
@@ -192,7 +192,7 @@ class RepSpec(_Value):
             own = GeneratingTuple(alphabet, generators(alphabet))
             basis_words = apply_moves(own, moves)
             strips = _strip_candidates(basis)
-        letters = _letter_kernels(enumerate((M.k for M in mats), start=1))
+        letters = _letter_kernels(enumerate(M.k for M in mats))
         ping_pong = (_peel_table(params, letters) if gen_words is None
                      else family._ping_pong)  # the family's own table
         _set_alphabet(self, alphabet)
@@ -262,11 +262,12 @@ def _kmul(A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _letter_kernels(kernels: Iterable[tuple[int, tuple[int, ...]]]) -> dict:
-    """Kernel tuples of letter i and of its inverse -i, per (i, kernel)."""
+    """Kernel tuples by letter code, per (i, kernel) of x_(i+1): code 2i,
+    and 2i + 1 for the inverse."""
     out = {}
     for i, k in kernels:
-        n11, n12, n21, n22, den = out[i] = k
-        out[-i] = (n22, -n12, -n21, n11, den)  # det 1: the adjugate
+        n11, n12, n21, n22, den = out[2 * i] = k
+        out[2 * i + 1] = (n22, -n12, -n21, n11, den)  # det 1: the adjugate
     return out
 
 
@@ -279,19 +280,19 @@ def _evaluate(spec: RepSpec, w: Word, start: Mat2Q = Mat2Q.identity(),
               inverse: bool = False) -> Mat2Q:
     """start times the value of w, or with ``images`` of its image under
     x_i -> images[i-1], from the value of each image w uses: the image word
-    is never built.  With ``inverse``, of w^-1 instead, read along w's
-    letters reversed and negated, so w^-1 is never built either.  The first
+    is never built.  With ``inverse``, of w^-1 instead, read along the codes
+    of w^-1, so no Word of it is built.  The first
     product with an entry past the cap raises, so the work stays bounded by
     the cap and the letters read."""
     if w.alphabet.names != spec.alphabet.names:
         raise PreconditionError("word is over a different alphabet")
     kernels = spec._letters
     if images is not None:
-        kernels = _letter_kernels((i, _evaluate(spec, images[i - 1]).k)
-                                  for i in set(map(abs, w.signed)))
+        kernels = _letter_kernels((i, _evaluate(spec, images[i]).k)
+                                  for i in {c >> 1 for c in set(w.codes)})
     out = start.k
-    for s in map(neg, reversed(w.signed)) if inverse else w.signed:
-        out = _kmul(out, kernels[s])
+    for c in _invert_codes(w.codes) if inverse else w.codes:
+        out = _kmul(out, kernels[c])
         bits = max(max(out), -min(out)).bit_length()
         if bits > _MAX_ENTRY_BITS:
             raise CapExceededError(f"a product has a {bits}-bit entry; "
@@ -311,20 +312,19 @@ def _evaluate(spec: RepSpec, w: Word, start: Mat2Q = Mat2Q.identity(),
 # ---------------------------------------------------------------------------
 
 def _peel_table(params: Sequence[Fraction], kernels: dict) -> tuple:
-    """Per letter s of the family with letter table ``kernels``:
-    (s, lo, hi, q, kernel of s^-1), where (lo/q, hi/q) is the open interval
-    that s maps into."""
+    """Per letter code c of the family with letter table ``kernels``:
+    (c, lo, hi, q, kernel of the inverse letter), where (lo/q, hi/q) is the
+    open interval that the letter maps into."""
     table = []
-    for i, r in enumerate(params, start=1):
+    for c, r in zip(range(0, 2 * len(params), 2), params):
         p, q = r.numerator, r.denominator
-        table.append((i, -p - q, q - p, q, kernels[-i]))
-        table.append((-i, p - q, p + q, q, kernels[i]))
+        table.append((c, -p - q, q - p, q, kernels[c + 1]))
+        table.append((c + 1, p - q, p + q, q, kernels[c]))
     return tuple(table)
 
 
-def _peel(table: tuple, M: tuple[int, ...],
-          limit: int) -> Optional[list[int]]:
-    letters: list[int] = []
+def _peel(table: tuple, M: tuple[int, ...], limit: int) -> Optional[bytes]:
+    letters = bytearray()
     cur = M
     while cur != _IDENTITY:
         if len(letters) >= limit:
@@ -332,14 +332,14 @@ def _peel(table: tuple, M: tuple[int, ...],
         b, d = cur[1], cur[3]
         if d < 0:
             b, d = -b, -d
-        for s, lo, hi, q, inverse in table:
+        for c, lo, hi, q, inverse in table:
             if lo * d < b * q < hi * d:
                 break
         else:
             return None  # includes d == 0: M(0) is infinity
-        letters.append(s)
+        letters.append(c)
         cur = _kmul(inverse, cur)
-    return letters
+    return bytes(letters)
 
 
 def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
@@ -347,7 +347,8 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
 
     A ``gen_words`` spec peels the auxiliary word (at most max_len times the
     longest generator word), expresses it over the Nielsen reduced basis and
-    carries that expression back to the alphabet's letters."""
+    carries that expression back to the alphabet's letters.  The peeled
+    letters always form a reduced word, so they are wrapped as they are."""
     n11, n12, n21, n22, den = K = M.k
     if n11 * n22 - n12 * n21 != den * den:
         raise PreconditionError("matrix must have determinant 1")
@@ -355,16 +356,16 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
         raise PreconditionError("max_len must be >= 0")
     if spec.gen_words is None:
         letters = _peel(spec._ping_pong, K, max_len)
-        return None if letters is None else Word(spec.alphabet, letters)
+        return None if letters is None else Word._make(spec.alphabet, letters)
     limit = max_len * max(len(g) for g in spec.gen_words)
     letters = _peel(spec._ping_pong, K, limit)
     if letters is None:
         return None
-    expr = _express(spec._strips, tuple(letters))
+    expr = _express(spec._strips, letters)
     if expr is None:
         return None
-    w = expand_expression(spec.basis_words, expr)
-    return w if len(w) <= max_len else None
+    w = _substitute([u.codes for u in spec.basis_words], expr)
+    return Word._make(spec.alphabet, w) if len(w) <= max_len else None
 
 
 # --- textual form -----------------------------------------------------------

@@ -6,15 +6,15 @@ Tuples are ordered (moves are index-addressed, 1-based); sets only appear
 through :func:`canonical_minimal_basis`, which inverse-normalizes and sorts.
 All operations are pure on immutable values.
 
-The predicates, reduction, the canonical level walk and the membership
-strips run on plain signed tuples (``Word.signed``), multiplied, inverted
-and substituted by the free-reduction kernel of :mod:`fgcrypt.words`;
-Words and GeneratingTuples are built only for results.  The level walk
-keeps its tuples rank-encoded (letter s as 2(|s|-1) + (s<0)), so the word
-order is plain tuple order and a step normalizes only the entry it
-replaced.  A canonical basis is a function of the subgroup alone, so a
-caller may key the bases it has computed by the subgroup's core graph
-(:func:`_core_graph`), as the subset attack does.
+The predicates, reduction, the canonical level walk, the core graph and
+the membership strips run on the words' rank codes (``Word.codes``),
+multiplied, inverted and substituted by the free-reduction kernel of
+:mod:`fgcrypt.words`; Words and GeneratingTuples are built only for
+results.  At equal length the word order is plain ``bytes`` order, so a
+step of the level walk normalizes only the entry it replaced.  A canonical
+basis is a function of the subgroup alone, so a caller may key the bases
+it has computed by the subgroup's core graph (:func:`_core_graph`), as the
+subset attack does.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .errors import (
     PreconditionError,
     WordSyntaxError,
 )
-from .words import (Alphabet, Word, _Value, _concat_signed, _invert_signed,
-                    _parse_int, _rank_tuple, _seam, _setters, _substitute,
-                    parse_word)
+from .words import (Alphabet, Word, _Value, _code, _concat_codes,
+                    _invert_codes, _parse_int, _seam, _setters, _signed,
+                    _substitute, parse_word)
 
 __all__ = [
     "GeneratingTuple",
@@ -129,30 +129,29 @@ class ElementaryMove(_Value):
 _set_kind, _set_i, _set_j = _setters(ElementaryMove)
 
 
-def _move(elements: list[tuple[int, ...]], m: ElementaryMove) -> None:
-    """Apply ``m`` in place to a list of signed tuples."""
+def _move(elements: list[bytes], m: ElementaryMove) -> None:
+    """Apply ``m`` in place to a list of code strings."""
     n = len(elements)
     if not 1 <= m.i <= n or (m.kind == "T2" and not 1 <= m.j <= n):
         raise IllegalMoveError(f"move {m} out of range for tuple of size {n}")
     u = elements[m.i - 1]
     if m.kind == "T1":
-        elements[m.i - 1] = _invert_signed(u)
+        elements[m.i - 1] = _invert_codes(u)
     elif m.kind == "T2":
-        elements[m.i - 1] = _concat_signed(u, elements[m.j - 1])
+        elements[m.i - 1] = _concat_codes(u, elements[m.j - 1])
     elif u:
         raise IllegalMoveError(f"T3 {m.i}: entry is not the identity")
     else:
         del elements[m.i - 1]
 
 
-def _as_tuple(alphabet: Alphabet,
-              elements: Iterable[tuple[int, ...]]) -> GeneratingTuple:
+def _as_tuple(alphabet: Alphabet, elements: Iterable[bytes]) -> GeneratingTuple:
     return GeneratingTuple(alphabet, tuple(Word._make(alphabet, e)
                                            for e in elements))
 
 
 def apply_moves(t: GeneratingTuple, moves: Iterable[ElementaryMove]) -> GeneratingTuple:
-    elements = [w.signed for w in t.elements]
+    elements = [w.codes for w in t.elements]
     for m in moves:
         _move(elements, m)
     return _as_tuple(t.alphabet, elements)
@@ -162,19 +161,17 @@ def apply_moves(t: GeneratingTuple, moves: Iterable[ElementaryMove]) -> Generati
 # The two reducedness predicates.
 # ---------------------------------------------------------------------------
 
-def _symbols(elements: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """u_1, u_1^-1, u_2, u_2^-1, ... as signed tuples: symbol a is u_(a//2+1)
+def _symbols(elements: Iterable[bytes]) -> list[bytes]:
+    """u_1, u_1^-1, u_2, u_2^-1, ... as code strings: symbol a is u_(a//2+1)
     for even a and its inverse for odd a, so a ^ 1 is the inverse symbol."""
-    return [x for u in elements for x in (u, _invert_signed(u))]
+    return [x for u in elements for x in (u, _invert_codes(u))]
 
 
-def _owner(syms: Sequence[tuple[int, ...]], a: int,
-           prefix: tuple[int, ...]) -> Optional[int]:
+def _owner(syms: Sequence[bytes], a: int, prefix: bytes) -> Optional[int]:
     """The first symbol other than ``a`` that starts with ``prefix``; None
     when ``prefix`` is isolated in symbol ``a``."""
-    k = len(prefix)
-    return next((b for b, v in enumerate(syms) if b != a and v[:k] == prefix),
-                None)
+    return next((b for b, v in enumerate(syms)
+                 if b != a and v.startswith(prefix)), None)
 
 
 def is_nielsen_reduced(t: GeneratingTuple) -> bool:
@@ -182,7 +179,7 @@ def is_nielsen_reduced(t: GeneratingTuple) -> bool:
     pairs/triples.  The non-degeneracy conditions exclude exactly the formal
     inverse pairs (u_i^e, u_i^-e); products of *distinct* entries that happen
     to cancel completely do violate the length conditions."""
-    elements = [w.signed for w in t.elements]
+    elements = [w.codes for w in t.elements]
     if not all(elements):
         return False
     syms = _symbols(elements)
@@ -213,7 +210,7 @@ def is_nielsen_reduced(t: GeneratingTuple) -> bool:
                     continue
                 if cab + cb[c] < lb:
                     continue  # strict inequality holds automatically
-                prod = _concat_signed(_concat_signed(syms[a], syms[b]), syms[c])
+                prod = _concat_codes(_concat_codes(syms[a], syms[b]), syms[c])
                 if len(prod) <= la - lb + lengths[c]:
                     return False
     return True
@@ -231,7 +228,7 @@ def is_nielsen_reduced_segments(t: GeneratingTuple) -> bool:
     Requires all entries non-identity."""
     if any(w.is_identity() for w in t.elements):
         raise PreconditionError("segment predicate requires non-identity entries")
-    syms = _symbols(w.signed for w in t.elements)
+    syms = _symbols(w.codes for w in t.elements)
     # Condition 1 over all 2m symbols covers major terminal segments too:
     # the major terminal segment of w is the mirror of the major initial
     # segment of w^-1, and the symbol list is closed under inversion.
@@ -282,11 +279,11 @@ def _realization(i: int, j: int, side: str, sign: int) -> list[ElementaryMove]:
     return [t1i, t2, t1i]
 
 
-def _products(elements: Sequence[tuple[int, ...]]):
+def _products(elements: Sequence[bytes]):
     """Every replacement of one entry by its product with another that
     cancels at the seam, as (i, j, side, sign, z): u_i*u_j^sign (side 'R')
     or u_j^sign*u_i (side 'L'), in the order (i, j, R+, R-, L+, L-).
-    Entries (non-identity) and z are signed tuples.  A product with no
+    Entries (non-identity) and z are code strings.  A product with no
     cancellation is longer than u_i, so neither the reduction nor the level
     walk has a use for it."""
     n = len(elements)
@@ -297,17 +294,17 @@ def _products(elements: Sequence[tuple[int, ...]]):
             if j == i:
                 continue
             v = elements[j - 1]
-            if last == -v[0]:
-                yield i, j, "R", 1, _concat_signed(u, v)
+            if last == v[0] ^ 1:
+                yield i, j, "R", 1, _concat_codes(u, v)
             if last == v[-1]:
-                yield i, j, "R", -1, _concat_signed(u, _invert_signed(v))
-            if v[-1] == -first:
-                yield i, j, "L", 1, _concat_signed(v, u)
+                yield i, j, "R", -1, _concat_codes(u, _invert_codes(v))
+            if v[-1] == first ^ 1:
+                yield i, j, "L", 1, _concat_codes(v, u)
             if v[0] == first:
-                yield i, j, "L", -1, _concat_signed(_invert_signed(v), u)
+                yield i, j, "L", -1, _concat_codes(_invert_codes(v), u)
 
 
-def _find_half_rewrite(elements: Sequence[tuple[int, ...]]):
+def _find_half_rewrite(elements: Sequence[bytes]):
     """First length-preserving rewrite fixing a violated half condition.
 
     Returns (i, j, side, sign, z) for the replacement, or None.  Assumes
@@ -324,16 +321,16 @@ def _find_half_rewrite(elements: Sequence[tuple[int, ...]]):
         if p_owner is None or q_owner is None:
             continue
         sign = -1 if a % 2 else 1
-        if _rank_tuple(q) < _rank_tuple(p):
+        if q < p:
             # prefix p -> q: symbol v -> w^-1 * v
             b, w, sign = p_owner, syms[a ^ 1], -sign
         else:
             # prefix q -> p: symbol v -> w * v
             b, w = q_owner, seq
-        z = _concat_signed(w, syms[b])
+        z = _concat_codes(w, syms[b])
         if b % 2 == 0:
             return b // 2 + 1, a // 2 + 1, "L", sign, z
-        return b // 2 + 1, a // 2 + 1, "R", -sign, _invert_signed(z)
+        return b // 2 + 1, a // 2 + 1, "R", -sign, _invert_codes(z)
     return None
 
 
@@ -341,7 +338,7 @@ def nielsen_reduce(t: GeneratingTuple) -> tuple[GeneratingTuple, list[Elementary
     """Carry a tuple into a Nielsen reduced one; returns the result and the
     elementary move list realizing it (replay with :func:`apply_moves`)."""
     moves: list[ElementaryMove] = []
-    elements = [w.signed for w in t.elements]
+    elements = [w.codes for w in t.elements]
     while True:
         k = next((k for k, u in enumerate(elements, start=1) if not u), None)
         if k is not None:
@@ -364,33 +361,23 @@ def nielsen_reduce(t: GeneratingTuple) -> tuple[GeneratingTuple, list[Elementary
 # Canonical bases: the minimum of a level.
 #
 # The level of a tuple is everything its length-preserving replacements
-# reach.  The walk runs on normal forms: every entry is the smaller of u
-# and u^-1, rank-encoded (letter s becomes 2(|s|-1) + (s<0), so plain
-# tuple comparison is the word order at equal length), and the entries are
-# sorted by (length, ranks).  A replacement changes one entry and keeps its
-# length, so only that entry is normalized, then inserted among the rest of
-# its length; the lengths by position are the same all over the level, and
-# two normal forms compare position by position as plain tuples.
+# reach.  The walk runs on normal forms: every entry is the smaller of the
+# codes of u and u^-1 (at equal length ``bytes`` order is the word order),
+# and the entries are sorted by (length, codes).  A replacement changes one
+# entry and keeps its length, so only that entry is normalized, then
+# inserted among the rest of its length; the lengths by position are the
+# same all over the level, and two normal forms compare position by
+# position as plain tuples of ``bytes``.
 # ---------------------------------------------------------------------------
 
 _ORBIT_LIMIT = 200000
 
 
-def _normal_entry(signed: tuple[int, ...]) -> tuple[int, ...]:
-    r = _rank_tuple(signed)
-    r_inv = tuple(x ^ 1 for x in reversed(r))
-    return r if r <= r_inv else r_inv
-
-
-def _unrank(r: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-(x >> 1) - 1 if x & 1 else (x >> 1) + 1 for x in r)
-
-
-def _normal_form(t: GeneratingTuple) -> tuple[tuple[int, ...], ...]:
-    """The rank-encoded normal form of ``t``; the level of a tuple, and so
-    its minimum, depends only on this."""
-    return tuple(sorted((_normal_entry(w.signed) for w in t.elements),
-                        key=lambda r: (len(r), r)))
+def _normal_form(t: GeneratingTuple) -> tuple[bytes, ...]:
+    """The normal form of ``t``; the level of a tuple, and so its minimum,
+    depends only on this."""
+    return tuple(sorted((min(w.codes, _invert_codes(w.codes))
+                         for w in t.elements), key=lambda r: (len(r), r)))
 
 
 def _level_minimum(reduced: GeneratingTuple, limit: int) -> GeneratingTuple:
@@ -408,12 +395,12 @@ def _level_minimum(reduced: GeneratingTuple, limit: int) -> GeneratingTuple:
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        for i, _, _, _, z in _products([_unrank(r) for r in cur]):
+        for i, _, _, _, z in _products(cur):
             if len(z) != lengths[i - 1]:
                 continue
             rest = cur[:i - 1] + cur[i:]
             lo, hi = block[i - 1]
-            r = _normal_entry(z)
+            r = min(z, _invert_codes(z))
             k = bisect_left(rest, r, lo, hi)
             cand = rest[:k] + (r,) + rest[k:]
             if cand in seen:
@@ -423,10 +410,10 @@ def _level_minimum(reduced: GeneratingTuple, limit: int) -> GeneratingTuple:
                     f"canonical basis search exceeded {limit} tuples")
             seen.add(cand)
             if cand < best and is_nielsen_reduced_segments(
-                    _as_tuple(reduced.alphabet, map(_unrank, cand))):
+                    _as_tuple(reduced.alphabet, cand)):
                 best = cand
             frontier.append(cand)
-    return _as_tuple(reduced.alphabet, map(_unrank, best))
+    return _as_tuple(reduced.alphabet, best)
 
 
 def canonical_minimal_basis(t: GeneratingTuple) -> GeneratingTuple:
@@ -443,9 +430,9 @@ def canonical_minimal_basis(t: GeneratingTuple) -> GeneratingTuple:
     can be undone by another, so the levels partition the tuples and every
     member of a level has the same minimum.
 
-    Both steps run on signed tuples and build Words only for the result.
-    The walk keeps rank-encoded normal forms and normalizes only the
-    replaced entry, then inserts it into the already sorted rest.  The
+    Both steps run on code strings and build Words only for the result.
+    The walk keeps normal forms and normalizes only the replaced entry,
+    then inserts it into the already sorted rest.  The
     level is finite; one of more than ``_ORBIT_LIMIT`` tuples raises
     ``CapExceededError``."""
     reduced, _ = nielsen_reduce(t)
@@ -458,30 +445,25 @@ def canonical_minimal_basis(t: GeneratingTuple) -> GeneratingTuple:
 # 2002).  The reduced words are read as loops at a base vertex and folded
 # until no vertex has two edges with one label.  Two subgroups are equal
 # exactly when their based core graphs are isomorphic, and the rank is
-# E - V + 1.  Edge labels are rank codes (letter s as 2(|s|-1) + (s<0)),
-# so code ^ 1 labels the reverse edge and the codes sort as x1, x1^-1,
-# x2, ...
+# E - V + 1.  Edge labels are the letters' codes, so code ^ 1 labels the
+# reverse edge and the labels sort as x1, x1^-1, x2, ...
 # ---------------------------------------------------------------------------
 
-def _core_graph(elements: Iterable[tuple[int, ...]]
-                ) -> tuple[int, tuple, tuple[tuple[int, ...], ...]]:
-    """(rank, key, basis) of the subgroup the reduced signed tuples
-    generate.
+def _core_graph(elements: Iterable[bytes]
+                ) -> tuple[int, tuple, tuple[bytes, ...]]:
+    """(rank, key, basis) of the subgroup the reduced code strings generate.
 
     ``key`` is the core graph's adjacency, with the vertices numbered
     breadth-first from the base and each vertex's edges taken in label
     order; equal keys mean equal subgroups.  ``basis`` is the free basis
     path(v) * s * path(t)^-1 over the edges v -s-> t outside that
-    breadth-first tree, each a reduced signed tuple."""
+    breadth-first tree, each a reduced code string."""
     out: list[dict[int, int]] = [{}]  # out[v][code] = target; vertex 0 is the base
     merges = []
     for word in elements:
         last = len(word) - 1
         u = 0
-        for k, s in enumerate(word):
-            # the rank code, as _rank_tuple gives it (inline: the fold is
-            # the attack's hot loop)
-            code = 2 * s - 2 if s > 0 else -2 * s - 1
+        for k, code in enumerate(word):
             if k == last:
                 v = 0
             else:
@@ -522,7 +504,7 @@ def _core_graph(elements: Iterable[tuple[int, ...]]
     # no vertex but the base ends with a single edge to prune.
     order = [0]  # the roots in breadth-first order; grows during the walk
     number = {0: 0}
-    paths: list[tuple[int, ...]] = [()]  # the tree path from the base
+    paths = [b""]  # the tree path from the base
     key = []
     basis = []
     for i, v in enumerate(order):
@@ -530,16 +512,16 @@ def _core_graph(elements: Iterable[tuple[int, ...]]
         row = []
         for c in sorted(edges):
             t = find(edges[c])
-            s = -(c >> 1) - 1 if c & 1 else (c >> 1) + 1  # as _unrank
             n = number.get(t)
             if n is None:
                 n = number[t] = len(order)
                 order.append(t)
-                paths.append(paths[i] + (s,))
+                paths.append(paths[i] + c.to_bytes(1, "little"))
             elif n > i or (n == i and not c & 1):
                 # each edge outside the tree once: from its lower-numbered
                 # end, and a loop by its positive label
-                basis.append(paths[i] + (s,) + _invert_signed(paths[n]))
+                basis.append(paths[i] + c.to_bytes(1, "little")
+                             + _invert_codes(paths[n]))
             row += (c, n)
         key.append(tuple(row))
     edge_count = sum(map(len, key)) // 4  # two entries per edge, two ints each
@@ -552,40 +534,40 @@ def _core_graph(elements: Iterable[tuple[int, ...]]
 
 def _strip_candidates(basis: GeneratingTuple) -> list[tuple]:
     """The strips of a Nielsen reduced basis, as (prefix, inverse, token)
-    on signed tuples: each symbol's major initial segment and, for even
-    lengths, its left half, with the symbol's inverse and signed index."""
+    on code strings: each symbol's major initial segment and, for even
+    lengths, its left half, with the symbol's inverse and index a, the code
+    of u_(a//2+1) or its inverse as a letter over the basis."""
     if not is_nielsen_reduced(basis):
         raise PreconditionError("membership requires a Nielsen reduced basis")
-    syms = _symbols(w.signed for w in basis.elements)
+    syms = _symbols(w.codes for w in basis.elements)
     candidates = []
     for a, seq in enumerate(syms):
         ln, inv = len(seq), syms[a ^ 1]
-        token = -(a // 2 + 1) if a % 2 else a // 2 + 1
-        candidates.append((seq[:_major_len(ln)], inv, token))
+        candidates.append((seq[:_major_len(ln)], inv, a))
         if ln % 2 == 0:
-            candidates.append((seq[:ln // 2], inv, token))
+            candidates.append((seq[:ln // 2], inv, a))
     return candidates
 
 
-def _express(candidates: list[tuple], w: tuple[int, ...]) -> Optional[list[int]]:
-    """Signed basis indices spelling the signed tuple ``w``, or None; the
-    search behind :func:`subgroup_membership`."""
+def _express(candidates: list[tuple], w: bytes) -> Optional[list[int]]:
+    """The codes of basis letters spelling the code string ``w``, or None;
+    the search behind :func:`subgroup_membership`."""
     if not w:
         return []
     # Iterative DFS.  Strips never lengthen the remainder; words already on
     # the current path are skipped (the unique expression never revisits a
     # remainder), and exhausted remainders are memoized as dead ends.
-    failed: set[tuple[int, ...]] = set()
+    failed: set[bytes] = set()
 
-    def strips(cur: tuple[int, ...]):
+    def strips(cur: bytes):
         for prefix, inv, token in candidates:
-            if cur[:len(prefix)] != prefix:
+            if not cur.startswith(prefix):
                 continue
-            rest = _concat_signed(inv, cur)
+            rest = _concat_codes(inv, cur)
             if len(rest) <= len(cur) and rest not in failed:
                 yield token, rest
 
-    stack: list[tuple[tuple[int, ...], object]] = [(w, strips(w))]
+    stack: list[tuple[bytes, object]] = [(w, strips(w))]
     on_path = {w}
     tokens: list[int] = []
     while stack:
@@ -622,7 +604,8 @@ def subgroup_membership(basis: GeneratingTuple, w: Word) -> Optional[list[int]]:
     those strips are tried with backtracking (memoized on the remainder)."""
     if w.alphabet.names != basis.alphabet.names:
         raise PreconditionError("word and basis alphabets differ")
-    return _express(_strip_candidates(basis), w.signed)
+    expr = _express(_strip_candidates(basis), w.codes)
+    return None if expr is None else list(map(_signed, expr))
 
 
 def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:
@@ -633,8 +616,9 @@ def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:
     if not all(0 < abs(t) <= n for t in expr):
         raise PreconditionError(
             f"expression tokens must be nonzero with |t| <= {n}")
-    images = [u.signed for u in basis.elements]
-    return Word._make(basis.alphabet, _substitute(images, expr))
+    images = [u.codes for u in basis.elements]
+    return Word._make(basis.alphabet,
+                      _substitute(images, [_code(t, n) for t in expr]))
 
 
 def same_subgroup(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
@@ -653,8 +637,8 @@ def same_subgroup_by_membership(s1: GeneratingTuple, s2: GeneratingTuple) -> boo
         raise PreconditionError("tuples over different alphabets")
     strips1 = _strip_candidates(nielsen_reduce(s1)[0])
     strips2 = _strip_candidates(nielsen_reduce(s2)[0])
-    return (all(_express(strips2, w.signed) is not None for w in s1.elements)
-            and all(_express(strips1, w.signed) is not None
+    return (all(_express(strips2, w.codes) is not None for w in s1.elements)
+            and all(_express(strips1, w.codes) is not None
                     for w in s2.elements))
 
 

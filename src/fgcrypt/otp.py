@@ -145,19 +145,16 @@ class Ciphertext(_Value):
 
 
 def _random_word(prg: Prg, alphabet: Alphabet, length: int) -> Word:
-    q = alphabet.rank
-    letters: list[int] = []
+    n = 2 * alphabet.rank
+    codes = bytearray()
     for _ in range(length):
-        if not letters:
-            pick = prg.next() % (2 * q)
-            s = pick // 2 + 1
-            letters.append(s if pick % 2 == 0 else -s)
+        if not codes:
+            codes.append(prg.next() % n)
         else:
-            # anything but the inverse of the previous letter
-            options = [x for i in range(1, q + 1) for x in (i, -i)
-                       if x != -letters[-1]]
-            letters.append(options[prg.next() % len(options)])
-    return Word(alphabet, letters)
+            # the r-th code other than the inverse of the previous letter
+            r = prg.next() % (n - 1)
+            codes.append(r + (r >= codes[-1] ^ 1))
+    return Word._make(alphabet, bytes(codes))
 
 
 # basis word lengths, the tuples keygen draws before it gives up, and the

@@ -56,9 +56,9 @@ def _abelianization(f: FactoredAutomorphism) -> list[dict[int, int]]:
     f(x_j) by sign."""
     A: list[dict[int, int]] = [{} for _ in range(f.alphabet.rank)]
     for j, image in enumerate(f.images):
-        for s in image.signed:
-            row = A[abs(s) - 1]
-            row[j] = row.get(j, 0) + (1 if s > 0 else -1)
+        for c in image.codes:
+            row = A[c >> 1]
+            row[j] = row.get(j, 0) + (-1 if c & 1 else 1)
     return [{j: v for j, v in row.items() if v} for row in A]
 
 
@@ -184,14 +184,14 @@ def _apply(A: list[dict[int, int]], p: list[int], v: list[int]) -> list[int]:
 
 def _is_period(f: FactoredAutomorphism, k: int) -> bool:
     """Whether f^k = id, tested as f^h = (f^-1)^(k-h) with h = ceil(k/2):
-    the signed images of f and f^-1 are powered by ``_power``, O(log k)
+    the coded images of f and f^-1 are powered by ``_power``, O(log k)
     compositions with no factor lists (h copies of f's factors could fill
     memory).  A power past the 2^24-letter cap leaves it undecided, and
     counts as no."""
     h = (k + 1) // 2
     try:
-        lhs = _power([im.signed for im in f.images], h)
-        rhs = (_power([im.signed for im in f.inverse().images], k - h)
+        lhs = _power([im.codes for im in f.images], h)
+        rhs = (_power([im.codes for im in f.inverse().images], k - h)
                if k > h else _basis(f.alphabet.rank))
     except CapExceededError:
         return False

@@ -1,14 +1,17 @@
 """Freely reduced words over a finite generating alphabet.
 
-A word is stored as a tuple of nonzero signed generator indices: ``+i``
-stands for the i-th generator, ``-i`` for its inverse (1-based).  Every
-``Word`` is freely reduced by construction; unreduced letter sequences only
-exist transiently inside its constructor.  Words and alphabets are
-immutable, so all operations here are pure and thread-safe.
+A word is stored as one ``bytes`` of rank codes, the package's only letter
+encoding: x_i is code 2i-2 and x_i^-1 code 2i-1 (1-based), so a letter's
+inverse is ``code ^ 1`` and at equal length ``bytes`` order is the word
+order.  A byte holds 256 codes, so an alphabet has at most 128 generators.
+Signed letters (+i, -i) appear only in ``Word(alphabet, letters)`` and
+``Word.signed``, converted by ``_code`` and ``_signed``.  Every ``Word`` is
+freely reduced by construction.  Words and alphabets are immutable, so all
+operations here are pure and thread-safe.
 
-The free-reduction kernel works on plain signed tuples: ``_seam`` (letters
-cancelling where two words meet), the product ``_concat_signed``, the
-inverse ``_invert_signed`` and the substitution ``_substitute``.  No other
+The free-reduction kernel works on plain code strings: ``_seam`` (letters
+cancelling where two words meet), the product ``_concat_codes``, the
+inverse ``_invert_codes`` and the substitution ``_substitute``.  No other
 module reduces words.
 
 The package's value classes (``Alphabet`` and ``Word`` here; tuples,
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import re
 from itertools import count, islice, repeat
-from operator import attrgetter, length_hint, neg
+from operator import attrgetter, length_hint
 from typing import Iterable, Sequence
 
 from .errors import (AlphabetMismatchError, CapExceededError,
@@ -97,10 +100,10 @@ def _restore(cls: type, values: tuple) -> _Value:
 
 
 class Alphabet(_Value):
-    """An ordered finite set of generator names; rank q = len(names)."""
+    """An ordered set of at most 128 generator names; rank q = len(names)."""
 
-    # _index maps each name to its 1-based index, derived from ``names``
-    __slots__ = ("names", "_index")
+    # _code_of maps each name to its generator's code, derived from ``names``
+    __slots__ = ("names", "_code_of")
     _fields = ("names",)
 
     names: tuple[str, ...]
@@ -108,8 +111,9 @@ class Alphabet(_Value):
     def __init__(self, names: tuple[str, ...]):
         if isinstance(names, list):  # tolerate list input
             names = tuple(names)
-        if len(names) < 1:
-            raise PreconditionError("alphabet needs at least one generator")
+        if not 1 <= len(names) <= 128:
+            raise PreconditionError(
+                f"alphabet needs 1 to 128 generators, not {len(names)}")
         seen = set()
         for name in names:
             if not name:
@@ -123,7 +127,7 @@ class Alphabet(_Value):
                 raise PreconditionError(f"duplicate generator name {name!r}")
             seen.add(name)
         _set_names(self, names)
-        _set_index(self, {name: i for i, name in enumerate(names, 1)})
+        _set_code_of(self, dict(zip(names, range(0, 2 * len(names), 2))))
 
     @property
     def rank(self) -> int:
@@ -132,7 +136,7 @@ class Alphabet(_Value):
     def index(self, name: str) -> int:
         """1-based index of a generator name."""
         try:
-            return self._index[name]
+            return _signed(self._code_of[name])
         except KeyError:
             raise InvalidLetterError(f"unknown generator {name!r}") from None
 
@@ -140,10 +144,10 @@ class Alphabet(_Value):
         """The length-1 word x_i (1-based)."""
         if not 1 <= i <= self.rank:
             raise InvalidLetterError(f"generator index {i} out of range 1..{self.rank}")
-        return Word._make(self, (i,))
+        return Word._make(self, _code(i, self.rank).to_bytes(1, "little"))
 
     def identity(self) -> "Word":
-        return Word._make(self, ())
+        return Word._make(self, b"")
 
     def parse(self, text: str) -> "Word":
         return parse_word(text, self)
@@ -152,47 +156,62 @@ class Alphabet(_Value):
         return " ".join(self.names)
 
 
-_set_names, _set_index = _setters(Alphabet)
+_set_names, _set_code_of = _setters(Alphabet)
 
 
-def _as_signed(letter: int, q: int) -> int:
-    """A raw letter, checked before free reduction can cancel it."""
-    if isinstance(letter, int) and letter and -q <= letter <= q:
-        return letter
-    raise InvalidLetterError(f"not a letter of rank {q}: {letter!r}")
+# code -> the code of its inverse letter
+_INV = bytes(c ^ 1 for c in range(256))
+
+
+def _code(s: int, q: int) -> int:
+    """The rank code of the signed letter s at rank q; anything else raises,
+    so ``Word`` checks raw letters before free reduction can cancel them."""
+    if isinstance(s, int) and s and -q <= s <= q:
+        return 2 * s - 2 if s > 0 else -2 * s - 1
+    raise InvalidLetterError(f"not a letter of rank {q}: {s!r}")
+
+
+def _signed(c: int) -> int:
+    """The signed letter of the rank code c."""
+    return -(c >> 1) - 1 if c & 1 else (c >> 1) + 1
 
 
 class Word(_Value):
     """A freely reduced word.  Compare with ``<`` etc. for the ShortLex-style
     total order (length first, then x1 < x1^-1 < x2 < x2^-1 < ...)."""
 
-    __slots__ = _fields = ("alphabet", "signed")
+    __slots__ = _fields = ("alphabet", "codes")
 
     alphabet: Alphabet
-    signed: tuple[int, ...]
+    codes: bytes
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         q = alphabet.rank
-        signed = _reduce_signed(_as_signed(l, q) for l in letters)
+        codes = _reduce_codes(_code(l, q) for l in letters)
         _set_alphabet(self, alphabet)
-        _set_signed(self, signed)
+        _set_codes(self, codes)
 
     @classmethod
-    def _make(cls, alphabet: Alphabet, signed: tuple[int, ...]) -> "Word":
-        """Internal: wrap an already-reduced, already-validated tuple."""
+    def _make(cls, alphabet: Alphabet, codes: bytes) -> "Word":
+        """Internal: wrap already-reduced, already-validated codes."""
         w = object.__new__(cls)
         _set_alphabet(w, alphabet)
-        _set_signed(w, signed)
+        _set_codes(w, codes)
         return w
 
+    @property
+    def signed(self) -> tuple[int, ...]:
+        """The letters as signed ints: +i for x_i, -i for x_i^-1."""
+        return tuple(map(_signed, self.codes))
+
     def __len__(self) -> int:
-        return len(self.signed)
+        return len(self.codes)
 
     def is_identity(self) -> bool:
-        return not self.signed
+        return not self.codes
 
     def inverse(self) -> "Word":
-        return Word._make(self.alphabet, _invert_signed(self.signed))
+        return Word._make(self.alphabet, _invert_codes(self.codes))
 
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
@@ -201,23 +220,23 @@ class Word(_Value):
         """w^n; more than 2^24 letters raise CapExceededError.  The identity
         is its own power; any other w has |w^n| >= |n|, so an |n| past the
         cap is refused at once, and the cap bounds the letters fed."""
-        if not self.signed:
+        if not self.codes:
             return self
         if abs(n) > _MAX_LETTERS:
             raise CapExceededError(f"|w^n| >= |n| > {_MAX_LETTERS} letters")
         return Word._make(self.alphabet, _substitute(
-            (self.signed,), repeat(1 if n > 0 else -1, abs(n)), _MAX_LETTERS))
+            (self.codes,), repeat(1 if n < 0 else 0, abs(n)), _MAX_LETTERS))
 
     def sort_key(self) -> tuple:
-        return (len(self.signed), _rank_tuple(self.signed))
+        return (len(self.codes), self.codes)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Word)
                 and self.alphabet.names == other.alphabet.names
-                and self.signed == other.signed)
+                and self.codes == other.codes)
 
     def __hash__(self) -> int:
-        return hash((self.alphabet.names, self.signed))
+        return hash((self.alphabet.names, self.codes))
 
     def __lt__(self, other: "Word") -> bool:
         return compare_words(self, other) < 0
@@ -238,22 +257,17 @@ class Word(_Value):
         return f"Word({format_word(self)!r})"
 
 
-_set_alphabet, _set_signed = _setters(Word)
+_set_alphabet, _set_codes = _setters(Word)
 
 
-def _reduce_signed(seq: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for s in seq:
-        if out and out[-1] == -s:
+def _reduce_codes(seq: Iterable[int]) -> bytes:
+    out = bytearray()
+    for c in seq:
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append(s)
-    return tuple(out)
-
-
-def _rank_tuple(signed: Sequence[int]) -> tuple[int, ...]:
-    # x1 < x1^-1 < x2 < x2^-1 < ...
-    return tuple(2 * (abs(s) - 1) + (0 if s > 0 else 1) for s in signed)
+            out.append(c)
+    return bytes(out)
 
 
 def _same_alphabet(u: Word, v: Word) -> None:
@@ -262,68 +276,67 @@ def _same_alphabet(u: Word, v: Word) -> None:
             f"alphabet mismatch: {u.alphabet} vs {v.alphabet}")
 
 
-# The signed-tuple kernel: free reduction, inversion and substitution on
-# plain tuples, for callers that build Words only at their boundary.
+# The kernel: free reduction, inversion and substitution on plain code
+# strings, for callers that build Words only at their boundary.
 def _seam(a: Sequence[int], b: Sequence[int]) -> int:
     """Number of letters cancelling in the product of two freely reduced
-    signed sequences."""
+    code strings."""
     c = 0
     bound = min(len(a), len(b))
-    while c < bound and a[-1 - c] == -b[c]:
+    while c < bound and a[-1 - c] == b[c] ^ 1:
         c += 1
     return c
 
 
-def _concat_signed(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Freely reduced product of two freely reduced signed tuples."""
-    if not (a and b and a[-1] == -b[0]):
+def _concat_codes(a: bytes, b: bytes) -> bytes:
+    """Freely reduced product of two freely reduced code strings."""
+    if not (a and b and a[-1] == b[0] ^ 1):
         return a + b
     c = _seam(a, b)
     return a[:len(a) - c] + b[c:]
 
 
-def _invert_signed(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(a)))
+def _invert_codes(a: bytes) -> bytes:
+    return a.translate(_INV)[::-1]
 
 
-def _substitute(images: Sequence[tuple[int, ...]], letters: Iterable[int],
+def _substitute(images: Sequence[bytes], letters: Iterable[int],
                 cap: int | None = None,
-                inverses: dict[int, tuple[int, ...]] | None = None
-                ) -> tuple[int, ...]:
-    """Freely reduced image of the signed letters under x_i -> images[i-1];
-    the images are freely reduced, so letters cancel only at the seams, and
-    a seam is measured only when its first letters cancel (most do not).
-    With ``cap``, an image longer than cap letters raises CapExceededError
-    once it has passed the cap, by at most one letter's image.  The running
+                inverses: dict[int, bytes] | None = None) -> bytes:
+    """Freely reduced image of the coded letters under x_i -> images[i-1]
+    (code c takes images[c >> 1], inverted when c is odd); the images are
+    freely reduced, so letters cancel only at the seams, and a seam is
+    measured only when its first letters cancel (most do not).  With
+    ``cap``, an image longer than cap letters raises CapExceededError once
+    it has passed the cap, by at most one letter's image.  The running
     check is skipped when the letters' length hint times the longest image,
     a bound on the unreduced image, is within the cap; letters without a
-    hint are always checked.  A negative letter s takes the inverse of
-    images[-s-1], inverted at most once into ``inverses``; a caller that
-    substitutes into the same images several times passes all its calls
-    one dict."""
+    hint are always checked.  Each odd code's image is inverted at most
+    once into ``inverses``; a caller that substitutes into the same images
+    several times passes all its calls one dict."""
     if inverses is None:
         inverses = {}
-    out: list[int] = []
+    out = bytearray()
     if (cap is not None
             and length_hint(letters, cap + 1) * max(map(len, images)) > cap):
         letters = _capped(letters, out, cap)
-    for s in letters:
-        if s > 0:
-            seq = images[s - 1]
-        else:
-            seq = inverses.get(s)
+    for c in letters:
+        if c & 1:
+            seq = inverses.get(c)
             if seq is None:
-                seq = inverses[s] = _invert_signed(images[-s - 1])
-        if out and seq and out[-1] == -seq[0]:
-            c = _seam(out, seq)
-            del out[len(out) - c:]
-            out.extend(seq[c:])
+                seq = inverses[c] = _invert_codes(images[c >> 1])
         else:
-            out.extend(seq)
-    return tuple(out)
+            seq = images[c >> 1]
+        if out and seq and out[-1] == seq[0] ^ 1:
+            k = _seam(out, seq)
+            del out[len(out) - k:]
+            out += seq[k:]
+        else:
+            out += seq
+    return bytes(out)
 
 
-def _capped(letters: Iterable[int], out: list[int],
+def _capped(letters: Iterable[int], out: bytearray,
             cap: int) -> Iterable[int]:
     """The letters, with a check before each and after the last that ``out``
     holds at most ``cap`` letters; the error carries len(out) as ``letters``."""
@@ -340,7 +353,7 @@ def _capped(letters: Iterable[int], out: list[int],
 def concat(u: Word, v: Word) -> Word:
     """Freely reduced product uv."""
     _same_alphabet(u, v)
-    return Word._make(u.alphabet, _concat_signed(u.signed, v.signed))
+    return Word._make(u.alphabet, _concat_codes(u.codes, v.codes))
 
 
 def compare_words(u: Word, v: Word) -> int:
@@ -369,7 +382,7 @@ def ball_size(q: int, radius: int) -> int:
 #                          unit := name ("^" nonzero-integer)?
 # with integer := [+-]?[0-9]+ (ASCII digits only).
 # Any whitespace separates units.  A text is split once and each distinct
-# unit is read once, into its signed letter and count.  The letter cap counts
+# unit is read once, into its letter's code and count.  The letter cap counts
 # the units as spelled, before free reduction.  A text with a bad unit, or
 # one that may pass the cap, is walked left to right, and the error names the
 # first unit at which it goes wrong.  Runs are built only once the whole text
@@ -413,9 +426,9 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     if not units:
         raise WordSyntaxError("empty word text; identity is spelled '1'")
     if units == ["1"]:
-        return Word._make(alphabet, ())
+        return Word._make(alphabet, b"")
     distinct = dict.fromkeys(units)  # first seen first
-    reads = list(map(_read_unit, distinct, repeat(alphabet._index)))
+    reads = list(map(_read_unit, distinct, repeat(alphabet._code_of)))
     counts = [n for _, n in reads]
     # len(units) times the largest count bounds the spelled total, which is
     # summed only when that bound passes the cap
@@ -424,20 +437,20 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             and sum(map(dict(zip(distinct, counts)).__getitem__, units))
             > _MAX_LETTERS):
         _raise_first_error(text, units, dict(zip(distinct, reads)))
-    runs = [(s,) * n for s, n in reads]
-    ids = dict(zip(distinct, count(1)))
+    runs = [c.to_bytes(1, "little") * n for c, n in reads]
+    ids = dict(zip(distinct, count(0, 2)))  # the code of run k is 2k
     return Word._make(alphabet, _substitute(runs, map(ids.__getitem__, units)))
 
 
-def _read_unit(unit: str, index: dict[str, int]) -> tuple[int | str, int]:
-    """A unit's signed letter and count; a bad unit reads as its error
+def _read_unit(unit: str, code_of: dict[str, int]) -> tuple[int | str, int]:
+    """A unit's letter code and count; a bad unit reads as its error
     message and count 0."""
-    idx = index.get(unit)
-    if idx is not None:  # a bare name
-        return idx, 1
+    code = code_of.get(unit)
+    if code is not None:  # a bare name
+        return code, 1
     name, _, exp_text = unit.partition("^")
-    idx = index.get(name)
-    if idx is None:
+    code = code_of.get(name)
+    if code is None:
         return ("'1' cannot be mixed with other units" if unit == "1"
                 else f"unknown generator {name!r}"), 0
     try:
@@ -446,7 +459,7 @@ def _read_unit(unit: str, index: dict[str, int]) -> tuple[int | str, int]:
         return f"bad exponent {exp_text!r}", 0
     if not exp:
         return "exponent must be nonzero", 0
-    return (idx if exp > 0 else -idx), abs(exp)
+    return (code if exp > 0 else code ^ 1), abs(exp)
 
 
 def _raise_first_error(text: str, units: list[str],
@@ -471,22 +484,23 @@ def _position(text: str, k: int) -> int:
 
 
 def format_word(w: Word) -> str:
-    signed = w.signed
-    if not signed:
+    codes = w.codes
+    if not codes:
         return "1"
     names = w.alphabet.names
     parts: list[str] = []
-    run, count = signed[0], 0
-    for s in signed + (0,):  # 0 is no letter: it closes the last run
-        if s == run:
+    run, count = codes[0], 0
+    # the inverse of the last letter is not that letter: it closes the last run
+    for c in codes + (codes[-1] ^ 1).to_bytes(1, "little"):
+        if c == run:
             count += 1
             continue
-        if run > 0:
-            parts.append(names[run - 1] if count == 1
-                         else f"{names[run - 1]}^{count}")
+        if run & 1:
+            parts.append(f"{names[run >> 1]}^-{count}")
         else:
-            parts.append(f"{names[-run - 1]}^-{count}")
-        run, count = s, 1
+            parts.append(names[run >> 1] if count == 1
+                         else f"{names[run >> 1]}^{count}")
+        run, count = c, 1
     return " ".join(parts)
 
 

@@ -104,34 +104,34 @@ def test_one_splitmix64_and_trusted_factors_stay_inside():
 
 def test_one_free_reduction():
     """Free reduction has one implementation: in words.py a cancellation
-    test ``x == -y`` appears only in the kernel functions."""
+    test ``x == y ^ 1`` appears only in the kernel functions."""
     tree = ast.parse((Path(fgcrypt.__file__).parent / "words.py").read_text())
     found = set()
     for top in tree.body:
         for node in ast.walk(top):
             if (isinstance(node, ast.Compare)
                     and any(isinstance(op, ast.Eq) for op in node.ops)
-                    and any(isinstance(side, ast.UnaryOp)
-                            and isinstance(side.op, ast.USub)
+                    and any(isinstance(side, ast.BinOp)
+                            and isinstance(side.op, ast.BitXor)
                             for side in (node.left, *node.comparators))):
                 found.add(getattr(top, "name", None))
     assert found
-    assert found <= {"_reduce_signed", "_seam", "_concat_signed",
+    assert found <= {"_reduce_codes", "_seam", "_concat_codes",
                      "_substitute"}, found
 
 
 def test_one_composition():
     """Automorphisms have one composition and one power: only
-    automorphisms.py refers to ``_compose_signed``, so no other module
+    automorphisms.py refers to ``_compose_codes``, so no other module
     composes or powers images on its own."""
     found = set()
     for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Name) and node.id == "_compose_signed"
+            if (isinstance(node, ast.Name) and node.id == "_compose_codes"
                     or isinstance(node, ast.Attribute)
-                    and node.attr == "_compose_signed"
+                    and node.attr == "_compose_codes"
                     or isinstance(node, ast.alias)
-                    and node.name == "_compose_signed"):
+                    and node.name == "_compose_codes"):
                 found.add(path.name)
     assert found == {"automorphisms.py"}
 

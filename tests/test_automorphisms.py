@@ -261,14 +261,14 @@ class TestComposePower:
                 fold = fold.compose(f)
 
     def test_power_builds_q_words(self, monkeypatch):
-        # the power loop folds signed images and wraps each final image once
+        # the power loop folds coded images and wraps each final image once
         f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         made = []
         make = Word._make.__func__
 
-        def counting(cls, alphabet, signed):
-            made.append(signed)
-            return make(cls, alphabet, signed)
+        def counting(cls, alphabet, codes):
+            made.append(codes)
+            return make(cls, alphabet, codes)
 
         monkeypatch.setattr(Word, "_make", classmethod(counting))
         for n in range(1, 8):
@@ -332,7 +332,7 @@ class TestSizeCap:
 
         def refuse(*args):
             raise AssertionError("composed a refused power")
-        monkeypatch.setattr(automorphisms, "_compose_signed", refuse)
+        monkeypatch.setattr(automorphisms, "_compose_codes", refuse)
         with pytest.raises(CapExceededError,
                            match="power has 11 factors, more than 10"):
             f.power(11)
@@ -489,11 +489,11 @@ class TestSignedFold:
         for move in whitehead_moves(3):
             for start in starts:
                 for inverse in (False, True):
-                    signed = [w.signed for w in start]
+                    codes = [w.codes for w in start]
                     for factor in _invert_factor(move) if inverse else [move]:
-                        _step(signed, factor)
+                        _step(codes, factor)
                     expected = reference_step(start, move, inverse)
-                    assert signed == [w.signed for w in expected], (move, inverse)
+                    assert codes == [w.codes for w in expected], (move, inverse)
                     count += 1
         assert count == 48 * 3 * 2
 
@@ -506,14 +506,14 @@ class TestSignedFold:
         assert from_factors([*_invert_factor(f), f], alphabet).is_identity()
 
     def test_one_word_per_image(self, monkeypatch):
-        # the fold works on signed tuples: sampling a map and inverting it
+        # the fold works on code strings: sampling a map and inverting it
         # each wrap the q final images once, and build no other Word
         made = []
         make = Word._make.__func__
 
-        def counting(cls, alphabet, signed):
-            made.append(signed)
-            return make(cls, alphabet, signed)
+        def counting(cls, alphabet, codes):
+            made.append(codes)
+            return make(cls, alphabet, codes)
 
         monkeypatch.setattr(Word, "_make", classmethod(counting))
         fam = AutFamily(0x5EED, ABCD, 64)

@@ -111,6 +111,16 @@ class TestOtpCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_alphabet_rank_limit(self, capsys):
+        names = " ".join(f"x{i}" for i in range(1, 130))
+        assert run(["rep-eval", "--alphabet", names.rsplit(" ", 1)[0],
+                    "--word", "x128"]) == 0
+        capsys.readouterr()
+        assert run(["rep-eval", "--alphabet", names, "--word", "x1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "1 to 128 generators" in err
+
     def test_decrypt_failure_exit_2(self, tmp_path):
         key = tmp_path / "key.txt"
         run(["otp-keygen", "--alphabet", "a b", "--plaintext-alphabet", "X Y",

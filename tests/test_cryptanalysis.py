@@ -220,7 +220,7 @@ def _reference_attack(alphabet, cfg, planted=None):
     subsets = _colex(len(ball), cfg.subset_size)
     for subset in subsets[:cfg.max_subsets]:
         examined += 1
-        rank, key, tree = _core_graph([ball[i].signed for i in subset])
+        rank, key, tree = _core_graph([ball[i].codes for i in subset])
         if rank != cfg.target_rank:
             continue
         if key not in bases:
@@ -281,7 +281,7 @@ class TestInverseSwapSkip:
         cfg = AttackConfig(ball_radius=3, target_rank=2, subset_size=2,
                            max_subsets=3)
         assert subset_attack(AB, cfg).subsets_examined == 3
-        assert graphs == [[(1,), (-1,)], [(1,), (2,)]]
+        assert graphs == [[b"\0", b"\1"], [b"\0", b"\2"]]  # a a^-1, a b
 
 
 class TestAttackWork:

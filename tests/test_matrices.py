@@ -325,11 +325,12 @@ class TestPingPong:
         default_tl_params(2), (F(7, 3), F(17, 3)),
         (F(7, 2), F(15, 2), F(23, 2))], ids=["default2", "rat2", "demo-aux3"])
     def test_first_letter_interval_holds_w_of_0(self, params):
-        # letter i maps into (-r-1, -r+1), letter -i into (r-1, r+1)
+        # letter x_(i+1), code 2i, maps into (-r-1, -r+1), its inverse,
+        # code 2i + 1, into (r-1, r+1)
         interval = {}
-        for i, r in enumerate(params, start=1):
-            interval[i] = (-r - 1, -r + 1)
-            interval[-i] = (r - 1, r + 1)
+        for i, r in enumerate(params):
+            interval[2 * i] = (-r - 1, -r + 1)
+            interval[2 * i + 1] = (r - 1, r + 1)
         ends = sorted(interval.values())
         assert all(hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
         assert not any(lo <= 0 <= hi for lo, hi in ends)
@@ -340,8 +341,8 @@ class TestPingPong:
 
         maps = {}
         for s in interval:
-            a, b, c, d = tl_generator(params[abs(s) - 1]).entries()
-            maps[s] = (a, b, c, d) if s > 0 else (d, -b, -c, a)
+            a, b, c, d = tl_generator(params[s >> 1]).entries()
+            maps[s] = (d, -b, -c, a) if s & 1 else (a, b, c, d)
 
         def moebius(s, x):
             a, b, c, d = maps[s]
@@ -353,7 +354,7 @@ class TestPingPong:
         count = 0
         for _ in range(7):
             level = {(s,) + w: moebius(s, x) for w, x in level.items()
-                     for s in maps if not w or s != -w[0]}
+                     for s in maps if not w or s != w[0] ^ 1}
             for w, x in level.items():
                 lo, hi = interval[w[0]]
                 assert lo < x < hi, w
@@ -411,11 +412,11 @@ class TestKernel:
         spec = SPECS[tag][0]()
         table = spec._letters
         assert sorted(table) == sorted(
-            s for i in range(1, spec.alphabet.rank + 1) for s in (i, -i))
-        for i, M in enumerate(spec.generator_matrices, start=1):
-            assert table[i] == M.k
-            assert _kmul(table[i], table[-i]) == _IDENTITY
-            assert _kmul(table[-i], table[i]) == _IDENTITY
+            c for i in range(spec.alphabet.rank) for c in (2 * i, 2 * i + 1))
+        for i, M in enumerate(spec.generator_matrices):
+            assert table[2 * i] == M.k
+            assert _kmul(table[2 * i], table[2 * i + 1]) == _IDENTITY
+            assert _kmul(table[2 * i + 1], table[2 * i]) == _IDENTITY
 
     def test_kernel_round_trip_and_bit_size(self):
         rng = random.Random(12)
@@ -444,10 +445,11 @@ class TestKernel:
             x = rng.choice(list(mats))
             k = rng.randint(0, len(w))
             # w itself, and w with x x^-1 spliced in: never freely reduced
-            padded = w.signed[:k] + (x, -x) + w.signed[k:]
-            keys = [functools.reduce(_kmul, (mats[s] for s in letters),
+            padded = w.codes[:k] + bytes((x, x ^ 1)) + w.codes[k:]
+            keys = [functools.reduce(_kmul, (mats[c] for c in letters),
                                      _IDENTITY)
-                    for letters in (w.signed, padded, w.signed + (x, -x))]
+                    for letters in (w.codes, padded,
+                                    w.codes + bytes((x, x ^ 1)))]
             assert all(_is_canonical(K) for K in keys)
             assert keys[0] == keys[1] == keys[2] == word_to_matrix(spec, w).k
 

@@ -27,6 +27,7 @@ from fgcrypt import (
 from fgcrypt import nielsen
 from fgcrypt.errors import IllegalMoveError, PreconditionError, WordSyntaxError
 from fgcrypt.nielsen import _core_graph
+from fgcrypt.words import _signed
 
 from conftest import random_tuple, random_word, subgroup_ball
 
@@ -414,7 +415,7 @@ class TestSameSubgroup:
 
 
 def _graph(tup):
-    return _core_graph(w.signed for w in tup.elements)
+    return _core_graph(w.codes for w in tup.elements)
 
 
 @st.composite
@@ -447,7 +448,7 @@ class TestCoreGraph:
         # codes a = 0, a^-1 = 1, b = 2, b^-1 = 3
         _, key, basis = _graph(t(AB, "a b", "a b^-1"))
         assert key == ((0, 1, 2, 1, 3, 1), (1, 0, 2, 0, 3, 0))
-        assert basis == ((2, -1), (-2, -1))
+        assert basis == (b"\2\1", b"\3\1")  # b a^-1, b^-1 a^-1
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -460,8 +461,9 @@ class TestCoreGraph:
         # a core: every vertex but the base has two edges or more
         assert all(len(row) >= 4 for row in key[1:])
         tree = GeneratingTuple(alphabet,
-                               tuple(Word(alphabet, b) for b in basis))
-        assert tuple(w.signed for w in tree) == basis  # already reduced
+                               tuple(Word(alphabet, map(_signed, b))
+                                     for b in basis))
+        assert tuple(w.codes for w in tree) == basis  # already reduced
         # read off a breadth-first, so geodesic, spanning tree: Nielsen
         # reduced, so the attack's canonical call on it reduces nothing
         assert is_nielsen_reduced(tree)

@@ -96,7 +96,7 @@ class TestParams:
         """Record each composition and inverse the order check makes of f."""
         calls = []
 
-        def compose(outer, inner, _compose=automorphisms._compose_signed):
+        def compose(outer, inner, _compose=automorphisms._compose_codes):
             calls.append("compose")
             return _compose(outer, inner)
 
@@ -104,7 +104,7 @@ class TestParams:
             calls.append("inverse")
             return _inverse(self)
 
-        monkeypatch.setattr(automorphisms, "_compose_signed", compose)
+        monkeypatch.setattr(automorphisms, "_compose_codes", compose)
         monkeypatch.setattr(FactoredAutomorphism, "inverse", inverse)
         return calls
 
@@ -227,12 +227,13 @@ class TestParams:
 
     @pytest.mark.parametrize("warned", [[], [13]],
                              ids=["one-block", "small-blocks"])
-    def test_large_rank_stays_cheap(self, warned):
-        # a 1000-cycle with x1 -> x1 x2 after it is one strongly connected
-        # block, whose characteristic polynomial would cost about 10^9 entry
-        # operations, so the bounded search runs; a 13-cycle among 987
-        # fixed generators splits into small blocks and is decided exactly
-        q = 1000
+    def test_large_rank_stays_cheap(self, monkeypatch, warned):
+        # a 128-cycle (the largest rank) with x1 -> x1 x2 after it is one
+        # strongly connected block, whose characteristic polynomial would
+        # cost 128^2 * 129 > 2^21 entry operations, so the bounded search
+        # runs; a 13-cycle among 115 fixed generators splits into small
+        # blocks and is decided exactly
+        q = 128
         alphabet = Alphabet(tuple(f"x{i}" for i in range(1, q + 1)))
         if warned:
             moves = self.signed_cycles([tuple(range(1, 14))])
@@ -240,11 +241,16 @@ class TestParams:
             moves = (self.signed_cycles([tuple(range(1, q + 1))])
                      + [ElementaryMove("T2", 1, 2)])
         f = from_factors(moves, alphabet)
+        polys = []
+        char_poly = pubkey._char_poly
+        monkeypatch.setattr(pubkey, "_char_poly",
+                            lambda block: polys.append(block) or char_poly(block))
         began = time.perf_counter()
         assert self.order_warnings(alphabet, f) == [
             f"automorphism has finite order {k}; "
             "the scheme expects infinite order" for k in warned]
         assert time.perf_counter() - began < 5.0
+        assert bool(polys) == bool(warned)  # no polynomial on the bounded path
 
     def test_blocks_multiply_to_the_characteristic_polynomial(self):
         rng = random.Random(5)
@@ -286,14 +292,14 @@ class TestParams:
             "W c ; L = a ; R = ; M = b c\n", abcd)
         refused = []
 
-        def bounded(outer, inner, _bounded=automorphisms._compose_signed):
+        def bounded(outer, inner, _bounded=automorphisms._compose_codes):
             try:
                 return _bounded(outer, inner)
             except CapExceededError:
                 refused.append(len(outer))
                 raise
 
-        monkeypatch.setattr(automorphisms, "_compose_signed", bounded)
+        monkeypatch.setattr(automorphisms, "_compose_codes", bounded)
         assert _finite_order(f) is None
         assert self.order_warnings(abcd, f) == []
         assert refused == []
@@ -302,7 +308,7 @@ class TestParams:
         def capped(outer, inner):
             raise CapExceededError("composite past the cap")
 
-        monkeypatch.setattr(automorphisms, "_compose_signed", capped)
+        monkeypatch.setattr(automorphisms, "_compose_codes", capped)
         cycle = from_factors(self.signed_cycles([(1, 2, 3)]), X123)
         assert self.order_warnings(X123, cycle) == []
 

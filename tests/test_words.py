@@ -63,6 +63,17 @@ class TestAlphabet:
         with pytest.raises(InvalidLetterError):
             ABCD.index("e")
 
+    def test_rank_limit(self):
+        # a letter is one byte, code 2i-2 for x_i and 2i-1 for x_i^-1, so an
+        # alphabet holds 128 generators at most
+        names = tuple(f"x{i}" for i in range(1, 130))
+        top = Alphabet(names[:128])
+        assert top.rank == 128
+        assert top.generator(128).inverse().codes == b"\xff"
+        assert str(top.parse("x128^-2 x1")) == "x128^-2 x1"
+        with pytest.raises(PreconditionError, match="1 to 128 generators"):
+            Alphabet(names)
+
     def test_derived_index_leaves_value_semantics(self):
         # the name -> index map is derived, so equality, hashing and repr
         # see the names alone
@@ -77,14 +88,14 @@ class TestSignedKernel:
     @given(words_strategy(ABCD), words_strategy(ABCD), words_strategy(ABCD))
     def test_helpers_agree_with_word(self, u, v, w):
         # u w . w^-1 v cancels at least |w| letters at the seam
-        a, b = concat(u, w).signed, concat(w.inverse(), v).signed
-        for x, y in ((u.signed, v.signed), (a, b)):
-            product = words._concat_signed(x, y)
-            assert product == Word(ABCD, x + y).signed
-        assert words._concat_signed(u.signed, v.signed) == concat(u, v).signed
-        inverse = words._invert_signed(u.signed)
-        assert inverse == Word(ABCD, [-s for s in reversed(u.signed)]).signed
-        assert inverse == u.inverse().signed
+        a, b = concat(u, w).codes, concat(w.inverse(), v).codes
+        for x, y in ((u.codes, v.codes), (a, b)):
+            product = words._concat_codes(x, y)
+            assert product == words._reduce_codes(x + y)
+        assert words._concat_codes(u.codes, v.codes) == concat(u, v).codes
+        inverse = words._invert_codes(u.codes)
+        assert inverse == words._reduce_codes([c ^ 1 for c in reversed(u.codes)])
+        assert inverse == u.inverse().codes
 
 
 class TestFreeReduce:
@@ -202,14 +213,14 @@ class TestArithmetic:
 
 
 class TestKernel:
-    """The signed-tuple kernel against letter-by-letter reduction."""
+    """The code kernel against letter-by-letter reduction."""
 
     @staticmethod
     def written_out(images, letters):
         out = []
-        for s in letters:
-            image = images[abs(s) - 1]
-            out.extend(image if s > 0 else words._invert_signed(image))
+        for c in letters:
+            image = images[c >> 1]
+            out.extend(words._invert_codes(image) if c & 1 else image)
         return out
 
     @given(st.lists(words_strategy(), min_size=1, max_size=3),
@@ -217,13 +228,12 @@ class TestKernel:
     def test_substitute_matches_letter_reduction(self, base, picks):
         # inverse images and products of two images let a cancellation run
         # through a whole image into the ones before it
-        images = [u.signed for u in base]
-        images += [words._invert_signed(u) for u in images]
-        images.append(words._concat_signed(images[0], images[-1]))
-        letters = [(p % len(images) + 1) * (-1 if neg else 1)
-                   for p, neg in picks]
+        images = [u.codes for u in base]
+        images += [words._invert_codes(u) for u in images]
+        images.append(words._concat_codes(images[0], images[-1]))
+        letters = [2 * (p % len(images)) + neg for p, neg in picks]
         got = words._substitute(images, letters)
-        assert got == Word(AB, self.written_out(images, letters)).signed
+        assert got == words._reduce_codes(self.written_out(images, letters))
 
     def test_running_check_needs_a_length_hint_to_skip(self, monkeypatch):
         # letters that give no length hint may be any number: always checked
@@ -234,16 +244,16 @@ class TestKernel:
             calls.append(args)
             return capped(*args)
         monkeypatch.setattr(words, "_capped", record)
-        assert words._substitute([(1, 2)], [1, 1], 10) == (1, 2, 1, 2)
+        assert words._substitute([b"\0\2"], [0, 0], 10) == b"\0\2\0\2"
         assert not calls
-        letters = (s for s in [1, 1])  # a generator gives no hint
-        assert words._substitute([(1, 2)], letters, 10) == (1, 2, 1, 2)
+        letters = (c for c in [0, 0])  # a generator gives no hint
+        assert words._substitute([b"\0\2"], letters, 10) == b"\0\2\0\2"
         assert len(calls) == 1
 
     def test_cancellation_across_images(self):
-        images = [AB.parse(w).signed for w in ("a b", "b^-1", "a^-1 b a")]
-        assert words._substitute(images, [1, 2, 3]) == (2, 1)
-        assert words._substitute(images, [1, 2, 3, -3, -2, -1]) == ()
+        images = [AB.parse(w).codes for w in ("a b", "b^-1", "a^-1 b a")]
+        assert words._substitute(images, [0, 2, 4]) == b"\2\0"
+        assert words._substitute(images, [0, 2, 4, 5, 3, 1]) == b""
 
     @given(words_strategy(alphabet=ABCD))
     def test_pow_matches_concat_fold(self, w):
@@ -256,7 +266,7 @@ class TestKernel:
 
     @given(words_strategy(), words_strategy())
     def test_seam_counts_cancelled_letters(self, u, v):
-        c = words._seam(u.signed, v.signed)
+        c = words._seam(u.codes, v.codes)
         assert len(concat(u, v)) == len(u) + len(v) - 2 * c
 
 
@@ -365,7 +375,7 @@ def reference_parse(text, alphabet):
                 f"word text spells more than {words._MAX_LETTERS} letters "
                 f"(at position {pos})")
         signed.extend([idx if exp > 0 else -idx] * abs(exp))
-    return Word(alphabet, words._reduce_signed(signed))
+    return Word(alphabet, signed)
 
 
 SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u2003", "\x1c", " \u3000"])
