@@ -4,14 +4,14 @@ A factor is either a regular elementary move (T1/T2 by index) or a
 Whitehead move (a single-generator inversion, or the four-case multiplier
 map).  Factor sequences are applied left to right at the tuple level, which
 makes the composite map equal to the leftmost factor applied outermost:
-``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  Folds run on the images'
-rank codes (``Word.codes``) through the kernel in :mod:`fgcrypt.words`,
-one step per factor, and wrap each final image in a ``Word`` once.  An
-inverse is never solved from the images: they are the fold of the
-factor-wise inverse list (W^-1 = INV W INV).  Applying, composing and
-powers are kernel substitutions of images; a power composes code strings
-by repeated squaring and also wraps only its final images.  This module
-does no free reduction of its own.
+``images[i] = (f_1 o f_2 o ... o f_k)(x_i)``.  A map holds its images as
+code strings (``codes``, one ``Word.codes`` each) and builds Words only
+when ``images`` is read.  Folds run on those codes through the kernel in
+:mod:`fgcrypt.words`, one step per factor, and build no Word.  An inverse
+is never solved from the images: they are the fold of the factor-wise
+inverse list (W^-1 = INV W INV).  Applying, composing and powers are
+kernel substitutions of images; a power composes code strings by repeated
+squaring.  This module does no free reduction of its own.
 
 Automorphisms are immutable after construction and apply/compose/power/
 inverse are pure, so they are safe to share across threads; a sampler's
@@ -20,7 +20,7 @@ bit source is single-owner and must not be shared.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Protocol, Union
+from typing import Iterable, Optional, Protocol, Sequence, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -31,8 +31,8 @@ from .errors import (
     WordSyntaxError,
 )
 from .nielsen import ElementaryMove, _move, _realization, parse_moves
-from .words import (_MAX_LETTERS, Alphabet, Word, _Value, _code, _concat_codes,
-                    _invert_codes, _setters, _substitute)
+from .words import (_MAX_LETTERS, Alphabet, Word, _Value, _concat_codes,
+                    _invert_codes, _substitute)
 
 __all__ = [
     "WhiteheadMove",
@@ -75,30 +75,14 @@ class WhiteheadMove(_Value):
             raise IllegalMoveError("L, R, M must be pairwise disjoint")
         elif not (L or R or (M - {a})):
             raise IllegalMoveError("move would be the identity map")
-        _set_kind(self, kind)
-        _set_a(self, a)
-        _set_L(self, L)
-        _set_R(self, R)
-        _set_M(self, M)
-
-    @classmethod
-    def _make(cls, kind: str, a: int, L: frozenset[int] = frozenset(),
-              R: frozenset[int] = frozenset(),
-              M: frozenset[int] = frozenset()) -> "WhiteheadMove":
-        """Internal: a factor valid by construction, built without the checks
-        of ``__init__``.  Only the sampler's draw and the factor inverse
-        call it; ``from_factors`` still checks the indices of every factor."""
-        w = object.__new__(cls)
-        _set_kind(w, kind)
-        _set_a(w, a)
-        _set_L(w, L)
-        _set_R(w, R)
-        _set_M(w, M)
-        return w
+        self._fill(kind, a, L, R, M)
 
 
-_set_kind, _set_a, _set_L, _set_R, _set_M = _setters(WhiteheadMove)
-
+# the letter sets of an inversion.  Only the sampler's draw and the factor
+# inverse build factors with the unchecked ``WhiteheadMove._make``, and only
+# factors valid by construction; ``from_factors`` still checks the indices
+# of every factor.
+_EMPTY: frozenset[int] = frozenset()
 
 Factor = Union[ElementaryMove, WhiteheadMove]
 
@@ -129,19 +113,24 @@ def _step(images: list[bytes], factor: Factor) -> None:
     _move(images, factor)
 
 
-def _basis(q: int) -> list[bytes]:
+# the code string of each generator x_1, x_2, ..., x_128
+_GENERATORS = tuple(bytes((c,)) for c in range(0, 256, 2))
+
+
+def _basis(q: int) -> tuple[bytes, ...]:
     """The coded images of the identity map at rank q."""
-    return [_code(i, q).to_bytes(1, "little") for i in range(1, q + 1)]
+    return _GENERATORS[:q]
 
 
-def _fold(factors: Iterable[Factor], q: int) -> list[bytes]:
-    images = _basis(q)
+def _fold(factors: Iterable[Factor], q: int) -> tuple[bytes, ...]:
+    images = list(_basis(q))
     for factor in factors:
         _step(images, factor)
-    return images
+    return tuple(images)
 
 
-def _compose_codes(outer: list[bytes], inner: list[bytes]) -> list[bytes]:
+def _compose_codes(outer: Sequence[bytes],
+                   inner: Sequence[bytes]) -> tuple[bytes, ...]:
     """Coded images of ``outer o inner``.  Each image is built within the
     room the images before it leave under the cap, by the rule of
     ``_substitute``, so the running total passes the cap by at most one
@@ -161,10 +150,10 @@ def _compose_codes(outer: list[bytes], inner: list[bytes]) -> list[bytes]:
                 f"composite images total {total} letters, more than "
                 f"{_MAX_LETTERS}")
         images.append(image)
-    return images
+    return tuple(images)
 
 
-def _power(images: list[bytes], n: int) -> list[bytes]:
+def _power(images: tuple[bytes, ...], n: int) -> tuple[bytes, ...]:
     """Coded images of f^n, n >= 1, by repeated squaring: O(log n)
     compositions.  Powers of f commute, so each product takes the longer
     power as the outer map and walks the letters of the shorter one."""
@@ -180,26 +169,29 @@ def _power(images: list[bytes], n: int) -> list[bytes]:
         images = _compose_codes(images, images)
 
 
-def _words(alphabet: Alphabet, images: list[bytes]) -> tuple[Word, ...]:
-    return tuple(Word._make(alphabet, im) for im in images)
-
-
 class FactoredAutomorphism(_Value):
     """An automorphism carrying its factorization and cached images; the
-    images are derived, so equality and hashing read the factors alone."""
+    images are derived, so equality and hashing read the factors alone.
+    The images are stored as their code strings, ``codes``; ``images``
+    builds the Words."""
 
-    __slots__ = _fields = ("alphabet", "factors", "images")
+    __slots__ = ("alphabet", "factors", "codes")
+    _fields = ("alphabet", "factors", "images")
     _compared = ("alphabet", "factors")
 
     alphabet: Alphabet
     factors: tuple[Factor, ...]
-    images: tuple[Word, ...]
+    codes: tuple[bytes, ...]
 
     def __init__(self, alphabet: Alphabet, factors: tuple[Factor, ...],
                  images: tuple[Word, ...]):
-        _set_alphabet(self, alphabet)
-        _set_factors(self, factors)
-        _set_images(self, images)
+        self._fill(alphabet, tuple(factors),
+                   tuple(im.codes for im in images))
+
+    @property
+    def images(self) -> tuple[Word, ...]:
+        alphabet = self.alphabet
+        return tuple(Word._make(alphabet, im) for im in self.codes)
 
     def apply(self, w: Word) -> Word:
         """f(w).  An image of more than 2^24 letters raises
@@ -208,8 +200,7 @@ class FactoredAutomorphism(_Value):
         longest image, a bound on the unreduced image, is within the cap."""
         if w.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("word is over a different alphabet")
-        images = [im.codes for im in self.images]
-        return Word._make(self.alphabet, _substitute(images, w.codes,
+        return Word._make(self.alphabet, _substitute(self.codes, w.codes,
                                                      _MAX_LETTERS))
 
     def compose(self, other: "FactoredAutomorphism") -> "FactoredAutomorphism":
@@ -218,10 +209,9 @@ class FactoredAutomorphism(_Value):
         bounds power() and the finite-order check of a fast-growing map."""
         if other.alphabet.names != self.alphabet.names:
             raise AlphabetMismatchError("automorphisms over different alphabets")
-        images = _compose_codes([im.codes for im in self.images],
-                                [im.codes for im in other.images])
-        return FactoredAutomorphism(self.alphabet, self.factors + other.factors,
-                                    _words(self.alphabet, images))
+        return FactoredAutomorphism._make(
+            self.alphabet, self.factors + other.factors,
+            _compose_codes(self.codes, other.codes))
 
     def power(self, n: int) -> "FactoredAutomorphism":
         """f^n with factors ``self.factors * n``; the images are composed as
@@ -236,34 +226,31 @@ class FactoredAutomorphism(_Value):
             raise CapExceededError(
                 f"power has {len(self.factors) * n} factors, more than "
                 f"{_MAX_LETTERS}")
-        images = _words(self.alphabet, _power([im.codes for im in self.images], n))
-        return FactoredAutomorphism(self.alphabet, self.factors * n, images)
+        return FactoredAutomorphism._make(self.alphabet, self.factors * n,
+                                          _power(self.codes, n))
 
     def inverse(self) -> "FactoredAutomorphism":
         return from_factors([g for f in reversed(self.factors)
                              for g in _invert_factor(f)], self.alphabet)
 
     def is_identity(self) -> bool:
-        return [im.codes for im in self.images] == _basis(self.alphabet.rank)
+        return self.codes == _basis(self.alphabet.rank)
 
     def __str__(self):
         return format_automorphism(self)
-
-
-_set_alphabet, _set_factors, _set_images = _setters(FactoredAutomorphism)
 
 
 def _invert_factor(factor: Factor) -> list[Factor]:
     if factor.kind in ("INV", "T1", "T3"):  # T3 has none; from_factors rejects it
         return [factor]
     if isinstance(factor, WhiteheadMove):
-        ia = WhiteheadMove._make("INV", factor.a)
+        ia = WhiteheadMove._make("INV", factor.a, _EMPTY, _EMPTY, _EMPTY)
         return [ia, factor, ia]
     return _realization(factor.i, factor.j, "R", -1)  # u_i -> u_i u_j^-1
 
 
 def identity_automorphism(alphabet: Alphabet) -> FactoredAutomorphism:
-    return FactoredAutomorphism(alphabet, (), _words(alphabet, _basis(alphabet.rank)))
+    return FactoredAutomorphism._make(alphabet, (), _basis(alphabet.rank))
 
 
 def from_factors(factors: Iterable[Factor], alphabet: Alphabet) -> FactoredAutomorphism:
@@ -279,7 +266,7 @@ def from_factors(factors: Iterable[Factor], alphabet: Alphabet) -> FactoredAutom
                 raise IllegalMoveError(f"{factor.kind} index out of range 1..{q}")
         elif factor.kind == "T3":
             raise NotRegularError("T3 is singular; automorphisms are regular only")
-    return FactoredAutomorphism(alphabet, fs, _words(alphabet, _fold(fs, q)))
+    return FactoredAutomorphism._make(alphabet, fs, _fold(fs, q))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +277,6 @@ class BitSource(Protocol):
     def next(self) -> int: ...
 
 
-_EMPTY: frozenset[int] = frozenset()
-
-
 def _draw_factor(prg: BitSource, q: int, bit: int) -> WhiteheadMove:
     """One factor: an inversion for bit 0, else a multiplier map whose set
     sizes are drawn first and whose members are then drawn for L, R and M in
@@ -300,7 +284,7 @@ def _draw_factor(prg: BitSource, q: int, bit: int) -> WhiteheadMove:
     draw = prg.next
     z = 1 + draw() % q
     if bit == 0:
-        return WhiteheadMove._make("INV", z)
+        return WhiteheadMove._make("INV", z, _EMPTY, _EMPTY, _EMPTY)
     z1 = draw() % q
     z2 = draw() % (q - z1)
     z3 = draw() % (q - z1 - z2)
@@ -371,7 +355,7 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
             continue
         factors[-1] = factor
         images = _fold(factors, q)
-    return FactoredAutomorphism(alphabet, tuple(factors), _words(alphabet, images))
+    return FactoredAutomorphism._make(alphabet, tuple(factors), images)
 
 
 # ---------------------------------------------------------------------------

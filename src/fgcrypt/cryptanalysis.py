@@ -15,8 +15,7 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, PreconditionError
 from .nielsen import (GeneratingTuple, _as_tuple, _core_graph,
                       canonical_minimal_basis)
-from .words import (Alphabet, Word, _Value, _invert_codes, _setters,
-                    ball_size)
+from .words import Alphabet, Word, _Value, _invert_codes, ball_size
 
 __all__ = [
     "AttackConfig",
@@ -53,14 +52,7 @@ class AttackConfig(_Value):
             raise PreconditionError("subset size must be >= target rank")
         if max_subsets is not None and max_subsets < 1:
             raise PreconditionError("max subsets must be >= 1")
-        _set_ball_radius(self, ball_radius)
-        _set_target_rank(self, target_rank)
-        _set_subset_size(self, subset_size)
-        _set_max_subsets(self, max_subsets)
-
-
-(_set_ball_radius, _set_target_rank, _set_subset_size,
- _set_max_subsets) = _setters(AttackConfig)
+        self._fill(ball_radius, target_rank, subset_size, max_subsets)
 
 
 class AttackReport(_Value):
@@ -76,15 +68,8 @@ class AttackReport(_Value):
     def __init__(self, candidates: tuple[GeneratingTuple, ...],
                  subsets_examined: int, elapsed: float, complete: bool,
                  hit_index: Optional[int] = None):
-        _set_candidates(self, candidates)
-        _set_subsets_examined(self, subsets_examined)
-        _set_elapsed(self, elapsed)
-        _set_complete(self, complete)
-        _set_hit_index(self, hit_index)
-
-
-(_set_candidates, _set_subsets_examined, _set_elapsed, _set_complete,
- _set_hit_index) = _setters(AttackReport)
+        self._fill(tuple(candidates), subsets_examined, elapsed, complete,
+                   hit_index)
 
 
 class CostEstimate(_Value):
@@ -95,12 +80,7 @@ class CostEstimate(_Value):
     per_subset_cost: int  # quadratic proxy in the length bound
 
     def __init__(self, ball: int, subsets: int, per_subset_cost: int):
-        _set_ball(self, ball)
-        _set_subsets(self, subsets)
-        _set_per_subset_cost(self, per_subset_cost)
-
-
-_set_ball, _set_subsets, _set_per_subset_cost = _setters(CostEstimate)
+        self._fill(ball, subsets, per_subset_cost)
 
 
 def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:
@@ -179,7 +159,7 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
     limit = min(cfg.max_subsets or SUBSET_CAP, SUBSET_CAP)
     target = None
     if oracle_known_basis is not None:
-        target = canonical_minimal_basis(oracle_known_basis).elements
+        target = canonical_minimal_basis(oracle_known_basis).codes
     bases: dict[tuple, GeneratingTuple] = {}  # graph key -> canonical basis
     examined = 0
     complete = True
@@ -198,7 +178,7 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
         if canon is None:
             canon = bases[key] = canonical_minimal_basis(
                 _as_tuple(alphabet, tree))
-        if target is not None and hit_index is None and canon.elements == target:
+        if target is not None and hit_index is None and canon.codes == target:
             hit_index = examined
     return AttackReport(
         candidates=tuple(bases.values()),

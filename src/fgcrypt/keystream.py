@@ -13,7 +13,7 @@ import hashlib
 
 from .automorphisms import FactoredAutomorphism, random_whitehead_automorphism
 from .errors import PreconditionError
-from .words import Alphabet, _Value, _parse_int, _setters, parse_kv_lines
+from .words import Alphabet, _Value, _parse_int, parse_kv_lines
 
 __all__ = [
     "LcgParams",
@@ -70,16 +70,11 @@ class LcgParams(_Value):
     def __init__(self, m: int, beta: int, gamma: int):
         if not 1 <= m <= 128:
             raise PreconditionError("modulus exponent m must be in 1..128")
-        _set_m(self, m)
-        _set_beta(self, beta)
-        _set_gamma(self, gamma)
+        self._fill(m, beta, gamma)
 
     @property
     def modulus(self) -> int:
         return 1 << self.m
-
-
-_set_m, _set_beta, _set_gamma = _setters(LcgParams)
 
 
 def lcg_next(p: LcgParams, x: int) -> int:
@@ -125,12 +120,7 @@ class AutFamily(_Value):
             raise PreconditionError("modulus exponent m must be in 1..128")
         if not 0 <= master_seed <= _MASK64:
             raise PreconditionError("master seed must be in 0..2^64-1")
-        _set_master_seed(self, master_seed)
-        _set_alphabet(self, alphabet)
-        _set_family_m(self, m)
-
-
-_set_master_seed, _set_alphabet, _set_family_m = _setters(AutFamily)
+        self._fill(master_seed, alphabet, m)
 
 
 def derive_automorphism(fam: AutFamily, index: int) -> FactoredAutomorphism:

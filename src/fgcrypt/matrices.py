@@ -26,7 +26,7 @@ from .errors import (CapExceededError, PreconditionError, SingularMatrixError,
                      WordSyntaxError)
 from .nielsen import (GeneratingTuple, _express, _strip_candidates,
                       apply_moves, nielsen_reduce)
-from .words import (_INTEGER, Alphabet, Word, _Value, _invert_codes, _setters,
+from .words import (_INTEGER, Alphabet, Word, _Value, _invert_codes,
                     _substitute, generators)
 
 __all__ = [
@@ -71,15 +71,8 @@ class Mat2Q(_Value):
     def __init__(self, a11, a12, a21, a22):
         entries = [Fraction(a) for a in (a11, a12, a21, a22)]
         den = math.lcm(*(e.denominator for e in entries))
-        _set_k(self, tuple(
+        self._fill(tuple(
             e.numerator * (den // e.denominator) for e in entries) + (den,))
-
-    @classmethod
-    def _make(cls, k: tuple[int, ...]) -> "Mat2Q":
-        """Internal: wrap a tuple already in lowest terms."""
-        M = object.__new__(cls)
-        _set_k(M, k)
-        return M
 
     @classmethod
     def identity(cls) -> "Mat2Q":
@@ -94,9 +87,6 @@ class Mat2Q(_Value):
 
     def __str__(self):
         return format_matrix(self)
-
-
-(_set_k,) = _setters(Mat2Q)
 
 
 def mat_mul(A: Mat2Q, B: Mat2Q) -> Mat2Q:
@@ -195,18 +185,8 @@ class RepSpec(_Value):
         letters = _letter_kernels(enumerate(M.k for M in mats))
         ping_pong = (_peel_table(params, letters) if gen_words is None
                      else family._ping_pong)  # the family's own table
-        _set_alphabet(self, alphabet)
-        _set_tl_params(self, params)
-        _set_gen_words(self, gen_words)
-        _set_generator_matrices(self, mats)
-        _set_basis_words(self, basis_words)
-        _set_letters(self, letters)
-        _set_ping_pong(self, ping_pong)
-        _set_strips(self, strips)
-
-
-(_set_alphabet, _set_tl_params, _set_gen_words, _set_generator_matrices,
- _set_basis_words, _set_letters, _set_ping_pong, _set_strips) = _setters(RepSpec)
+        self._fill(alphabet, params, gen_words, mats, basis_words, letters,
+                   ping_pong, strips)
 
 
 def make_representation(alphabet: Alphabet,
@@ -276,20 +256,21 @@ def word_to_matrix(spec: RepSpec, w: Word) -> Mat2Q:
 
 
 def _evaluate(spec: RepSpec, w: Word, start: Mat2Q = Mat2Q.identity(),
-              images: Optional[Sequence[Word]] = None,
+              images: Optional[Sequence[bytes]] = None,
               inverse: bool = False) -> Mat2Q:
-    """start times the value of w, or with ``images`` of its image under
-    x_i -> images[i-1], from the value of each image w uses: the image word
-    is never built.  With ``inverse``, of w^-1 instead, read along the codes
-    of w^-1, so no Word of it is built.  The first
-    product with an entry past the cap raises, so the work stays bounded by
-    the cap and the letters read."""
+    """start times the value of w, or with ``images`` (code strings) of its
+    image under x_i -> images[i-1], from the value of each image w uses:
+    the image word is never built.  With ``inverse``, of w^-1 instead, read
+    along the codes of w^-1, so no Word of it is built.  The first product
+    with an entry past the cap raises, so the work stays bounded by the cap
+    and the letters read."""
     if w.alphabet.names != spec.alphabet.names:
         raise PreconditionError("word is over a different alphabet")
     kernels = spec._letters
     if images is not None:
-        kernels = _letter_kernels((i, _evaluate(spec, images[i]).k)
-                                  for i in {c >> 1 for c in set(w.codes)})
+        kernels = _letter_kernels(
+            (i, _evaluate(spec, Word._make(spec.alphabet, images[i])).k)
+            for i in {c >> 1 for c in set(w.codes)})
     out = start.k
     for c in _invert_codes(w.codes) if inverse else w.codes:
         out = _kmul(out, kernels[c])
@@ -364,7 +345,7 @@ def matrix_to_word(spec: RepSpec, M: Mat2Q, max_len: int) -> Optional[Word]:
     expr = _express(spec._strips, letters)
     if expr is None:
         return None
-    w = _substitute([u.codes for u in spec.basis_words], expr)
+    w = _substitute(spec.basis_words.codes, expr)
     return Word._make(spec.alphabet, w) if len(w) <= max_len else None
 
 

@@ -6,12 +6,13 @@ Tuples are ordered (moves are index-addressed, 1-based); sets only appear
 through :func:`canonical_minimal_basis`, which inverse-normalizes and sorts.
 All operations are pure on immutable values.
 
-The predicates, reduction, the canonical level walk, the core graph and
-the membership strips run on the words' rank codes (``Word.codes``),
-multiplied, inverted and substituted by the free-reduction kernel of
-:mod:`fgcrypt.words`; Words and GeneratingTuples are built only for
-results.  At equal length the word order is plain ``bytes`` order, so a
-step of the level walk normalizes only the entry it replaced.  A canonical
+A GeneratingTuple holds its entries as code strings (``codes``, one
+``Word.codes`` each) and builds Words only when they are read.  The
+predicates, reduction, the canonical level walk, the core graph and the
+membership strips run on those codes, multiplied, inverted and substituted
+by the free-reduction kernel of :mod:`fgcrypt.words`, and build no Word.
+At equal length the word order is plain ``bytes`` order, so a step of the
+level walk normalizes only the entry it replaced.  A canonical
 basis is a function of the subgroup alone, so a caller may key the bases
 it has computed by the subgroup's core graph (:func:`_core_graph`), as the
 subset attack does.
@@ -30,8 +31,8 @@ from .errors import (
     WordSyntaxError,
 )
 from .words import (Alphabet, Word, _Value, _code, _concat_codes,
-                    _invert_codes, _parse_int, _seam, _setters, _signed,
-                    _substitute, parse_word)
+                    _invert_codes, _parse_int, _seam, _signed, _substitute,
+                    parse_word)
 
 __all__ = [
     "GeneratingTuple",
@@ -55,39 +56,45 @@ __all__ = [
 class GeneratingTuple(_Value):
     """An ordered tuple of freely reduced words over one alphabet.
 
-    Identity entries are permitted (until a T3 move removes them)."""
+    Identity entries are permitted (until a T3 move removes them).  The
+    entries are stored as their code strings, ``codes``; ``elements``,
+    iteration and indexing build the Words."""
 
-    __slots__ = _fields = ("alphabet", "elements")
+    __slots__ = ("alphabet", "codes")
+    _fields = ("alphabet", "elements")
 
     alphabet: Alphabet
-    elements: tuple[Word, ...]
+    codes: tuple[bytes, ...]
 
     def __init__(self, alphabet: Alphabet, elements: tuple[Word, ...]):
-        if isinstance(elements, list):
-            elements = tuple(elements)
+        elements = tuple(elements)
         for w in elements:
             if w.alphabet.names != alphabet.names:
                 raise PreconditionError("tuple entries must share one alphabet")
-        _set_alphabet(self, alphabet)
-        _set_elements(self, elements)
+        self._fill(alphabet, tuple(w.codes for w in elements))
+
+    @property
+    def elements(self) -> tuple[Word, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __iter__(self):
-        return iter(self.elements)
+        alphabet = self.alphabet
+        return (Word._make(alphabet, e) for e in self.codes)
 
     def __getitem__(self, i: int) -> Word:
-        return self.elements[i]
+        if isinstance(i, slice):
+            return self.elements[i]
+        return Word._make(self.alphabet, self.codes[i])
 
     def total_length(self) -> int:
-        return sum(len(w) for w in self.elements)
+        return sum(map(len, self.codes))
 
     def __str__(self):
         return format_tuple(self)
 
-
-_set_alphabet, _set_elements = _setters(GeneratingTuple)
 
 _KINDS = ("T1", "T2", "T3")
 
@@ -116,17 +123,12 @@ class ElementaryMove(_Value):
                 raise IllegalMoveError("move index must be >= 1")
         elif j is not None:
             raise IllegalMoveError(f"{kind} takes a single index")
-        _set_kind(self, kind)
-        _set_i(self, i)
-        _set_j(self, j)
+        self._fill(kind, i, j)
 
     def __str__(self):
         if self.kind == "T2":
             return f"T2 {self.i} {self.j}"
         return f"{self.kind} {self.i}"
-
-
-_set_kind, _set_i, _set_j = _setters(ElementaryMove)
 
 
 def _move(elements: list[bytes], m: ElementaryMove) -> None:
@@ -146,12 +148,11 @@ def _move(elements: list[bytes], m: ElementaryMove) -> None:
 
 
 def _as_tuple(alphabet: Alphabet, elements: Iterable[bytes]) -> GeneratingTuple:
-    return GeneratingTuple(alphabet, tuple(Word._make(alphabet, e)
-                                           for e in elements))
+    return GeneratingTuple._make(alphabet, tuple(elements))
 
 
 def apply_moves(t: GeneratingTuple, moves: Iterable[ElementaryMove]) -> GeneratingTuple:
-    elements = [w.codes for w in t.elements]
+    elements = list(t.codes)
     for m in moves:
         _move(elements, m)
     return _as_tuple(t.alphabet, elements)
@@ -179,7 +180,7 @@ def is_nielsen_reduced(t: GeneratingTuple) -> bool:
     pairs/triples.  The non-degeneracy conditions exclude exactly the formal
     inverse pairs (u_i^e, u_i^-e); products of *distinct* entries that happen
     to cancel completely do violate the length conditions."""
-    elements = [w.codes for w in t.elements]
+    elements = t.codes
     if not all(elements):
         return False
     syms = _symbols(elements)
@@ -226,9 +227,9 @@ def is_nielsen_reduced_segments(t: GeneratingTuple) -> bool:
     segment is isolated, and every even-length word has an isolated half.
 
     Requires all entries non-identity."""
-    if any(w.is_identity() for w in t.elements):
+    if not all(t.codes):
         raise PreconditionError("segment predicate requires non-identity entries")
-    syms = _symbols(w.codes for w in t.elements)
+    syms = _symbols(t.codes)
     # Condition 1 over all 2m symbols covers major terminal segments too:
     # the major terminal segment of w is the mirror of the major initial
     # segment of w^-1, and the symbol list is closed under inversion.
@@ -338,7 +339,7 @@ def nielsen_reduce(t: GeneratingTuple) -> tuple[GeneratingTuple, list[Elementary
     """Carry a tuple into a Nielsen reduced one; returns the result and the
     elementary move list realizing it (replay with :func:`apply_moves`)."""
     moves: list[ElementaryMove] = []
-    elements = [w.codes for w in t.elements]
+    elements = list(t.codes)
     while True:
         k = next((k for k, u in enumerate(elements, start=1) if not u), None)
         if k is not None:
@@ -376,8 +377,8 @@ _ORBIT_LIMIT = 200000
 def _normal_form(t: GeneratingTuple) -> tuple[bytes, ...]:
     """The normal form of ``t``; the level of a tuple, and so its minimum,
     depends only on this."""
-    return tuple(sorted((min(w.codes, _invert_codes(w.codes))
-                         for w in t.elements), key=lambda r: (len(r), r)))
+    return tuple(sorted((min(u, _invert_codes(u)) for u in t.codes),
+                        key=lambda r: (len(r), r)))
 
 
 def _level_minimum(reduced: GeneratingTuple, limit: int) -> GeneratingTuple:
@@ -539,7 +540,7 @@ def _strip_candidates(basis: GeneratingTuple) -> list[tuple]:
     of u_(a//2+1) or its inverse as a letter over the basis."""
     if not is_nielsen_reduced(basis):
         raise PreconditionError("membership requires a Nielsen reduced basis")
-    syms = _symbols(w.codes for w in basis.elements)
+    syms = _symbols(basis.codes)
     candidates = []
     for a, seq in enumerate(syms):
         ln, inv = len(seq), syms[a ^ 1]
@@ -612,22 +613,20 @@ def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:
     """Expand a signed-index expression back into a word; token t stands
     for basis entry |t|, inverted when t < 0."""
     expr = list(expr)
-    n = len(basis.elements)
+    n = len(basis.codes)
     if not all(0 < abs(t) <= n for t in expr):
         raise PreconditionError(
             f"expression tokens must be nonzero with |t| <= {n}")
-    images = [u.codes for u in basis.elements]
     return Word._make(basis.alphabet,
-                      _substitute(images, [_code(t, n) for t in expr]))
+                      _substitute(basis.codes, [_code(t, n) for t in expr]))
 
 
 def same_subgroup(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
     """True iff both tuples generate the same subgroup (canonical forms)."""
     if s1.alphabet.names != s2.alphabet.names:
         raise PreconditionError("tuples over different alphabets")
-    c1 = canonical_minimal_basis(s1)
-    c2 = canonical_minimal_basis(s2)
-    return c1.elements == c2.elements
+    return (canonical_minimal_basis(s1).codes
+            == canonical_minimal_basis(s2).codes)
 
 
 def same_subgroup_by_membership(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
@@ -637,9 +636,8 @@ def same_subgroup_by_membership(s1: GeneratingTuple, s2: GeneratingTuple) -> boo
         raise PreconditionError("tuples over different alphabets")
     strips1 = _strip_candidates(nielsen_reduce(s1)[0])
     strips2 = _strip_candidates(nielsen_reduce(s2)[0])
-    return (all(_express(strips2, w.codes) is not None for w in s1.elements)
-            and all(_express(strips1, w.codes) is not None
-                    for w in s2.elements))
+    return (all(_express(strips2, w) is not None for w in s1.codes)
+            and all(_express(strips1, w) is not None for w in s2.codes))
 
 
 # ---------------------------------------------------------------------------

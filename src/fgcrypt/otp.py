@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .automorphisms import FactoredAutomorphism
-from .errors import (CapExceededError, DecryptionError, EncodingError,
-                     PreconditionError, WordSyntaxError)
+from .errors import (AlphabetMismatchError, CapExceededError,
+                     DecryptionError, EncodingError, PreconditionError,
+                     WordSyntaxError)
 from .keystream import (
     _LCG_KEYS,
     AutFamily,
@@ -26,13 +27,14 @@ from .keystream import (
 )
 from .nielsen import (
     GeneratingTuple,
+    _as_tuple,
     _level_minimum,
     format_tuple,
     is_nielsen_reduced,
     nielsen_reduce,
     parse_tuple,
 )
-from .words import (Alphabet, Word, _Value, _parse_int, _setters, format_word,
+from .words import (Alphabet, Word, _Value, _parse_int, format_word,
                     parse_kv_lines, parse_word)
 
 __all__ = [
@@ -63,8 +65,7 @@ class CipherPublicParams(_Value):
 
     def __init__(self, alphabet: Alphabet, plaintext_alphabet: tuple[str, ...],
                  fam: AutFamily, lcg: LcgParams):
-        if isinstance(plaintext_alphabet, list):
-            plaintext_alphabet = tuple(plaintext_alphabet)
+        plaintext_alphabet = tuple(plaintext_alphabet)
         if alphabet.rank < 2:
             raise PreconditionError("protocol requires rank >= 2")
         if len(plaintext_alphabet) < 2:
@@ -78,18 +79,11 @@ class CipherPublicParams(_Value):
             raise PreconditionError("family alphabet differs")
         if fam.m != lcg.m:
             raise PreconditionError("family and generator moduli differ")
-        _set_alphabet(self, alphabet)
-        _set_plaintext_alphabet(self, plaintext_alphabet)
-        _set_fam(self, fam)
-        _set_lcg(self, lcg)
+        self._fill(alphabet, plaintext_alphabet, fam, lcg)
 
     @property
     def n_symbols(self) -> int:
         return len(self.plaintext_alphabet)
-
-
-(_set_alphabet, _set_plaintext_alphabet, _set_fam,
- _set_lcg) = _setters(CipherPublicParams)
 
 
 class CipherPrivateKey(_Value):
@@ -103,21 +97,20 @@ class CipherPrivateKey(_Value):
     alpha: int
 
     def __init__(self, basis: GeneratingTuple, alpha: int):
-        _set_basis(self, basis)
-        _set_alpha(self, alpha)
+        self._fill(basis, alpha)
 
     def validate(self, params: CipherPublicParams) -> None:
+        # decrypt looks units up by their codes, which carry no alphabet
+        if self.basis.alphabet.names != params.alphabet.names:
+            raise AlphabetMismatchError("key basis is over a different alphabet")
         if len(self.basis) != params.n_symbols:
             raise PreconditionError("basis size must match the plaintext alphabet")
-        if any(w.is_identity() for w in self.basis):
+        if not all(self.basis.codes):
             raise PreconditionError("basis entries must be non-identity")
         if not is_nielsen_reduced(self.basis):
             raise PreconditionError("key basis must be Nielsen reduced")
         if not 0 <= self.alpha < params.lcg.modulus:
             raise PreconditionError("alpha out of range")
-
-
-_set_basis, _set_alpha = _setters(CipherPrivateKey)
 
 
 class Ciphertext(_Value):
@@ -126,9 +119,7 @@ class Ciphertext(_Value):
     units: tuple[Word, ...]
 
     def __init__(self, units: tuple[Word, ...]):
-        if isinstance(units, list):
-            units = tuple(units)
-        _set_units(self, units)
+        self._fill(tuple(units))
 
     def __len__(self):
         return len(self.units)
@@ -141,11 +132,9 @@ class Ciphertext(_Value):
         return format_ciphertext(self)
 
 
-(_set_units,) = _setters(Ciphertext)
-
-
-def _random_word(prg: Prg, alphabet: Alphabet, length: int) -> Word:
-    n = 2 * alphabet.rank
+def _random_codes(prg: Prg, rank: int, length: int) -> bytes:
+    """The code string of a freely reduced word of ``length`` drawn letters."""
+    n = 2 * rank
     codes = bytearray()
     for _ in range(length):
         if not codes:
@@ -154,7 +143,7 @@ def _random_word(prg: Prg, alphabet: Alphabet, length: int) -> Word:
             # the r-th code other than the inverse of the previous letter
             r = prg.next() % (n - 1)
             codes.append(r + (r >= codes[-1] ^ 1))
-    return Word._make(alphabet, bytes(codes))
+    return bytes(codes)
 
 
 # basis word lengths, the tuples keygen draws before it gives up, and the
@@ -175,8 +164,8 @@ def keygen(params: CipherPublicParams, prg: Prg) -> CipherPrivateKey:
         words = []
         for _ in range(n):
             length = _MIN_LEN + prg.next() % (_MAX_LEN - _MIN_LEN + 1)
-            words.append(_random_word(prg, params.alphabet, length))
-        reduced, _ = nielsen_reduce(GeneratingTuple(params.alphabet, tuple(words)))
+            words.append(_random_codes(prg, params.alphabet.rank, length))
+        reduced, _ = nielsen_reduce(_as_tuple(params.alphabet, words))
         if len(reduced) != n:
             continue
         try:
@@ -231,10 +220,11 @@ def encrypt(params: CipherPublicParams, key: CipherPrivateKey,
         return Ciphertext(())
     indices = keystream(params.lcg, key.alpha, len(symbols))
     auts = _automorphisms(params, indices, automorphisms)
+    basis = key.basis.elements
     units = []
     for sym, f in zip(symbols, auts):
         t = params.plaintext_alphabet.index(sym)
-        units.append(f.apply(key.basis[t]))
+        units.append(f.apply(basis[t]))
     return Ciphertext(tuple(units))
 
 
@@ -254,7 +244,7 @@ def decrypt(params: CipherPublicParams, key: CipherPrivateKey, c: Ciphertext,
     for i, (unit, f) in enumerate(zip(c.units, auts)):
         w = f.inverse().apply(unit)
         try:
-            t = key.basis.elements.index(w)
+            t = key.basis.codes.index(w.codes)
         except ValueError:
             raise DecryptionError(
                 f"unit {i} does not decrypt to a key word", unit_index=i

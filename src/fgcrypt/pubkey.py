@@ -17,7 +17,7 @@ from .automorphisms import (FactoredAutomorphism, _basis, _power,
 from .errors import CapExceededError, DecryptionError, PreconditionError
 from .matrices import (Mat2Q, RepSpec, _evaluate, format_matrix,
                        matrix_to_word, parse_matrix, word_to_matrix)
-from .words import (Alphabet, Word, _Value, _setters, concat, format_word,
+from .words import (Alphabet, Word, _Value, concat, format_word,
                     parse_kv_lines, parse_word)
 
 __all__ = [
@@ -55,8 +55,8 @@ def _abelianization(f: FactoredAutomorphism) -> list[dict[int, int]]:
     """The integer matrix of f on F/[F, F]: column j counts the letters of
     f(x_j) by sign."""
     A: list[dict[int, int]] = [{} for _ in range(f.alphabet.rank)]
-    for j, image in enumerate(f.images):
-        for c in image.codes:
+    for j, image in enumerate(f.codes):
+        for c in image:
             row = A[c >> 1]
             row[j] = row.get(j, 0) + (-1 if c & 1 else 1)
     return [{j: v for j, v in row.items() if v} for row in A]
@@ -190,8 +190,8 @@ def _is_period(f: FactoredAutomorphism, k: int) -> bool:
     counts as no."""
     h = (k + 1) // 2
     try:
-        lhs = _power([im.codes for im in f.images], h)
-        rhs = (_power([im.codes for im in f.inverse().images], k - h)
+        lhs = _power(f.codes, h)
+        rhs = (_power(f.inverse().codes, k - h)
                if k > h else _basis(f.alphabet.rank))
     except CapExceededError:
         return False
@@ -255,10 +255,7 @@ class PubkeyParams(_Value):
         if k is not None:
             warnings.warn(f"automorphism has finite order {k}; "
                           "the scheme expects infinite order", stacklevel=2)
-        _set_alphabet(self, alphabet)
-        _set_a(self, a)
-        _set_f(self, f)
-        _set_rep(self, rep)
+        self._fill(alphabet, a, f, rep)
 
     def _check_exponent(self, n: int) -> None:
         if n < 1:
@@ -268,9 +265,6 @@ class PubkeyParams(_Value):
                 f"exponent {n} exceeds the cap {_MAX_EXPONENT}")
 
 
-_set_alphabet, _set_a, _set_f, _set_rep = _setters(PubkeyParams)
-
-
 class CipherPair(_Value):
     __slots__ = _fields = ("c1", "c2")
 
@@ -278,11 +272,7 @@ class CipherPair(_Value):
     c2: Word
 
     def __init__(self, c1: Union[Word, Mat2Q], c2: Word):
-        _set_c1(self, c1)
-        _set_c2(self, c2)
-
-
-_set_c1, _set_c2 = _setters(CipherPair)
+        self._fill(c1, c2)
 
 
 def alice_keygen(params: PubkeyParams, n: int) -> Word:
@@ -313,7 +303,7 @@ def bob_encrypt_matrix(params: PubkeyParams, c: Word, m: Word, t: int) -> Cipher
         raise PreconditionError("matrix variant needs a representation")
     params._check_exponent(t)
     ft = params.f.power(t)
-    c1 = _evaluate(params.rep, c, word_to_matrix(params.rep, m), ft.images)
+    c1 = _evaluate(params.rep, c, word_to_matrix(params.rep, m), ft.codes)
     return CipherPair(c1, ft.apply(params.a))
 
 
@@ -330,7 +320,7 @@ def alice_decrypt_matrix(params: PubkeyParams, n: int, pair: CipherPair,
     params._check_exponent(n)
     if not isinstance(pair.c1, Mat2Q):
         raise PreconditionError("matrix-variant decrypt needs a matrix c1")
-    G = _evaluate(params.rep, pair.c2, pair.c1, params.f.power(n).images,
+    G = _evaluate(params.rep, pair.c2, pair.c1, params.f.power(n).codes,
                   inverse=True)
     m = matrix_to_word(params.rep, G, decode_bound)
     if m is None:

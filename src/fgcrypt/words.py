@@ -17,8 +17,8 @@ module reduces words.
 The package's value classes (``Alphabet`` and ``Word`` here; tuples,
 moves, maps, parameters and reports in their own modules) derive from
 ``_Value``: plain ``__slots__`` classes whose constructors check their
-input and set each slot through the slot's own setter, and which refuse
-every later write.
+input and hand every slot's value to ``_Value._fill``, and which refuse
+every later write.  ``_Value`` is the only code that writes slots.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ __all__ = [
 class _Value:
     """Base of the package's immutable value classes.  A subclass names in
     ``_fields`` the fields ``repr`` shows and, where equality and hashing
-    read fewer, those in ``_compared``; ``==`` holds between instances of
+    read others, those in ``_compared``; ``==`` holds between instances of
     one class with equal compared fields, and the hash is that of their
-    tuple.  Every write is refused, so constructors set their slots through
-    the slots' own setters (``_setters``)."""
+    tuple.  Every write is refused, so this class alone writes slots,
+    through the slot setters it takes once per subclass: a constructor
+    checks its input and ends with one ``_fill`` of every slot in
+    ``__slots__`` order, and ``_make`` builds a value from trusted slot
+    values without any check (also for copy and pickle)."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -60,6 +63,22 @@ class _Value:
         get = attrgetter(*names)
         cls._key = staticmethod(get if len(names) > 1
                                 else lambda value: (get(value),))
+        # the setters skip the __setattr__ that refuses every write
+        cls._slot_setters = tuple(getattr(cls, name).__set__
+                                  for name in cls.__slots__)
+
+    def _fill(self, *values) -> None:
+        setters = self._slot_setters
+        for i, value in enumerate(values):
+            setters[i](self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        value = object.__new__(cls)
+        setters = cls._slot_setters
+        for i, field_value in enumerate(values):  # faster than zip here
+            setters[i](value, field_value)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -81,22 +100,7 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return _restore, (type(self),
-                          tuple(getattr(self, name) for name in self.__slots__))
-
-
-def _setters(cls: type) -> list:
-    """The setters of ``cls``'s slots in ``__slots__`` order, which skip the
-    ``__setattr__`` that refuses every write."""
-    return [getattr(cls, name).__set__ for name in cls.__slots__]
-
-
-def _restore(cls: type, values: tuple) -> _Value:
-    """The value of ``cls`` whose slots hold ``values``: copy and pickle."""
-    value = object.__new__(cls)
-    for setter, field_value in zip(_setters(cls), values):
-        setter(value, field_value)
-    return value
+        return self._make, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Alphabet(_Value):
@@ -109,8 +113,7 @@ class Alphabet(_Value):
     names: tuple[str, ...]
 
     def __init__(self, names: tuple[str, ...]):
-        if isinstance(names, list):  # tolerate list input
-            names = tuple(names)
+        names = tuple(names)
         if not 1 <= len(names) <= 128:
             raise PreconditionError(
                 f"alphabet needs 1 to 128 generators, not {len(names)}")
@@ -126,8 +129,7 @@ class Alphabet(_Value):
             if name in seen:
                 raise PreconditionError(f"duplicate generator name {name!r}")
             seen.add(name)
-        _set_names(self, names)
-        _set_code_of(self, dict(zip(names, range(0, 2 * len(names), 2))))
+        self._fill(names, dict(zip(names, range(0, 2 * len(names), 2))))
 
     @property
     def rank(self) -> int:
@@ -154,9 +156,6 @@ class Alphabet(_Value):
 
     def __str__(self):
         return " ".join(self.names)
-
-
-_set_names, _set_code_of = _setters(Alphabet)
 
 
 # code -> the code of its inverse letter
@@ -187,17 +186,7 @@ class Word(_Value):
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         q = alphabet.rank
-        codes = _reduce_codes(_code(l, q) for l in letters)
-        _set_alphabet(self, alphabet)
-        _set_codes(self, codes)
-
-    @classmethod
-    def _make(cls, alphabet: Alphabet, codes: bytes) -> "Word":
-        """Internal: wrap already-reduced, already-validated codes."""
-        w = object.__new__(cls)
-        _set_alphabet(w, alphabet)
-        _set_codes(w, codes)
-        return w
+        self._fill(alphabet, _reduce_codes(_code(l, q) for l in letters))
 
     @property
     def signed(self) -> tuple[int, ...]:
@@ -255,9 +244,6 @@ class Word(_Value):
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
-
-
-_set_alphabet, _set_codes = _setters(Word)
 
 
 def _reduce_codes(seq: Iterable[int]) -> bytes:

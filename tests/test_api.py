@@ -178,18 +178,40 @@ def test_one_evaluation_loop():
 
 
 def test_automorphisms_built_inside():
-    """Only automorphisms.py builds a ``FactoredAutomorphism`` directly, so
-    every map elsewhere comes from its constructors and carries factors
+    """Only automorphisms.py builds a ``FactoredAutomorphism`` directly,
+    through ``FactoredAutomorphism(...)`` or ``FactoredAutomorphism._make``,
+    so every map elsewhere comes from its constructors and carries factors
     that agree with its images."""
     found = set()
     for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call)
-                    and (node.func.id if isinstance(node.func, ast.Name)
-                         else getattr(node.func, "attr", None))
-                    == "FactoredAutomorphism"):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "_make"
+                    and isinstance(func.value, ast.Name)):
+                func = func.value
+            if (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None)) == "FactoredAutomorphism":
                 found.add(path.name)
     assert found == {"automorphisms.py"}, found
+
+
+def test_slots_written_only_by_the_value_base():
+    """One builder: ``object.__new__`` and slot-descriptor ``__set__``
+    appear only inside ``words._Value``, so every value is built by its
+    ``_fill`` or ``_make``."""
+    found = set()
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute)
+                        and (node.attr == "__set__"
+                             or node.attr == "__new__"
+                             and isinstance(node.value, ast.Name)
+                             and node.value.id == "object")):
+                    found.add((path.name, getattr(top, "name", None)))
+    assert found == {("words.py", "_Value")}, found
 
 
 def test_no_dataclasses():

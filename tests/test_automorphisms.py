@@ -261,7 +261,8 @@ class TestComposePower:
                 fold = fold.compose(f)
 
     def test_power_builds_q_words(self, monkeypatch):
-        # the power loop folds coded images and wraps each final image once
+        # the power loop composes coded images and stores them as codes,
+        # so it builds no Word
         f = from_factors(parse_moves(PUBKEY_SEQ), X123)
         made = []
         make = Word._make.__func__
@@ -274,8 +275,9 @@ class TestComposePower:
         for n in range(1, 8):
             made.clear()
             fn = f.power(n)
-            assert len(made) == X123.rank
+            assert len(made) == 0
             assert fn.factors == f.factors * n
+        assert fn.images and len(made) == X123.rank
         zero = f.power(0)
         assert zero == identity_automorphism(X123)
         assert zero.factors == () and zero.is_identity()
@@ -506,8 +508,8 @@ class TestSignedFold:
         assert from_factors([*_invert_factor(f), f], alphabet).is_identity()
 
     def test_one_word_per_image(self, monkeypatch):
-        # the fold works on code strings: sampling a map and inverting it
-        # each wrap the q final images once, and build no other Word
+        # the fold works on code strings and a map stores its images as
+        # codes: sampling a map and inverting it build no Word
         made = []
         make = Word._make.__func__
 
@@ -520,10 +522,10 @@ class TestSignedFold:
         for index in range(8):
             made.clear()
             f = derive_automorphism(fam, index)
-            assert len(made) == 4
-            made.clear()
-            f.inverse()
-            assert len(made) == 4
+            assert len(made) == 0
+            g = f.inverse()
+            assert len(made) == 0
+            assert g.images and len(made) == 4  # read, the q images are built
 
 
 class TestSampler:

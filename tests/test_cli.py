@@ -143,6 +143,18 @@ class TestOtpCommands:
         assert "K: c a^2 c a^2 b^-1 a^3 d c a^2 b^-1" not in out  # sanity
         assert "K: " in out
 
+    def test_table_positions_capped(self, tmp_path, capsys):
+        fx = copy_fixture(tmp_path, "otp_demo")
+        started = time.perf_counter()
+        rc = run(["otp-table", "--key", str(fx / "key.txt"),
+                  "--positions", "1000000000"])
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: 1000000000 positions; the cap is "
+                                "10000\n")
+
     def test_table_with_too_few_auts(self, tmp_path, capsys):
         fx = copy_fixture(tmp_path, "otp_demo")
         rc = run(["otp-table", "--key", str(fx / "key.txt"), "--positions",

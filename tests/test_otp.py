@@ -30,6 +30,7 @@ from fgcrypt import (
     write_key_file,
 )
 from fgcrypt.errors import (
+    AlphabetMismatchError,
     CapExceededError,
     DecryptionError,
     EncodingError,
@@ -118,6 +119,21 @@ class TestKeygen:
             tuple(params.alphabet.parse(s) for s in ("a b", "b", "a"))), 0)
         with pytest.raises(PreconditionError):
             bad.validate(params)
+
+    def test_rejects_a_key_over_another_alphabet(self):
+        # the same basis letters under other names: every entry point
+        # refuses the key, decrypt too, though it compares codes
+        params = small_params()
+        key = keygen(params, Prg(1))
+        c = encrypt(params, key, "XYZ")
+        pq = Alphabet(("p", "q"))
+        foreign = CipherPrivateKey(GeneratingTuple(
+            pq, tuple(Word(pq, w.signed) for w in key.basis)), key.alpha)
+        with pytest.raises(AlphabetMismatchError):
+            encrypt(params, foreign, "XYZ")
+        for call in (decrypt, decrypt_with_table):
+            with pytest.raises(AlphabetMismatchError):
+                call(params, foreign, c)
 
 
 class TestDemoVectors:

@@ -1,8 +1,10 @@
 """Value semantics of the package's immutable classes: equality and hashing
 read the compared fields only, ``repr`` shows the constructor's fields,
-every write is refused, and a shallow copy is an equal value."""
+every write is refused, and a copy or a pickle round trip is an equal
+value."""
 
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from fgcrypt import (
     from_factors,
     make_representation,
     mat_mul,
+    nielsen_reduce,
 )
 from fgcrypt.cryptanalysis import CostEstimate, attack_cost_estimate
 
@@ -164,7 +167,27 @@ def test_immutable(name):
 @pytest.mark.parametrize("name", CASES)
 def test_shallow_copy_is_equal(name):
     x = CASES[name][0]()
-    assert copy.copy(x) == x
+    for duplicate in (copy.copy, copy.deepcopy,
+                      lambda value: pickle.loads(pickle.dumps(value))):
+        y = duplicate(x)
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+
+def test_iterators_are_read_once():
+    """A sequence field given as an iterator is stored as a tuple, so the
+    constructor's own checks do not use it up."""
+    words = (AB_WORD, B)
+    t = GeneratingTuple(AB, iter(words))
+    assert t == GeneratingTuple(AB, words) and len(t) == 2
+    assert nielsen_reduce(t) == nielsen_reduce(GeneratingTuple(AB, words))
+    c = Ciphertext(iter(words))
+    assert c == Ciphertext(words)
+    assert str(c) == str(c) == "a b | b"
+    assert Alphabet(iter(("a", "b"))) == AB
+    assert Alphabet("ab") == AB
+    assert (CipherPublicParams(AB, iter(("x", "y")), AutFamily(0x1234, AB, 64),
+                               LcgParams(64, 5, 3)) == public_params())
 
 
 def test_uncompared_fields_stay_out():
@@ -178,8 +201,10 @@ def test_uncompared_fields_stay_out():
 
 
 def test_trusted_builders_make_equal_values():
-    assert WhiteheadMove._make("INV", 1) == WhiteheadMove("INV", 1)
-    assert repr(WhiteheadMove._make("INV", 1)) == INV1_REPR
+    empty = frozenset()
+    inversion = WhiteheadMove._make("INV", 1, empty, empty, empty)
+    assert inversion == WhiteheadMove("INV", 1)
+    assert repr(inversion) == INV1_REPR
     product = mat_mul(Mat2Q(1, 2, 0, 1), Mat2Q(1, 0, 2, 1))
     assert product == Mat2Q(5, 2, 2, 1)
     assert hash(product) == hash(((5, 2, 2, 1, 1),))
