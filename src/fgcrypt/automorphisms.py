@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
 from .errors import (
-    AlphabetMismatchError,
     CapExceededError,
     IllegalMoveError,
     NotRegularError,
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .nielsen import ElementaryMove, _move, _realization, parse_moves
 from .words import (_MAX_LETTERS, Alphabet, Word, _Value, _concat_codes,
-                    _invert_codes, _substitute)
+                    _invert_codes, _same_alphabet, _substitute)
 
 __all__ = [
     "WhiteheadMove",
@@ -198,8 +197,7 @@ class FactoredAutomorphism(_Value):
         ``CapExceededError`` once it has passed the cap, by at most one
         letter's image.  The running check is skipped when len(w) times the
         longest image, a bound on the unreduced image, is within the cap."""
-        if w.alphabet.names != self.alphabet.names:
-            raise AlphabetMismatchError("word is over a different alphabet")
+        _same_alphabet(self.alphabet, w.alphabet)
         return Word._make(self.alphabet, _substitute(self.codes, w.codes,
                                                      _MAX_LETTERS))
 
@@ -207,8 +205,7 @@ class FactoredAutomorphism(_Value):
         """(self o other)(w) = self(other(w)).  Images totalling more than
         the word-text cap of 2^24 letters raise ``CapExceededError``, which
         bounds power() and the finite-order check of a fast-growing map."""
-        if other.alphabet.names != self.alphabet.names:
-            raise AlphabetMismatchError("automorphisms over different alphabets")
+        _same_alphabet(self.alphabet, other.alphabet)
         return FactoredAutomorphism._make(
             self.alphabet, self.factors + other.factors,
             _compose_codes(self.codes, other.codes))

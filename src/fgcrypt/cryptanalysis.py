@@ -15,7 +15,8 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, PreconditionError
 from .nielsen import (GeneratingTuple, _as_tuple, _core_graph,
                       canonical_minimal_basis)
-from .words import Alphabet, Word, _Value, _invert_codes, ball_size
+from .words import (Alphabet, Word, _Value, _invert_codes, _same_alphabet,
+                    ball_size)
 
 __all__ = [
     "AttackConfig",
@@ -159,6 +160,7 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
     limit = min(cfg.max_subsets or SUBSET_CAP, SUBSET_CAP)
     target = None
     if oracle_known_basis is not None:
+        _same_alphabet(alphabet, oracle_known_basis.alphabet)
         target = canonical_minimal_basis(oracle_known_basis).codes
     bases: dict[tuple, GeneratingTuple] = {}  # graph key -> canonical basis
     examined = 0

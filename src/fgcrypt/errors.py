@@ -23,10 +23,6 @@ class InvalidLetterError(FgError, ValueError):
     """A letter index is outside the alphabet's rank."""
 
 
-class AlphabetMismatchError(FgError, ValueError):
-    """Operands belong to different alphabets."""
-
-
 class IllegalMoveError(FgError, ValueError):
     """An elementary move that cannot be applied (bad index, T3 on a
     non-identity entry, ...)."""
@@ -38,6 +34,10 @@ class NotRegularError(IllegalMoveError):
 
 class PreconditionError(FgError, ValueError):
     """An operation's documented precondition does not hold."""
+
+
+class AlphabetMismatchError(PreconditionError):
+    """Operands over different alphabets (``words._same_alphabet``)."""
 
 
 class EncodingError(FgError, ValueError):

@@ -27,7 +27,7 @@ from .errors import (CapExceededError, PreconditionError, SingularMatrixError,
 from .nielsen import (GeneratingTuple, _express, _strip_candidates,
                       apply_moves, nielsen_reduce)
 from .words import (_INTEGER, Alphabet, Word, _Value, _invert_codes,
-                    _substitute, generators)
+                    _same_alphabet, _substitute, generators)
 
 __all__ = [
     "Mat2Q",
@@ -264,8 +264,7 @@ def _evaluate(spec: RepSpec, w: Word, start: Mat2Q = Mat2Q.identity(),
     along the codes of w^-1, so no Word of it is built.  The first product
     with an entry past the cap raises, so the work stays bounded by the cap
     and the letters read."""
-    if w.alphabet.names != spec.alphabet.names:
-        raise PreconditionError("word is over a different alphabet")
+    _same_alphabet(spec.alphabet, w.alphabet)
     kernels = spec._letters
     if images is not None:
         kernels = _letter_kernels(

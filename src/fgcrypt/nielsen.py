@@ -31,8 +31,8 @@ from .errors import (
     WordSyntaxError,
 )
 from .words import (Alphabet, Word, _Value, _code, _concat_codes,
-                    _invert_codes, _parse_int, _seam, _signed, _substitute,
-                    parse_word)
+                    _invert_codes, _parse_int, _same_alphabet, _seam, _signed,
+                    _substitute, parse_word)
 
 __all__ = [
     "GeneratingTuple",
@@ -60,7 +60,7 @@ class GeneratingTuple(_Value):
     entries are stored as their code strings, ``codes``; ``elements``,
     iteration and indexing build the Words."""
 
-    __slots__ = ("alphabet", "codes")
+    __slots__ = _compared = ("alphabet", "codes")
     _fields = ("alphabet", "elements")
 
     alphabet: Alphabet
@@ -69,8 +69,7 @@ class GeneratingTuple(_Value):
     def __init__(self, alphabet: Alphabet, elements: tuple[Word, ...]):
         elements = tuple(elements)
         for w in elements:
-            if w.alphabet.names != alphabet.names:
-                raise PreconditionError("tuple entries must share one alphabet")
+            _same_alphabet(alphabet, w.alphabet)
         self._fill(alphabet, tuple(w.codes for w in elements))
 
     @property
@@ -603,8 +602,7 @@ def subgroup_membership(basis: GeneratingTuple, w: Word) -> Optional[list[int]]:
     in the subgroup.  Strips symbols whose major initial segment prefixes
     the remainder; even-length symbols may only show their left half, so
     those strips are tried with backtracking (memoized on the remainder)."""
-    if w.alphabet.names != basis.alphabet.names:
-        raise PreconditionError("word and basis alphabets differ")
+    _same_alphabet(basis.alphabet, w.alphabet)
     expr = _express(_strip_candidates(basis), w.codes)
     return None if expr is None else list(map(_signed, expr))
 
@@ -623,8 +621,7 @@ def expand_expression(basis: GeneratingTuple, expr: Iterable[int]) -> Word:
 
 def same_subgroup(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
     """True iff both tuples generate the same subgroup (canonical forms)."""
-    if s1.alphabet.names != s2.alphabet.names:
-        raise PreconditionError("tuples over different alphabets")
+    _same_alphabet(s1.alphabet, s2.alphabet)
     return (canonical_minimal_basis(s1).codes
             == canonical_minimal_basis(s2).codes)
 
@@ -632,8 +629,7 @@ def same_subgroup(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
 def same_subgroup_by_membership(s1: GeneratingTuple, s2: GeneratingTuple) -> bool:
     """Mutual-membership implementation; must agree with :func:`same_subgroup`.
     Each reduced basis is checked and stripped once, not once per element."""
-    if s1.alphabet.names != s2.alphabet.names:
-        raise PreconditionError("tuples over different alphabets")
+    _same_alphabet(s1.alphabet, s2.alphabet)
     strips1 = _strip_candidates(nielsen_reduce(s1)[0])
     strips2 = _strip_candidates(nielsen_reduce(s2)[0])
     return (all(_express(strips2, w) is not None for w in s1.codes)

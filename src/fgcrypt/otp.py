@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .automorphisms import FactoredAutomorphism
-from .errors import (AlphabetMismatchError, CapExceededError,
-                     DecryptionError, EncodingError, PreconditionError,
-                     WordSyntaxError)
+from .errors import (CapExceededError, DecryptionError, EncodingError,
+                     PreconditionError, WordSyntaxError)
 from .keystream import (
     _LCG_KEYS,
     AutFamily,
@@ -34,8 +33,8 @@ from .nielsen import (
     nielsen_reduce,
     parse_tuple,
 )
-from .words import (Alphabet, Word, _Value, _parse_int, format_word,
-                    parse_kv_lines, parse_word)
+from .words import (Alphabet, Word, _Value, _parse_int, _same_alphabet,
+                    format_word, parse_kv_lines, parse_word)
 
 __all__ = [
     "CipherPublicParams",
@@ -75,8 +74,7 @@ class CipherPublicParams(_Value):
         if not has_max_period(lcg):
             raise PreconditionError("the congruence generator must have "
                                     "maximal period")
-        if fam.alphabet.names != alphabet.names:
-            raise PreconditionError("family alphabet differs")
+        _same_alphabet(alphabet, fam.alphabet)
         if fam.m != lcg.m:
             raise PreconditionError("family and generator moduli differ")
         self._fill(alphabet, plaintext_alphabet, fam, lcg)
@@ -101,8 +99,7 @@ class CipherPrivateKey(_Value):
 
     def validate(self, params: CipherPublicParams) -> None:
         # decrypt looks units up by their codes, which carry no alphabet
-        if self.basis.alphabet.names != params.alphabet.names:
-            raise AlphabetMismatchError("key basis is over a different alphabet")
+        _same_alphabet(params.alphabet, self.basis.alphabet)
         if len(self.basis) != params.n_symbols:
             raise PreconditionError("basis size must match the plaintext alphabet")
         if not all(self.basis.codes):
@@ -203,6 +200,8 @@ def _automorphisms(params: CipherPublicParams, indices: Sequence[int],
     if len(overrides) < z:
         raise PreconditionError(
             f"need {z} override automorphisms, got {len(overrides)}")
+    for f in overrides[:z]:
+        _same_alphabet(params.alphabet, f.alphabet)
     return list(overrides[:z])
 
 
@@ -238,6 +237,8 @@ def decrypt(params: CipherPublicParams, key: CipherPrivateKey, c: Ciphertext,
     key.validate(params)
     if not c.units:
         return []
+    for unit in c.units:
+        _same_alphabet(params.alphabet, unit.alphabet)
     indices = keystream(params.lcg, key.alpha, len(c.units))
     auts = _automorphisms(params, indices, automorphisms)
     out = []
@@ -271,6 +272,8 @@ def decrypt_with_table(params: CipherPublicParams, key: CipherPrivateKey,
     key.validate(params)
     if not c.units:
         return []
+    for unit in c.units:
+        _same_alphabet(params.alphabet, unit.alphabet)
     indices = keystream(params.lcg, key.alpha, len(c.units))
     table = build_cipher_table(params, key, indices, automorphisms)
     out = []

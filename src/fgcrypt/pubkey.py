@@ -17,8 +17,8 @@ from .automorphisms import (FactoredAutomorphism, _basis, _power,
 from .errors import CapExceededError, DecryptionError, PreconditionError
 from .matrices import (Mat2Q, RepSpec, _evaluate, format_matrix,
                        matrix_to_word, parse_matrix, word_to_matrix)
-from .words import (Alphabet, Word, _Value, concat, format_word,
-                    parse_kv_lines, parse_word)
+from .words import (Alphabet, Word, _Value, _same_alphabet, concat,
+                    format_word, parse_kv_lines, parse_word)
 
 __all__ = [
     "PubkeyParams",
@@ -247,10 +247,10 @@ class PubkeyParams(_Value):
             raise PreconditionError("base word must not be the identity")
         if f.is_identity():
             raise PreconditionError("automorphism must not be the identity")
-        if a.alphabet.names != alphabet.names:
-            raise PreconditionError("base word alphabet differs")
-        if f.alphabet.names != alphabet.names:
-            raise PreconditionError("automorphism alphabet differs")
+        _same_alphabet(alphabet, a.alphabet)
+        _same_alphabet(alphabet, f.alphabet)
+        if rep is not None:
+            _same_alphabet(alphabet, rep.alphabet)
         k = _finite_order(f)
         if k is not None:
             warnings.warn(f"automorphism has finite order {k}; "

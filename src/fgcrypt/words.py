@@ -53,12 +53,15 @@ class _Value:
     through the slot setters it takes once per subclass: a constructor
     checks its input and ends with one ``_fill`` of every slot in
     ``__slots__`` order, and ``_make`` builds a value from trusted slot
-    values without any check (also for copy and pickle)."""
+    values without any check (also for copy and pickle).  The setters are
+    those of a class's own ``__slots__``, so value classes are final."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls):
+        if cls.__bases__ != (_Value,):
+            raise TypeError(f"{cls.__qualname__}: value classes are final")
         names = cls.__dict__.get("_compared", cls._fields)
         get = attrgetter(*names)
         cls._key = staticmethod(get if len(names) > 1
@@ -256,10 +259,10 @@ def _reduce_codes(seq: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def _same_alphabet(u: Word, v: Word) -> None:
-    if u.alphabet.names != v.alphabet.names:
-        raise AlphabetMismatchError(
-            f"alphabet mismatch: {u.alphabet} vs {v.alphabet}")
+def _same_alphabet(x: Alphabet, y: Alphabet) -> None:
+    """The one alphabet check; code strings carry no alphabet of their own."""
+    if x.names != y.names:
+        raise AlphabetMismatchError(f"alphabet mismatch: {x} vs {y}")
 
 
 # The kernel: free reduction, inversion and substitution on plain code
@@ -338,13 +341,13 @@ def _capped(letters: Iterable[int], out: bytearray,
 
 def concat(u: Word, v: Word) -> Word:
     """Freely reduced product uv."""
-    _same_alphabet(u, v)
+    _same_alphabet(u.alphabet, v.alphabet)
     return Word._make(u.alphabet, _concat_codes(u.codes, v.codes))
 
 
 def compare_words(u: Word, v: Word) -> int:
     """Total order: shorter first, ties letter-by-letter; returns -1/0/+1."""
-    _same_alphabet(u, v)
+    _same_alphabet(u.alphabet, v.alphabet)
     ku, kv = u.sort_key(), v.sort_key()
     if ku < kv:
         return -1

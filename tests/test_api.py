@@ -177,6 +177,42 @@ def test_one_evaluation_loop():
     assert found == {("matrices.py", "_evaluate")}, found
 
 
+def _nodes_by_qualname(tree, prefix=""):
+    """(qualified name of the innermost enclosing def or class, node) for
+    every node under ``tree``; module-level nodes carry ``None``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{prefix}{child.name}"
+            yield name, child
+            yield from _nodes_by_qualname(child, f"{name}.")
+        else:
+            yield prefix[:-1] or None, child
+            yield from _nodes_by_qualname(child, prefix)
+
+
+def test_one_alphabet_check():
+    """Code strings carry no alphabet, so alphabets have one check: a
+    comparison with ``.names`` on both sides appears only in
+    ``words._same_alphabet`` and ``Word.__eq__``, and only
+    ``_same_alphabet`` raises ``AlphabetMismatchError``."""
+    compares, raises = set(), set()
+    for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
+        for where, node in _nodes_by_qualname(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and sum(
+                    isinstance(side, ast.Attribute) and side.attr == "names"
+                    for side in (node.left, *node.comparators)) >= 2:
+                compares.add((path.name, where))
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                if getattr(exc, "id", None) == "AlphabetMismatchError":
+                    raises.add((path.name, where))
+    assert compares == {("words.py", "_same_alphabet"),
+                        ("words.py", "Word.__eq__")}, compares
+    assert raises == {("words.py", "_same_alphabet")}, raises
+
+
 def test_automorphisms_built_inside():
     """Only automorphisms.py builds a ``FactoredAutomorphism`` directly,
     through ``FactoredAutomorphism(...)`` or ``FactoredAutomorphism._make``,

@@ -25,7 +25,8 @@ from fgcrypt import (
 )
 from fgcrypt.cryptanalysis import (BALL_CAP, AttackReport, _colex_subsets,
                                    format_report)
-from fgcrypt.errors import CapExceededError, PreconditionError
+from fgcrypt.errors import (AlphabetMismatchError, CapExceededError,
+                            PreconditionError)
 from fgcrypt.nielsen import _as_tuple, _core_graph
 
 AB = Alphabet(("a", "b"))
@@ -84,6 +85,15 @@ class TestSubsetAttack:
         assert report.hit_index == 2
         target = canonical_minimal_basis(planted).elements
         assert any(c.elements == target for c in report.candidates)
+
+    def test_planted_key_over_another_alphabet_refused(self):
+        # the same letters under other names are another group's subgroup,
+        # though their codes match the hit's
+        cfg = AttackConfig(ball_radius=1, target_rank=2, subset_size=2)
+        xyz = Alphabet(("x", "y", "z"))
+        with pytest.raises(AlphabetMismatchError,
+                           match="^alphabet mismatch: a b vs x y z$"):
+            subset_attack(AB, cfg, t(xyz, "x", "y"))
 
     def test_candidates_are_reduced_rank_n(self):
         cfg = AttackConfig(ball_radius=2, target_rank=2, subset_size=2)

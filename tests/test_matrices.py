@@ -151,7 +151,8 @@ class TestMakeRepresentation:
 
 class TestWordToMatrix:
     def test_other_alphabet_refused(self):
-        with pytest.raises(PreconditionError, match="different alphabet"):
+        with pytest.raises(PreconditionError,
+                           match="^alphabet mismatch: a b vs x1 x2 x3$"):
             word_to_matrix(make_representation(AB), ABC.parse("x1"))
 
     def test_first_demo_ciphertext_matrix(self):

@@ -329,14 +329,16 @@ class TestMembership:
     def test_alphabet_checked_first(self):
         # a word over another alphabet is refused as such, also against a
         # basis that is not reduced
-        with pytest.raises(PreconditionError, match="alphabets differ"):
+        with pytest.raises(PreconditionError,
+                           match="^alphabet mismatch: a b vs x y z$"):
             subgroup_membership(t(AB, "a b", "b"), XYZ.parse("x"))
 
     def test_alphabet_refusal_skips_validation(self, monkeypatch):
         def validate(basis):
             raise AssertionError("validated the basis")
         monkeypatch.setattr(nielsen, "is_nielsen_reduced", validate)
-        with pytest.raises(PreconditionError, match="alphabets differ"):
+        with pytest.raises(PreconditionError,
+                           match="^alphabet mismatch: a b vs x y z$"):
             subgroup_membership(t(AB, "a", "b"), XYZ.parse("x"))
 
     def test_against_oracle(self):
@@ -410,7 +412,8 @@ class TestSameSubgroup:
 
     def test_other_alphabets_refused(self):
         for same in (same_subgroup, same_subgroup_by_membership):
-            with pytest.raises(PreconditionError, match="different alphabets"):
+            with pytest.raises(PreconditionError,
+                               match="^alphabet mismatch: a b vs x y z$"):
                 same(t(AB, "a"), t(XYZ, "x"))
 
 

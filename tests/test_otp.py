@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgcrypt import (
     Alphabet,
@@ -18,8 +19,10 @@ from fgcrypt import (
     canonical_minimal_basis,
     decrypt,
     decrypt_with_table,
+    derive_automorphism,
     encrypt,
     format_ciphertext,
+    from_factors,
     identity_automorphism,
     is_nielsen_reduced,
     keygen,
@@ -34,6 +37,7 @@ from fgcrypt.errors import (
     CapExceededError,
     DecryptionError,
     EncodingError,
+    FgError,
     PreconditionError,
     WordSyntaxError,
 )
@@ -264,6 +268,105 @@ class TestTable:
         with pytest.raises(DecryptionError) as err:
             decrypt_with_table(params, key, bad)
         assert err.value.unit_index == 1
+
+    def test_foreign_overrides_and_units_refused(self):
+        # the demo's overrides and ciphertext renamed to p q r s, the key
+        # over a b c d: the codes would match, the alphabets do not
+        params, key, auts = demo_setup()
+        ct = encrypt(params, key, "ILIKEBOB", automorphisms=auts)
+        mismatch = "^alphabet mismatch: a b c d vs p q r s$"
+        for call in (decrypt, decrypt_with_table):
+            with pytest.raises(AlphabetMismatchError, match=mismatch):
+                call(params, key, _renamed(ct, PQRS),
+                     automorphisms=_renamed_auts(auts, PQRS))
+
+    def test_foreign_units_refused(self):
+        params, key, auts = demo_setup()
+        ct = _renamed(encrypt(params, key, "ILIKEBOB", automorphisms=auts),
+                      PQRS)
+        for call in (decrypt, decrypt_with_table):
+            with pytest.raises(AlphabetMismatchError):
+                call(params, key, ct, automorphisms=auts)
+            with pytest.raises(AlphabetMismatchError):
+                call(params, key, ct)
+
+    def test_foreign_overrides_refused(self):
+        # refused where the overrides are read, before any is applied
+        params, key, auts = demo_setup()
+        ct = encrypt(params, key, "ILIKEBOB", automorphisms=auts)
+        foreign = _renamed_auts(auts, PQRS)
+        indices = keystream(params.lcg, key.alpha, 8)
+        mismatch = "^alphabet mismatch: a b c d vs p q r s$"
+        with pytest.raises(AlphabetMismatchError, match=mismatch):
+            encrypt(params, key, "ILIKEBOB", automorphisms=foreign)
+        with pytest.raises(AlphabetMismatchError, match=mismatch):
+            build_cipher_table(params, key, indices, automorphisms=foreign)
+        for call in (decrypt, decrypt_with_table):
+            with pytest.raises(AlphabetMismatchError, match=mismatch):
+                call(params, key, ct, automorphisms=foreign)
+
+
+def _renamed(c, alphabet):
+    """The ciphertext with the same letters under another alphabet."""
+    return Ciphertext(tuple(Word(alphabet, u.signed) for u in c.units))
+
+
+def _renamed_auts(auts, alphabet):
+    return [from_factors(f.factors, alphabet) for f in auts]
+
+
+PQ = Alphabet(("p", "q"))
+PQRS = Alphabet(("p", "q", "r", "s"))
+SMALL = small_params()
+SMALL_KEYS = [keygen(SMALL, Prg(seed)) for seed in range(4)]
+
+
+def _outcome(call, params, key, c, auts):
+    try:
+        return call(params, key, c, automorphisms=auts)
+    except FgError as err:
+        return type(err), getattr(err, "unit_index", None)
+
+
+@st.composite
+def decrypt_inputs(draw):
+    """A key, a ciphertext and maybe overrides, each unit possibly mutated
+    and the units or the overrides possibly over another alphabet."""
+    key = draw(st.sampled_from(SMALL_KEYS))
+    msg = draw(st.text("XYZ", min_size=1, max_size=5))
+    auts = None
+    if draw(st.booleans()):
+        auts = [derive_automorphism(SMALL.fam, draw(st.integers(0, 15)))
+                for _ in msg]
+    units = list(encrypt(SMALL, key, msg, automorphisms=auts).units)
+    for i in draw(st.lists(st.integers(0, len(units) - 1), max_size=2)):
+        letters = list(units[i].signed)
+        kind = draw(st.sampled_from(("flip", "append", "replace")))
+        if kind == "flip" and letters:
+            j = draw(st.integers(0, len(letters) - 1))
+            letters[j] = -letters[j]
+        elif kind == "append":
+            letters.append(draw(st.sampled_from((1, -1, 2, -2))))
+        else:
+            letters = draw(st.lists(st.sampled_from((1, -1, 2, -2)),
+                                    max_size=6))
+        units[i] = Word(SMALL.alphabet, letters)
+    c = Ciphertext(units)
+    if draw(st.booleans()):
+        c = _renamed(c, PQ)
+    if auts is not None and draw(st.booleans()):
+        auts = _renamed_auts(auts, PQ)
+    return key, c, auts
+
+
+@settings(max_examples=150, deadline=None)
+@given(decrypt_inputs())
+def test_both_decryptions_agree(inputs):
+    # the README's promise on every input: the same symbols, or the same
+    # error at the same unit
+    key, c, auts = inputs
+    assert (_outcome(decrypt, SMALL, key, c, auts)
+            == _outcome(decrypt_with_table, SMALL, key, c, auts))
 
 
 class TestPolyalphabetic:

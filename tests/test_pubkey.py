@@ -31,8 +31,8 @@ from fgcrypt import (
     word_to_matrix,
 )
 from fgcrypt import automorphisms, pubkey, words
-from fgcrypt.errors import (CapExceededError, DecryptionError,
-                            PreconditionError)
+from fgcrypt.errors import (AlphabetMismatchError, CapExceededError,
+                            DecryptionError, PreconditionError)
 from fgcrypt.nielsen import _realization
 from fgcrypt.pubkey import (_finite_order, parse_pair_file, parse_params_file,
                             write_pair_file)
@@ -69,11 +69,22 @@ class TestParams:
     def test_rejects_other_alphabets(self):
         f = from_factors(parse_moves(F_SEQ), X123)
         abc = Alphabet(("a", "b", "c"))
-        with pytest.raises(PreconditionError, match="base word alphabet"):
+        with pytest.raises(PreconditionError,
+                           match="^alphabet mismatch: x1 x2 x3 vs a b c$"):
             PubkeyParams(X123, abc.parse("a"), f)
-        with pytest.raises(PreconditionError, match="automorphism alphabet"):
+        with pytest.raises(PreconditionError,
+                           match="^alphabet mismatch: x1 x2 x3 vs a b c$"):
             PubkeyParams(X123, X123.parse("x1"),
                          from_factors(parse_moves(F_SEQ), abc))
+
+    def test_rejects_a_representation_over_another_alphabet(self):
+        # refused when built, not at the first matrix encryption
+        f = from_factors(parse_moves(F_SEQ), X123)
+        abc = Alphabet(("a", "b", "c"))
+        with pytest.raises(AlphabetMismatchError,
+                           match="^alphabet mismatch: x1 x2 x3 vs a b c$"):
+            PubkeyParams(X123, X123.parse("x1"), f,
+                         rep=make_representation(abc))
 
     def test_finite_order_warning(self):
         inv = from_factors([WhiteheadMove("INV", 1)], X123)

@@ -62,7 +62,7 @@ CASES = {
         lambda: GeneratingTuple(AB, (A,)),
         f"GeneratingTuple(alphabet={ALPHABET_REPR}, "
         "elements=(Word('a b'), Word('b')))",
-        ("alphabet", "elements")),
+        ("alphabet", "codes")),
     "ElementaryMove": (lambda: ElementaryMove("T2", 1, 2),
                        lambda: ElementaryMove("T2", 2, 1),
                        T2_REPR, ("kind", "i", "j")),
@@ -141,6 +141,17 @@ def test_equality_and_hash(name):
     assert hash(x) == hash(tuple(getattr(x, f) for f in compared))
     assert x != z and not x == z
     assert x.__eq__(object()) is NotImplemented and x != object()
+
+
+def test_value_classes_are_final():
+    # a subclass would take its own slots' setters only, so it is refused
+    # when it is created
+    with pytest.raises(TypeError, match="final"):
+        class Shifted(LcgParams):
+            __slots__ = ()
+    with pytest.raises(TypeError, match="final"):
+        class Seeded(LcgParams):
+            __slots__ = ("seed",)
 
 
 @pytest.mark.parametrize("name", CASES)
