@@ -77,11 +77,16 @@ class WhiteheadMove(_Value):
         self._fill(kind, a, L, R, M)
 
 
-# the letter sets of an inversion.  Only the sampler's draw and the factor
-# inverse build factors with the unchecked ``WhiteheadMove._make``, and only
-# factors valid by construction; ``from_factors`` still checks the indices
-# of every factor.
+# the letter sets of an inversion.  Only the sampler's draw and the shared
+# inversions below build factors with the unchecked ``WhiteheadMove._make``,
+# and only factors valid by construction; ``from_factors`` still checks the
+# indices of every factor.
 _EMPTY: frozenset[int] = frozenset()
+
+# the inversion i_a of each generator x_1, x_2, ..., x_128, the one instance
+# of each that the sampler's draw and the factor inverse return
+_INVERSIONS = tuple(WhiteheadMove._make("INV", a, _EMPTY, _EMPTY, _EMPTY)
+                    for a in range(1, 129))
 
 Factor = Union[ElementaryMove, WhiteheadMove]
 
@@ -92,13 +97,14 @@ def _step(images: list[bytes], factor: Factor) -> None:
     :func:`fgcrypt.nielsen._move`.  A Whitehead factor is not checked here
     (``from_factors`` checks its indices first); a multiplier map walks M
     and skips a."""
-    if isinstance(factor, WhiteheadMove):
+    kind = factor.kind
+    if kind == "INV":
+        i = factor.a - 1
+        images[i] = _invert_codes(images[i])
+    elif kind == "W":
+        # W sends b to ab / b a^-1 / a b a^-1
         a = factor.a
         x = images[a - 1]
-        if factor.kind == "INV":
-            images[a - 1] = _invert_codes(x)
-            return
-        # W sends b to ab / b a^-1 / a b a^-1
         x_inv = _invert_codes(x) if factor.R or len(factor.M) > 1 else b""
         for b in factor.L:
             images[b - 1] = _concat_codes(x, images[b - 1])
@@ -108,8 +114,8 @@ def _step(images: list[bytes], factor: Factor) -> None:
             if b != a:
                 images[b - 1] = _concat_codes(_concat_codes(x, images[b - 1]),
                                               x_inv)
-        return
-    _move(images, factor)
+    else:
+        _move(images, factor)
 
 
 # the code string of each generator x_1, x_2, ..., x_128
@@ -119,13 +125,6 @@ _GENERATORS = tuple(bytes((c,)) for c in range(0, 256, 2))
 def _basis(q: int) -> tuple[bytes, ...]:
     """The coded images of the identity map at rank q."""
     return _GENERATORS[:q]
-
-
-def _fold(factors: Iterable[Factor], q: int) -> tuple[bytes, ...]:
-    images = list(_basis(q))
-    for factor in factors:
-        _step(images, factor)
-    return tuple(images)
 
 
 def _compose_codes(outer: Sequence[bytes],
@@ -238,10 +237,11 @@ class FactoredAutomorphism(_Value):
 
 
 def _invert_factor(factor: Factor) -> list[Factor]:
-    if factor.kind in ("INV", "T1", "T3"):  # T3 has none; from_factors rejects it
+    kind = factor.kind
+    if kind in ("INV", "T1", "T3"):  # T3 has none; from_factors rejects it
         return [factor]
-    if isinstance(factor, WhiteheadMove):
-        ia = WhiteheadMove._make("INV", factor.a, _EMPTY, _EMPTY, _EMPTY)
+    if kind == "W":
+        ia = _INVERSIONS[factor.a - 1]
         return [ia, factor, ia]
     return _realization(factor.i, factor.j, "R", -1)  # u_i -> u_i u_j^-1
 
@@ -263,7 +263,10 @@ def from_factors(factors: Iterable[Factor], alphabet: Alphabet) -> FactoredAutom
                 raise IllegalMoveError(f"{factor.kind} index out of range 1..{q}")
         elif factor.kind == "T3":
             raise NotRegularError("T3 is singular; automorphisms are regular only")
-    return FactoredAutomorphism._make(alphabet, fs, _fold(fs, q))
+    images = list(_basis(q))
+    for factor in fs:
+        _step(images, factor)
+    return FactoredAutomorphism._make(alphabet, fs, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +282,28 @@ def _draw_factor(prg: BitSource, q: int, bit: int) -> WhiteheadMove:
     sizes are drawn first and whose members are then drawn for L, R and M in
     turn, each popped from the sorted pool of the other generators."""
     draw = prg.next
-    z = 1 + draw() % q
+    i = draw() % q  # the index of the multiplier x_(i+1)
     if bit == 0:
-        return WhiteheadMove._make("INV", z, _EMPTY, _EMPTY, _EMPTY)
+        return _INVERSIONS[i]
     z1 = draw() % q
     z2 = draw() % (q - z1)
     z3 = draw() % (q - z1 - z2)
-    pool = [*range(1, z), *range(z + 1, q + 1)]
+    pool = list(range(1, q + 1))
+    del pool[i]
     pop = pool.pop
     if z1 == z2 == z3 == 0:
         # would be the identity map: put one extra letter in L, R or M
         drawn = [pop(draw() % (q - 1))]
         z1, z2 = ((1, 0), (0, 1), (0, 0))[draw() % 3]
     else:
-        drawn = [pop(draw() % n) for n in range(q - 1, q - 1 - z1 - z2 - z3, -1)]
+        drawn = []
+        for n in range(q - 1, q - 1 - z1 - z2 - z3, -1):
+            drawn.append(pop(draw() % n))
     m = z1 + z2
+    a = i + 1
     L = frozenset(drawn[:z1]) if z1 else _EMPTY
     R = frozenset(drawn[z1:m]) if z2 else _EMPTY
-    return WhiteheadMove._make("W", z, L, R, frozenset((z, *drawn[m:])))
+    return WhiteheadMove._make("W", a, L, R, frozenset((a, *drawn[m:])))
 
 
 def _mutually_inverse(prev: WhiteheadMove, new: WhiteheadMove) -> bool:
@@ -328,16 +335,18 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
         raise PreconditionError("factor count must be >= 1")
     bits = [draw() % 2 for _ in range(nbits)]
     factors: list[WhiteheadMove] = []
+    images = list(_basis(q))
     for bit in bits:
         for _ in range(_MAX_ATTEMPTS):
             factor = _draw_factor(prg, q, bit)
             if not factors or not _mutually_inverse(factors[-1], factor):
-                factors.append(factor)
                 break
         else:  # pragma: no cover - the pool always contains a valid factor
             raise RuntimeError("factor redraw limit hit")
-    images = _fold(factors, q)
-    basis = _basis(q)
+        factors.append(factor)
+        before = images.copy()  # the images the last factor started from
+        _step(images, factor)
+    basis = list(_basis(q))
     attempts = 0
     while images == basis:
         attempts += 1
@@ -351,8 +360,9 @@ def random_whitehead_automorphism(prg: BitSource, alphabet: Alphabet,
         if len(factors) > 1 and _mutually_inverse(factors[-2], factor):
             continue
         factors[-1] = factor
-        images = _fold(factors, q)
-    return FactoredAutomorphism._make(alphabet, tuple(factors), images)
+        images = before.copy()
+        _step(images, factor)
+    return FactoredAutomorphism._make(alphabet, tuple(factors), tuple(images))
 
 
 # ---------------------------------------------------------------------------

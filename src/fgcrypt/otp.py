@@ -3,7 +3,8 @@ automorphism applied to its private subgroup-basis word.
 
 Unit boundaries are preserved end to end (no cancellation ever happens
 between adjacent units), so the receiver recovers each symbol independently,
-either through inverse automorphisms or by table lookup.
+either through inverse automorphisms or by matching the forward images of
+the key words, which stops at the first match.
 """
 
 from __future__ import annotations
@@ -258,8 +259,10 @@ def build_cipher_table(params: CipherPublicParams, key: CipherPrivateKey,
                        indices: Sequence[int],
                        automorphisms: Optional[Sequence[FactoredAutomorphism]] = None
                        ) -> list[list[Word]]:
-    """The N x z table of automorphism images of the key words; row k lists
-    f_{x_i}(u_k) across the scheduled automorphisms, or the overrides."""
+    """The whole N x z table of forward images of the key words; row k lists
+    f_{x_i}(u_k) across the scheduled automorphisms, or the overrides.
+    :func:`decrypt_with_table` matches the same images column by column and
+    builds only the cells up to each match."""
     auts = _automorphisms(params, indices, automorphisms)
     return [[f.apply(u) for f in auts] for u in key.basis]
 
@@ -268,19 +271,25 @@ def decrypt_with_table(params: CipherPublicParams, key: CipherPrivateKey,
                        c: Ciphertext,
                        automorphisms: Optional[Sequence[FactoredAutomorphism]] = None
                        ) -> list[str]:
-    """Table-lookup decryption; must agree with :func:`decrypt`."""
+    """Decryption by forward images, the cells of :func:`build_cipher_table`:
+    unit i is compared with f_{x_i}(u_k) for k = 1, 2, ... in turn, and the
+    search stops at the first match.  Must agree with :func:`decrypt`; a
+    unit that no key word maps to raises at its index, after at most N
+    images per unit up to it."""
     key.validate(params)
     if not c.units:
         return []
     for unit in c.units:
         _same_alphabet(params.alphabet, unit.alphabet)
     indices = keystream(params.lcg, key.alpha, len(c.units))
-    table = build_cipher_table(params, key, indices, automorphisms)
+    auts = _automorphisms(params, indices, automorphisms)
+    candidates = tuple(zip(key.basis, params.plaintext_alphabet))
     out = []
-    for i, unit in enumerate(c.units):
-        for k in range(params.n_symbols):
-            if table[k][i] == unit:
-                out.append(params.plaintext_alphabet[k])
+    for i, (unit, f) in enumerate(zip(c.units, auts)):
+        codes = unit.codes
+        for u, symbol in candidates:
+            if f.apply(u).codes == codes:
+                out.append(symbol)
                 break
         else:
             raise DecryptionError(

@@ -81,14 +81,18 @@ def test_one_integer_reader():
 
 def test_one_splitmix64_and_trusted_factors_stay_inside():
     """splitmix64 has one body: each of its multipliers appears once in the
-    package.  Only the sampler's draw and the factor inverse in
-    automorphisms.py build a ``WhiteheadMove`` through the unchecked
-    ``WhiteheadMove._make``."""
+    package.  Only the sampler's draw and the module constant of shared
+    inversions, ``_INVERSIONS``, in automorphisms.py build a
+    ``WhiteheadMove`` through the unchecked ``WhiteheadMove._make``."""
     multipliers = {0xBF58476D1CE4E5B9: [], 0x94D049BB133111EB: []}
     trusted = set()
     for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for top in tree.body:
+            # a function or class by its name, a module constant by its target
+            name = getattr(top, "name", None)
+            if isinstance(top, ast.Assign) and len(top.targets) == 1:
+                name = getattr(top.targets[0], "id", None)
             for node in ast.walk(top):
                 if (isinstance(node, ast.Constant) and type(node.value) is int
                         and node.value in multipliers):
@@ -96,10 +100,10 @@ def test_one_splitmix64_and_trusted_factors_stay_inside():
                 if (isinstance(node, ast.Attribute) and node.attr == "_make"
                         and isinstance(node.value, ast.Name)
                         and node.value.id == "WhiteheadMove"):
-                    trusted.add((path.name, getattr(top, "name", None)))
+                    trusted.add((path.name, name))
     assert all(len(found) == 1 for found in multipliers.values()), multipliers
     assert trusted == {("automorphisms.py", "_draw_factor"),
-                       ("automorphisms.py", "_invert_factor")}
+                       ("automorphisms.py", "_INVERSIONS")}
 
 
 def test_one_free_reduction():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import re
@@ -12,6 +13,7 @@ from fgcrypt import (
     AutFamily,
     ElementaryMove,
     FactoredAutomorphism,
+    Prg,
     Word,
     WhiteheadMove,
     apply_moves,
@@ -570,6 +572,52 @@ class TestSampler:
         values = [3] + [17] * 4000
         f = random_whitehead_automorphism(ScriptedPrg(values), ABC)
         assert len(f.factors) == 7
+
+    # sha256 over the maps drawn one after another from one Prg(7) at the
+    # default length: each map's factor list and images, then the final
+    # generator state.  A fresh Prg per map (as in the keystream goldens)
+    # cannot see an extra or a missing trailing draw.  The rank 2 maps here
+    # redraw an identity composite's last factor 38 times, in 21 maps.
+    @pytest.mark.parametrize("alphabet, maps, digest", [
+        (AB, 2000,
+         "b0a8c29890f7aeacd48ba417b370289dcf1856de725fcda9e5b01a0d956b0791"),
+        (ABCD, 500,
+         "7aa0a25d1d169a559012f7e4792e37d652655e52568bf5dda15a834c1950b609"),
+    ], ids=["rank2", "rank4"])
+    def test_golden_sequential_draws(self, alphabet, maps, digest):
+        prg = Prg(7)
+        h = hashlib.sha256()
+        for _ in range(maps):
+            f = random_whitehead_automorphism(prg, alphabet)
+            h.update(format_automorphism(f).encode())
+            for w in f.images:
+                h.update(b"\n" + str(w).encode())
+            h.update(b"\n\n")
+        h.update(str(prg.state).encode())
+        assert h.hexdigest() == digest
+
+    def test_one_factor_built_per_multiplier(self, monkeypatch):
+        # inversions are shared constants: deriving a map builds each of its
+        # multiplier factors once and no inversion, and inverting it builds
+        # no factor
+        made = []
+        make = WhiteheadMove._make.__func__
+
+        def counting(cls, *values):
+            made.append(values[0])
+            return make(cls, *values)
+
+        monkeypatch.setattr(WhiteheadMove, "_make", classmethod(counting))
+        fam = AutFamily(0x5EED, ABCD, 64)
+        for index in range(8):
+            made.clear()
+            f = derive_automorphism(fam, index)
+            kinds = [factor.kind for factor in f.factors]
+            assert "INV" in kinds and "W" in kinds
+            assert made == ["W"] * kinds.count("W")
+            made.clear()
+            f.inverse()
+            assert made == []
 
 
 class TestTrustedFactors:

@@ -11,6 +11,7 @@ from fgcrypt import (
     CipherPrivateKey,
     CipherPublicParams,
     Ciphertext,
+    FactoredAutomorphism,
     GeneratingTuple,
     LcgParams,
     Prg,
@@ -268,6 +269,30 @@ class TestTable:
         with pytest.raises(DecryptionError) as err:
             decrypt_with_table(params, key, bad)
         assert err.value.unit_index == 1
+
+    @pytest.mark.parametrize("bad_unit", [0, 2, 5])
+    def test_stops_at_the_first_unmatched_unit(self, bad_unit, monkeypatch):
+        # the search matches unit by unit and raises at the first unit no key
+        # word maps to, having applied at most N maps per unit up to it
+        params = small_params()
+        key = keygen(params, Prg(6))
+        ct = encrypt(params, key, "XYZZYX")
+        flipped = list(ct.units[bad_unit].signed)
+        flipped[0] = -flipped[0]
+        units = list(ct.units)
+        units[bad_unit] = Word(params.alphabet, flipped)
+        applied = []
+        apply = FactoredAutomorphism.apply
+
+        def counting(self, w):
+            applied.append(w)
+            return apply(self, w)
+
+        monkeypatch.setattr(FactoredAutomorphism, "apply", counting)
+        with pytest.raises(DecryptionError) as err:
+            decrypt_with_table(params, key, Ciphertext(tuple(units)))
+        assert err.value.unit_index == bad_unit
+        assert 0 < len(applied) <= params.n_symbols * (bad_unit + 1)
 
     def test_foreign_overrides_and_units_refused(self):
         # the demo's overrides and ciphertext renamed to p q r s, the key
