@@ -87,8 +87,8 @@ class CipherPublicParams(_Value):
 
 class CipherPrivateKey(_Value):
     """The subgroup basis (position k encodes symbol k) and the starting
-    class alpha.  Any Nielsen reduced identity-free basis is accepted;
-    :func:`keygen` always produces the canonical form."""
+    class alpha.  Any Nielsen reduced identity-free basis is accepted, and
+    checked once, here; :func:`keygen` always produces the canonical form."""
 
     __slots__ = _fields = ("basis", "alpha")
 
@@ -96,17 +96,19 @@ class CipherPrivateKey(_Value):
     alpha: int
 
     def __init__(self, basis: GeneratingTuple, alpha: int):
+        if not all(basis.codes):
+            raise PreconditionError("basis entries must be non-identity")
+        if not is_nielsen_reduced(basis):
+            raise PreconditionError("key basis must be Nielsen reduced")
         self._fill(basis, alpha)
 
     def validate(self, params: CipherPublicParams) -> None:
+        """The checks that depend on ``params``; the basis itself was
+        checked when the key was built."""
         # decrypt looks units up by their codes, which carry no alphabet
         _same_alphabet(params.alphabet, self.basis.alphabet)
         if len(self.basis) != params.n_symbols:
             raise PreconditionError("basis size must match the plaintext alphabet")
-        if not all(self.basis.codes):
-            raise PreconditionError("basis entries must be non-identity")
-        if not is_nielsen_reduced(self.basis):
-            raise PreconditionError("key basis must be Nielsen reduced")
         if not 0 <= self.alpha < params.lcg.modulus:
             raise PreconditionError("alpha out of range")
 

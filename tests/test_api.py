@@ -80,11 +80,13 @@ def test_one_integer_reader():
 
 
 def test_one_splitmix64_and_trusted_factors_stay_inside():
-    """splitmix64 has one body: each of its multipliers appears once in the
-    package.  Only the sampler's draw and the module constant of shared
-    inversions, ``_INVERSIONS``, in automorphisms.py build a
-    ``WhiteheadMove`` through the unchecked ``WhiteheadMove._make``."""
-    multipliers = {0xBF58476D1CE4E5B9: [], 0x94D049BB133111EB: []}
+    """splitmix64 has one body: each of its multipliers, and its gamma
+    increment, appears once in the package.  Only the sampler's draw and
+    the module constant of shared inversions, ``_INVERSIONS``, in
+    automorphisms.py build a ``WhiteheadMove`` through the unchecked
+    ``WhiteheadMove._make``."""
+    multipliers = {0xBF58476D1CE4E5B9: [], 0x94D049BB133111EB: [],
+                   0x9E3779B97F4A7C15: []}
     trusted = set()
     for path in sorted(Path(fgcrypt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -621,8 +621,9 @@ class TestSampler:
 
 
 class TestTrustedFactors:
-    """The sampler and the factor inverse build Whitehead factors through
-    ``WhiteheadMove._make``, skipping the checks of ``__init__``: every such factor
+    """The sampler builds Whitehead factors through ``WhiteheadMove._make``,
+    skipping the checks of ``__init__``, and the factor inverse builds none:
+    it returns the shared ``_INVERSIONS``.  Every drawn and inverted factor
     must be one the validating constructor accepts and equals."""
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])

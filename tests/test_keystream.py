@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -15,11 +17,26 @@ from fgcrypt import (
     lcg_next,
 )
 from fgcrypt.errors import PreconditionError
-from fgcrypt.keystream import format_lcg_lines, parse_lcg_lines, splitmix64
+from fgcrypt.keystream import _LANES, format_lcg_lines, parse_lcg_lines, splitmix64
 
 ABCD = Alphabet(("a", "b", "c", "d"))
 
 DEMO_LCG = LcgParams(128, 5, 3)
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_draws(seed: int, n: int) -> list[int]:
+    """splitmix64 one scalar step at a time, as published."""
+    out = []
+    s = seed
+    for _ in range(n):
+        s = (s + GAMMA) & MASK64
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
 
 
 def orbit_length(p: LcgParams, start: int = 0) -> int:
@@ -116,6 +133,38 @@ class TestPrg:
             assert splitmix64(state) == (s, z ^ (z >> 31))
             prg = Prg(state)
             assert (prg.next(), prg.state) == (z ^ (z >> 31), s)
+
+    @pytest.mark.parametrize("seed", [0, 1, MASK64, (1 << 64) - GAMMA,
+                                      *map(random.Random(30).getrandbits, [64] * 4)])
+    def test_blocks_match_scalar_steps(self, seed):
+        # across three block boundaries and into a fourth block; the state
+        # after k draws is seed + k*gamma mod 2^64
+        n = 3 * _LANES + 5
+        prg = Prg(seed)
+        assert prg.state == seed
+        for k, expected in enumerate(reference_draws(seed, n), 1):
+            assert prg.next() == expected
+            assert prg.state == (seed + k * GAMMA) & MASK64
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda prg: pickle.loads(pickle.dumps(prg))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copy_mid_block_continues_independently(self, duplicate):
+        prg = Prg(2024)
+        drawn = [prg.next() for _ in range(_LANES // 2)]
+        twin = duplicate(prg)
+        assert twin.state == prg.state
+        # the copy runs ahead past a block boundary; the original's buffer
+        # must not move
+        ahead = [twin.next() for _ in range(_LANES + 3)]
+        rest = [prg.next() for _ in range(_LANES + 3)]
+        assert drawn + ahead == drawn + rest == reference_draws(
+            2024, len(drawn) + _LANES + 3)
+        assert twin.state == prg.state
+
+    def test_state_is_read_only(self):
+        with pytest.raises(AttributeError):
+            Prg(1).state = 5
 
     @pytest.mark.parametrize("state", [-1, 1 << 64])
     def test_step_outside_64_bits_rejected(self, state):
