@@ -97,8 +97,6 @@ from .cryptanalysis import (
     AttackReport,
     attack_cost_estimate,
     enumerate_ball,
-    primitive_growth_rates,
-    primitive_lower_bound_rank2,
     subset_attack,
 )
 from . import errors

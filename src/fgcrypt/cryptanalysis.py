@@ -1,6 +1,5 @@
 """Desk-scale eavesdropper toolkit: Cayley-ball enumeration, the K-subset
-subgroup-recovery attack, primitive-element bound estimators and exact attack
-cost arithmetic.
+subgroup-recovery attack and exact attack cost arithmetic.
 
 The attack is intentionally exponential; hard caps keep it demonstrative.
 """
@@ -8,12 +7,11 @@ The attack is intentionally exponential; hard caps keep it demonstrative.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional
 
 from .errors import CapExceededError, PreconditionError
-from .nielsen import (GeneratingTuple, _as_tuple, _core_graph,
+from .nielsen import (GeneratingTuple, _as_tuple, _core_graph, _tree_basis,
                       canonical_minimal_basis)
 from .words import (Alphabet, Word, _Value, _invert_codes, _same_alphabet,
                     ball_size)
@@ -24,8 +22,6 @@ __all__ = [
     "CostEstimate",
     "enumerate_ball",
     "subset_attack",
-    "primitive_lower_bound_rank2",
-    "primitive_growth_rates",
     "attack_cost_estimate",
     "format_report",
 ]
@@ -111,23 +107,41 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:
     return out
 
 
-def _colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Index k-subsets of range(n) in colexicographic order, lazily and
-    without recursion (Knuth, TAOCP 7.2.1.3, Algorithm L)."""
-    if k > n:
-        return
-    c = list(range(k)) + [n]  # c[k] is a sentinel
-    while True:
-        yield tuple(c[:k])
-        # the lowest entry that can rise without meeting the next one rises;
-        # the entries below it restart at 0, 1, ...
-        j = 0
-        while j < k and c[j] + 1 == c[j + 1]:
-            c[j] = j
-            j += 1
-        if j == k:
-            return
-        c[j] += 1
+def _representatives(first: list[int], n: int, k: int) -> Iterator[tuple]:
+    """(colex rank, subset) of each k-subset of range(n), k >= 1, holding
+    ``first[i]`` for every i in it (``first[i] < i`` marks the later member
+    of a pair), in colex order; the rank, among all k-subsets, is
+    sum C(c_i, i+1) (Knuth, TAOCP 7.2.1.3).  Lazy, on an explicit stack:
+    positions are filled from the top down, and a branch is entered only
+    when its free positions can hold the partners owed from above."""
+    subset = [0] * k
+    # per filled position, top first: candidates, partners owed, rank share
+    stack = [(iter(range(k - 1, n)), (), 0)]
+    while stack:
+        options, owed, share = stack[-1]
+        j = k - len(stack)  # the free positions below this one
+        for x in options:
+            if owed and owed[-1] == x:
+                rest = owed[:-1]
+            elif first[x] == x:
+                rest = owed
+            elif len(owed) < j:
+                rest = tuple(sorted(owed + (first[x],)))
+            else:
+                continue  # its partner would find no free position
+            subset[j] = x
+            rank = share + comb(x, j + 1)
+            if not j:
+                yield rank, tuple(subset)
+            elif len(rest) == j:  # the free positions hold the partners owed
+                yield (rank + sum(map(comb, rest, range(1, j + 1))),
+                       rest + tuple(subset[j:]))
+            else:
+                low = max((j - 1,) + rest[-1:])
+                stack.append((iter(range(low, x)), rest, rank))
+                break
+        else:
+            stack.pop()
 
 
 def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
@@ -140,17 +154,17 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
     hit indices are reproducible.  With a planted basis supplied, the report
     carries the 1-based count of subsets examined at the first hit.
 
-    Each subset's Stallings core graph gives its subgroup's rank, a key that
-    is equal exactly for equal subgroups, and an N-word free basis.  The
-    canonical basis is a subgroup invariant, so it is computed once per
-    distinct key, from that basis, and looked up for every later subset;
-    candidates are the distinct subgroups in order of first appearance.
+    Each subset's Stallings core graph gives its subgroup's rank and a key
+    that is equal exactly for equal subgroups.  The canonical basis is a
+    subgroup invariant, so it is walked once per distinct key, from the
+    graph's tree basis, and looked up for every later subset; candidates
+    are the distinct subgroups in order of first appearance.
 
     The ball is closed under inversion, and u -> u^-1 keeps the subgroup.
     A subset holding some u whose inverse sits earlier in the ball and not
-    in the subset is counted but not folded: swapping the two gives a subset
-    that comes first in colex order, so it was examined before, within any
-    limit, and already gave the same rank, key and hit."""
+    in the subset is counted by colex rank but never generated: swapping the
+    two gives a subset that comes first in colex order, so it was examined
+    before, within any limit, and already gave the same rank, key and hit."""
     started = time.perf_counter()
     ball = enumerate_ball(alphabet, cfg.ball_radius)
     codes = [w.codes for w in ball]
@@ -163,57 +177,33 @@ def subset_attack(alphabet: Alphabet, cfg: AttackConfig,
         _same_alphabet(alphabet, oracle_known_basis.alphabet)
         target = canonical_minimal_basis(oracle_known_basis).codes
     bases: dict[tuple, GeneratingTuple] = {}  # graph key -> canonical basis
-    examined = 0
-    complete = True
     hit_index = None
-    for subset in _colex_subsets(len(ball), cfg.subset_size):
-        if examined >= limit:
-            complete = False
+    for r, subset in _representatives(first, len(ball), cfg.subset_size):
+        if r >= limit:
             break
-        examined += 1
-        if not set(subset).issuperset(map(first.__getitem__, subset)):
-            continue
-        rank, key, tree = _core_graph([codes[i] for i in subset])
+        rank, key = _core_graph([codes[i] for i in subset])
         if rank != cfg.target_rank:
             continue
         canon = bases.get(key)
         if canon is None:
             canon = bases[key] = canonical_minimal_basis(
-                _as_tuple(alphabet, tree))
+                _as_tuple(alphabet, _tree_basis(key)))
         if target is not None and hit_index is None and canon.codes == target:
-            hit_index = examined
+            hit_index = r + 1
+    subsets = comb(len(ball), cfg.subset_size)
     return AttackReport(
         candidates=tuple(bases.values()),
-        subsets_examined=examined,
+        subsets_examined=min(subsets, limit),
         elapsed=time.perf_counter() - started,
-        complete=complete,
+        complete=subsets <= limit,
         hit_index=hit_index,
     )
-
-
-def primitive_lower_bound_rank2(k: int) -> Fraction:
-    """Exact lower bound for the number of primitive elements of length k in
-    rank 2: 8 * 3^((k-3)/2) for odd k (8/3 at k=1), 4 * 3^((k-2)/2) for even."""
-    if k < 1:
-        raise PreconditionError("length must be >= 1")
-    if k % 2:
-        return Fraction(8, 3) * Fraction(3) ** ((k - 1) // 2)
-    return Fraction(4) * Fraction(3) ** ((k - 2) // 2)
-
-
-def primitive_growth_rates(q: int) -> tuple[int, int]:
-    """Exponential growth bases (lower, upper) for primitive counts at rank
-    q >= 3; the multiplicative constants are not pinned down."""
-    if q < 3:
-        raise PreconditionError("growth-rate pair applies to rank >= 3")
-    return 2 * q - 3, 2 * q - 2
 
 
 def attack_cost_estimate(cfg: AttackConfig, q: int) -> CostEstimate:
     """Pure arithmetic: ball size, exact subset count, per-subset cost proxy."""
     ball = ball_size(q, cfg.ball_radius)
-    subsets = comb(ball, cfg.subset_size) if cfg.subset_size <= ball else 0
-    return CostEstimate(ball=ball, subsets=subsets,
+    return CostEstimate(ball=ball, subsets=comb(ball, cfg.subset_size),
                         per_subset_cost=cfg.ball_radius ** 2)
 
 

@@ -176,8 +176,12 @@ class AutFamily(_Value):
     """Lazily derived family of 2^m automorphisms, one per residue class,
     from a ``master_seed`` in 0..2^64-1.
 
-    Members come from at most 2^64 derivation seeds, so they are distinct
-    only with high probability, never by construction."""
+    Members are not distinct by construction: the sampler refuses only the
+    identity.  Over 2^16 sampled members of families with master seed
+    0x1234 and m = 64, two are equal with probability 5.0e-4 at rank 2,
+    2.7e-5 at rank 3 and 9.0e-6 at rank 4 (members 240 and 270 at rank 4),
+    and about 1% (1.56% at rank 2, 1.00% at rank 4) permute and invert the
+    generators."""
 
     __slots__ = _fields = ("master_seed", "alphabet", "m")
 

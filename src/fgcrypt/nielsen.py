@@ -170,8 +170,10 @@ def _symbols(elements: Iterable[bytes]) -> list[bytes]:
 def _owner(syms: Sequence[bytes], a: int, prefix: bytes) -> Optional[int]:
     """The first symbol other than ``a`` that starts with ``prefix``; None
     when ``prefix`` is isolated in symbol ``a``."""
-    return next((b for b, v in enumerate(syms)
-                 if b != a and v.startswith(prefix)), None)
+    for b, v in enumerate(syms):
+        if v.startswith(prefix) and b != a:
+            return b
+    return None
 
 
 def is_nielsen_reduced(t: GeneratingTuple) -> bool:
@@ -311,22 +313,22 @@ def _find_half_rewrite(elements: Sequence[bytes]):
     the shortening phase is exhausted, which bounds seam cancellations by
     half of each factor and keeps the rewrites length-preserving."""
     syms = _symbols(elements)
-    for a, seq in enumerate(syms):
-        ln = len(seq)
-        if ln % 2 or not ln:
+    # symbol a ^ 1 swaps p and q and their owners: only even a can return
+    for a in range(0, len(syms), 2):
+        seq = syms[a]
+        if len(seq) % 2 or not seq:
             continue
-        h = ln // 2
-        p, q = seq[:h], syms[a ^ 1][:h]
-        p_owner, q_owner = _owner(syms, a, p), _owner(syms, a ^ 1, q)
-        if p_owner is None or q_owner is None:
+        h = len(seq) // 2
+        p, q = seq[:h], syms[a + 1][:h]
+        p_owner = _owner(syms, a, p)
+        if p_owner is None or (q_owner := _owner(syms, a + 1, q)) is None:
             continue
-        sign = -1 if a % 2 else 1
         if q < p:
             # prefix p -> q: symbol v -> w^-1 * v
-            b, w, sign = p_owner, syms[a ^ 1], -sign
+            b, w, sign = p_owner, syms[a + 1], -1
         else:
             # prefix q -> p: symbol v -> w * v
-            b, w = q_owner, seq
+            b, w, sign = q_owner, seq, 1
         z = _concat_codes(w, syms[b])
         if b % 2 == 0:
             return b // 2 + 1, a // 2 + 1, "L", sign, z
@@ -340,10 +342,9 @@ def nielsen_reduce(t: GeneratingTuple) -> tuple[GeneratingTuple, list[Elementary
     moves: list[ElementaryMove] = []
     elements = list(t.codes)
     while True:
-        k = next((k for k, u in enumerate(elements, start=1) if not u), None)
-        if k is not None:
-            moves.append(ElementaryMove("T3", k))
-            del elements[k - 1]
+        if b"" in elements:
+            moves.append(ElementaryMove("T3", elements.index(b"") + 1))
+            elements.remove(b"")
             continue
         for i, j, side, sign, z in _products(elements):
             if len(z) < len(elements[i - 1]):
@@ -449,15 +450,13 @@ def canonical_minimal_basis(t: GeneratingTuple) -> GeneratingTuple:
 # reverse edge and the labels sort as x1, x1^-1, x2, ...
 # ---------------------------------------------------------------------------
 
-def _core_graph(elements: Iterable[bytes]
-                ) -> tuple[int, tuple, tuple[bytes, ...]]:
-    """(rank, key, basis) of the subgroup the reduced code strings generate.
+def _core_graph(elements: Iterable[bytes]) -> tuple[int, tuple]:
+    """(rank, key) of the subgroup the reduced code strings generate.
 
     ``key`` is the core graph's adjacency, with the vertices numbered
     breadth-first from the base and each vertex's edges taken in label
-    order; equal keys mean equal subgroups.  ``basis`` is the free basis
-    path(v) * s * path(t)^-1 over the edges v -s-> t outside that
-    breadth-first tree, each a reduced code string."""
+    order; equal keys mean equal subgroups.  :func:`_tree_basis` reads a
+    free basis off it."""
     out: list[dict[int, int]] = [{}]  # out[v][code] = target; vertex 0 is the base
     merges = []
     for word in elements:
@@ -504,10 +503,8 @@ def _core_graph(elements: Iterable[bytes]
     # no vertex but the base ends with a single edge to prune.
     order = [0]  # the roots in breadth-first order; grows during the walk
     number = {0: 0}
-    paths = [b""]  # the tree path from the base
     key = []
-    basis = []
-    for i, v in enumerate(order):
+    for v in order:
         edges = out[v]
         row = []
         for c in sorted(edges):
@@ -516,16 +513,27 @@ def _core_graph(elements: Iterable[bytes]
             if n is None:
                 n = number[t] = len(order)
                 order.append(t)
-                paths.append(paths[i] + c.to_bytes(1, "little"))
-            elif n > i or (n == i and not c & 1):
-                # each edge outside the tree once: from its lower-numbered
-                # end, and a loop by its positive label
-                basis.append(paths[i] + c.to_bytes(1, "little")
-                             + _invert_codes(paths[n]))
             row += (c, n)
         key.append(tuple(row))
     edge_count = sum(map(len, key)) // 4  # two entries per edge, two ints each
-    return edge_count - len(order) + 1, tuple(key), tuple(basis)
+    return edge_count - len(order) + 1, tuple(key)
+
+
+def _tree_basis(key: tuple) -> tuple[bytes, ...]:
+    """The free basis path(v) * s * path(t)^-1, as reduced code strings,
+    over the edges v -s-> t of the core graph ``key`` outside its
+    breadth-first tree: the edge that first reaches a number is in it."""
+    paths = [b""]  # the tree path from the base
+    basis = []
+    for v, row in enumerate(key):
+        for c, t in zip(row[::2], row[1::2]):
+            if t == len(paths):
+                paths.append(paths[v] + bytes((c,)))
+            elif t > v or (t == v and not c & 1):
+                # each edge outside the tree once: from its lower-numbered
+                # end, and a loop by its positive label
+                basis.append(paths[v] + bytes((c,)) + _invert_codes(paths[t]))
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------

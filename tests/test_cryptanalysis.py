@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -19,15 +18,13 @@ from fgcrypt import (
     generators,
     is_nielsen_reduced,
     nielsen_reduce,
-    primitive_growth_rates,
-    primitive_lower_bound_rank2,
     subset_attack,
 )
-from fgcrypt.cryptanalysis import (BALL_CAP, AttackReport, _colex_subsets,
+from fgcrypt.cryptanalysis import (BALL_CAP, AttackReport, _representatives,
                                    format_report)
 from fgcrypt.errors import (AlphabetMismatchError, CapExceededError,
                             PreconditionError)
-from fgcrypt.nielsen import _as_tuple, _core_graph
+from fgcrypt.nielsen import _as_tuple, _core_graph, _tree_basis
 
 AB = Alphabet(("a", "b"))
 XYZ = Alphabet(("x", "y", "z"))
@@ -164,19 +161,52 @@ def _colex_recursive(n, k):
             yield rest + (top,)
 
 
+def _filtered_colex(first, n, k):
+    """(colex rank, subset) of each k-subset holding first[i] for every i in
+    it: the subsets the attack once built and then tested."""
+    return [(r, s) for r, s in enumerate(_colex_recursive(n, k))
+            if set(s).issuperset(first[i] for i in s)]
+
+
+def _random_pairing(rng, n):
+    """first[] of a random pairing of some of range(n): the later member of
+    each pair points at the earlier one, every other index at itself."""
+    order = rng.sample(range(n), n)
+    pairs = rng.randint(0, n // 2)
+    first = list(range(n))
+    for a, b in zip(order[:pairs], order[pairs:2 * pairs]):
+        first[max(a, b)] = min(a, b)
+    return first
+
+
 class TestColexSubsets:
+    """The attack's walk over the representative subsets, checked against
+    the colex list filtered by the skip test it replaced."""
+
     def test_matches_recursive_oracle(self):
-        for n in range(9):
-            for k in range(n + 2):
-                got = list(_colex_subsets(n, k))
-                assert got == list(_colex_recursive(n, k)), (n, k)
-                assert got == _colex(n, k)
+        rng = random.Random("representatives")
+        for n in range(10):
+            pairings = [list(range(n)), [i - i % 2 for i in range(n)]]
+            pairings += [_random_pairing(rng, n) for _ in range(6)]
+            for k in range(1, n + 2):
+                assert list(_colex_recursive(n, k)) == _colex(n, k)
+                for first in pairings:
+                    assert (list(_representatives(first, n, k))
+                            == _filtered_colex(first, n, k)), (first, k)
 
     def test_large_subset_size_is_lazy_and_flat(self):
         # 1100 nested generators exceeded the default recursion limit
-        subsets = _colex_subsets(1500, 1100)
-        assert next(subsets) == tuple(range(1100))
-        assert next(subsets) == tuple(range(1099)) + (1100,)
+        low = tuple(range(1100))
+        for first in (list(range(1500)), [i - i % 2 for i in range(1500)]):
+            walk = _representatives(first, 1500, 1100)
+            assert next(walk) == (0, low)
+            assert next(walk) == (1, low[:-1] + (1100,))
+        # pairs (1, 2), (3, 4), ...: rank 1 holds 1100 but not its partner
+        # 1099, so the walk goes on to rank 2
+        first = [i - 1 if i and i % 2 == 0 else i for i in range(1500)]
+        walk = _representatives(first, 1500, 1100)
+        assert next(walk) == (0, low)
+        assert next(walk) == (2, low[:-2] + (1099, 1100))
 
 
 def _planted(rng, ball, cfg):
@@ -230,11 +260,12 @@ def _reference_attack(alphabet, cfg, planted=None):
     subsets = _colex(len(ball), cfg.subset_size)
     for subset in subsets[:cfg.max_subsets]:
         examined += 1
-        rank, key, tree = _core_graph([ball[i].codes for i in subset])
+        rank, key = _core_graph([ball[i].codes for i in subset])
         if rank != cfg.target_rank:
             continue
         if key not in bases:
-            bases[key] = canonical_minimal_basis(_as_tuple(alphabet, tree))
+            bases[key] = canonical_minimal_basis(
+                _as_tuple(alphabet, _tree_basis(key)))
         if hit_index is None and bases[key].elements == target:
             hit_index = examined
     return AttackReport(tuple(bases.values()), examined, 0.0,
@@ -296,22 +327,27 @@ class TestInverseSwapSkip:
 
 class TestAttackWork:
     # distinct rank-N subgroups among the subsets of each benchmark
-    # configuration; the attack walks once per subgroup, not per subset
+    # configuration; the attack reads a tree basis and walks once per
+    # subgroup, not per subset
     @pytest.mark.parametrize("config,subgroups",
                              zip(ATTACK_CONFIGS[:3], (185, 10, 86)))
     def test_one_canonical_walk_per_subgroup(self, monkeypatch, config,
                                              subgroups):
-        walks = []
+        walks, trees = [], []
         real = cryptanalysis.canonical_minimal_basis
         monkeypatch.setattr(cryptanalysis, "canonical_minimal_basis",
                             lambda tup: walks.append(tup) or real(tup))
+        monkeypatch.setattr(cryptanalysis, "_tree_basis",
+                            lambda key: trees.append(key) or _tree_basis(key))
         alphabet, radius, n, k = config
         cfg = AttackConfig(ball_radius=radius, target_rank=n, subset_size=k)
         report = subset_attack(alphabet, cfg)
-        assert len(walks) == len(report.candidates) == subgroups
+        assert len(walks) == len(trees) == len(report.candidates) == subgroups
         walks.clear()
+        trees.clear()
         planted = GeneratingTuple(alphabet, generators(alphabet)[:n])
         assert subset_attack(alphabet, cfg, planted).hit_index is not None
+        assert len(trees) == subgroups
         assert len(walks) == subgroups + 1  # and one for the planted key
 
     # subsets folded of the 1326, 560 and 630 examined: those with no element
@@ -333,24 +369,6 @@ class TestAttackWork:
         planted = GeneratingTuple(alphabet, generators(alphabet)[:n])
         assert subset_attack(alphabet, cfg, planted).hit_index is not None
         assert len(graphs) == folds
-
-
-class TestBounds:
-    @pytest.mark.parametrize("k,expected", [
-        (1, F(8, 3)), (2, 4), (3, 8), (4, 12), (5, 24), (6, 36), (7, 72),
-    ])
-    def test_rank2_lower_bound(self, k, expected):
-        assert primitive_lower_bound_rank2(k) == expected
-
-    def test_k_positive(self):
-        with pytest.raises(PreconditionError):
-            primitive_lower_bound_rank2(0)
-
-    def test_growth_rates(self):
-        assert primitive_growth_rates(3) == (3, 4)
-        assert primitive_growth_rates(4) == (5, 6)
-        with pytest.raises(PreconditionError):
-            primitive_growth_rates(2)
 
 
 class TestCostEstimate:

@@ -247,6 +247,15 @@ class TestFamily:
             images.add(tuple(str(w) for w in f.images))
         assert len(images) == 16
 
+    def test_readme_family_repeats_a_member(self):
+        # members are not distinct by construction: 240 and 270 of the
+        # README's rank-4 family draw the four inversions in two orders,
+        # which is one map
+        fam = AutFamily(0x1234, ABCD, 64)
+        f, g = derive_automorphism(fam, 240), derive_automorphism(fam, 270)
+        assert format_automorphism(f) != format_automorphism(g)
+        assert f.images == g.images
+
     def test_large_index_uses_high_bits(self):
         fam = AutFamily(0x1, ABCD, 128)
         low = derive_automorphism(fam, 5)

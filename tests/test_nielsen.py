@@ -26,7 +26,7 @@ from fgcrypt import (
 )
 from fgcrypt import nielsen
 from fgcrypt.errors import IllegalMoveError, PreconditionError, WordSyntaxError
-from fgcrypt.nielsen import _core_graph
+from fgcrypt.nielsen import _core_graph, _tree_basis
 from fgcrypt.words import _signed
 
 from conftest import random_tuple, random_word, subgroup_ball
@@ -418,7 +418,8 @@ class TestSameSubgroup:
 
 
 def _graph(tup):
-    return _core_graph(w.codes for w in tup.elements)
+    rank, key = _core_graph(w.codes for w in tup.elements)
+    return rank, key, _tree_basis(key)
 
 
 @st.composite
